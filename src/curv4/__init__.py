@@ -90,8 +90,6 @@ from .io import (
 from .surd import QuadraticSurd
 from .topology import (
     CHI_HARD_CAP,
-    SPHERE_VOLUME,
-    S2XS2_VOLUME,
     GaussBonnetDensities,
     TopologyReport,
     admissible_types,

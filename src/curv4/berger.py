@@ -25,14 +25,13 @@ from .bivector import (
     conjugate_operator,
     duality_decompose,
     factor_decomposable,
+    haar_rotations,
+    normal_form_rows,
     wedge_coordinates,
 )
 from .errors import DomainError, InvalidBergerError, InvalidOperatorError, NotEinsteinError
 from .estimates import GridReport
-from .surd import QuadraticSurd
-
-_EXACT_TYPES = (int, Fraction, QuadraticSurd)
-_RATIONAL_TYPES = (int, Fraction)
+from .surd import EXACT_TYPES, coerce
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +78,7 @@ class BergerData:
     @property
     def is_exact(self) -> bool:
         return all(
-            isinstance(x, _EXACT_TYPES) for x in (*self.a, *self.b, self.lambda_einstein)
+            isinstance(x, EXACT_TYPES) for x in (*self.a, *self.b, self.lambda_einstein)
         )
 
     def normalized(self) -> "BergerData":
@@ -102,16 +101,8 @@ def berger_data(op: CurvatureOperator) -> BergerData:
     d = duality_decompose(op)
     if not d.is_einstein:
         raise NotEinsteinError("operator has a nonzero duality cross block")
-    s = d.s
-    wp = d.w_plus.eigenvalues
-    wm = d.w_minus.eigenvalues
-    exact = isinstance(s, _EXACT_TYPES) and all(
-        isinstance(w, _EXACT_TYPES) for w in (*wp, *wm)
-    )
-    if not exact:
-        s = float(s)
-        wp = tuple(float(w) for w in wp)
-        wm = tuple(float(w) for w in wm)
+    s, *spectra = coerce(d.s, *d.w_plus.eigenvalues, *d.w_minus.eigenvalues)
+    wp, wm = spectra[:3], spectra[3:]
     twelfth = s / 12
     rp = [w + twelfth for w in wp]
     rm = [w + twelfth for w in wm]
@@ -126,23 +117,13 @@ def berger_to_operator(d: BergerData) -> CurvatureOperator:
     Exact data yields an operator with an exact mirror, so a round trip
     through `berger_data` reproduces the input without drift.
     """
-    rational = all(isinstance(x, _RATIONAL_TYPES) for x in (*d.a, *d.b))
-    if rational:
-        rows = [[Fraction(0)] * 6 for _ in range(6)]
-        for i in range(3):
-            rows[i][i] = Fraction(d.a[i])
-            rows[i + 3][i + 3] = Fraction(d.a[i])
-            rows[i][i + 3] = Fraction(d.b[i])
-            rows[i + 3][i] = Fraction(d.b[i])
-        return CurvatureOperator.from_exact(rows, lambda_einstein=float(d.lambda_einstein))
+    lam = float(d.lambda_einstein)
+    if all(isinstance(x, (int, Fraction)) for x in (*d.a, *d.b)):
+        return CurvatureOperator.from_exact(normal_form_rows(d.a, d.b), lambda_einstein=lam)
     a = [float(x) for x in d.a]
     b = [float(x) for x in d.b]
     shift = (b[0] + b[1] + b[2]) / 3.0  # recenter float noise so Bianchi holds exactly
-    m = np.zeros((6, 6))
-    for i in range(3):
-        m[i, i] = m[i + 3, i + 3] = a[i]
-        m[i, i + 3] = m[i + 3, i] = b[i] - shift
-    return CurvatureOperator(m, lambda_einstein=float(d.lambda_einstein))
+    return CurvatureOperator(normal_form_rows(a, [x - shift for x in b]), lambda_einstein=lam)
 
 
 # -- adapted frames -------------------------------------------------------------
@@ -273,15 +254,7 @@ def frame_functional_min(
     data = berger_data(op)
     bound = float(2 * data.a[1] + data.a[0])
 
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((samples, 4, 4))
-    q, r = np.linalg.qr(g)
-    diag_sign = np.sign(np.einsum("sii->si", r))
-    diag_sign[diag_sign == 0] = 1.0
-    q = q * diag_sign[:, None, :]
-    flip = np.linalg.det(q) < 0
-    q[flip, :, 0] *= -1.0
-
+    q = haar_rotations(samples, seed)
     m = op.matrix
     w12 = wedge_coordinates(q[:, :, 0], q[:, :, 1])
     w13 = wedge_coordinates(q[:, :, 0], q[:, :, 2])
@@ -301,11 +274,14 @@ def frame_functional_min(
 
 
 def sample_berger_data(count: int, seed: int = 0, lambda_einstein: float = 1.0) -> list:
-    """Uniform samples from the normal-form polytope at the given Einstein constant.
+    """Seeded samples from the normal-form polytope at the given Einstein constant.
 
-    Rejection sampling: a is drawn from the ordered simplex slab, b from the
-    bounding box |b1| <= (s1 + s2)/3, |b2| <= (s1 + s3)/3 (s_k the a-gaps) and
-    kept when all three dominance constraints hold.
+    The samples are not uniform on the polytope.  At Einstein constant 1, a1
+    is uniform on [-1, 1/3], a2 is uniform on [a1, (1 - a1)/2] given a1, and
+    a3 = 1 - a1 - a2.  Then (b1, b2) is drawn uniformly from the box
+    |b1| <= (s1 + s2)/3, |b2| <= (s1 + s3)/3 (s_k the a-gaps), b3 = -b1 - b2,
+    and the draw is kept when all three dominance constraints hold; a rejected
+    draw starts again from a1.  The result is rescaled to `lambda_einstein`.
     """
     if count < 0:
         raise DomainError("count must be nonnegative")

@@ -318,27 +318,22 @@ def duality_decompose(op: CurvatureOperator) -> DualityDecomposition:
     rm = (a - b - b.T + c) / 2.0
     cross = (a + b.T - b - c) / 2.0
 
+    exact_blocks = False
     if op.exact is not None:
         ex = op.exact
         s = 2 * sum(ex[i][i] for i in range(6))
         erp, erm, _ = _exact_duality_blocks(ex)
         e2 = _traceless_ricci_norm_sq(ex, s)
-        if _is_exact_diagonal(erp) and _is_exact_diagonal(erm):
-            wp = tuple(sorted(erp[i][i] - Fraction(s, 12) for i in range(3)))
-            wm = tuple(sorted(erm[i][i] - Fraction(s, 12) for i in range(3)))
-            return DualityDecomposition(
-                s, WeylSpectrum(wp), WeylSpectrum(wm), e2, rp, rm, cross
-            )
+        exact_blocks = _is_exact_diagonal(erp) and _is_exact_diagonal(erm)
+    else:
+        s = 2.0 * float(np.trace(m))
+        e2 = float(_traceless_ricci_norm_sq(m, s))
+    if exact_blocks:
+        wp = tuple(sorted(erp[i][i] - Fraction(s, 12) for i in range(3)))
+        wm = tuple(sorted(erm[i][i] - Fraction(s, 12) for i in range(3)))
+    else:
         wp = tuple(np.linalg.eigvalsh(rp) - float(s) / 12.0)
         wm = tuple(np.linalg.eigvalsh(rm) - float(s) / 12.0)
-        return DualityDecomposition(
-            s, WeylSpectrum(wp), WeylSpectrum(wm), e2, rp, rm, cross
-        )
-
-    s = 2.0 * float(np.trace(m))
-    wp = tuple(np.linalg.eigvalsh(rp) - s / 12.0)
-    wm = tuple(np.linalg.eigvalsh(rm) - s / 12.0)
-    e2 = float(_traceless_ricci_norm_sq(m, s))
     return DualityDecomposition(
         s, WeylSpectrum(wp), WeylSpectrum(wm), e2, rp, rm, cross
     )
@@ -349,8 +344,9 @@ def duality_decompose(op: CurvatureOperator) -> DualityDecomposition:
 _THIRD = Fraction(1, 3)
 _SIXTH = Fraction(1, 6)
 
-# diagonal A (sectional) and B (mixed) blocks of the normal form, Rc = g
-_MODEL_BLOCKS = {
+# diagonal A (sectional) and B (mixed) blocks of the normal form, Rc = g;
+# the one source of model data (operators, classification, tables)
+MODEL_BLOCKS = {
     "sphere": ((_THIRD, _THIRD, _THIRD), (0, 0, 0)),
     "rp4": ((_THIRD, _THIRD, _THIRD), (0, 0, 0)),
     "cp2": ((_SIXTH, _SIXTH, Fraction(2, 3)), (-_SIXTH, -_SIXTH, _THIRD)),
@@ -377,7 +373,19 @@ MODEL_INFO = {
     },
 }
 
-MODEL_NAMES = tuple(_MODEL_BLOCKS)
+MODEL_NAMES = tuple(MODEL_BLOCKS)
+
+
+def normal_form_rows(a, b) -> list:
+    """The normal-form matrix [[A, B], [B, A]] with A = diag(a), B = diag(b).
+
+    Nested 6x6 lists holding the given entries as they are, zeros elsewhere.
+    """
+    rows = [[0] * 6 for _ in range(6)]
+    for i in range(3):
+        rows[i][i] = rows[i + 3][i + 3] = a[i]
+        rows[i][i + 3] = rows[i + 3][i] = b[i]
+    return rows
 
 
 def model_space(name: str) -> CurvatureOperator:
@@ -386,16 +394,9 @@ def model_space(name: str) -> CurvatureOperator:
     Names: sphere, rp4, cp2, s2xs2.  All entries are exact rationals.
     """
     key = name.lower()
-    if key not in _MODEL_BLOCKS:
+    if key not in MODEL_BLOCKS:
         raise UnknownModelError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")
-    a_diag, b_diag = _MODEL_BLOCKS[key]
-    rows = [[Fraction(0)] * 6 for _ in range(6)]
-    for i in range(3):
-        rows[i][i] = Fraction(a_diag[i])
-        rows[i + 3][i + 3] = Fraction(a_diag[i])
-        rows[i][i + 3] = Fraction(b_diag[i])
-        rows[i + 3][i] = Fraction(b_diag[i])
-    return CurvatureOperator.from_exact(rows, lambda_einstein=1.0)
+    return CurvatureOperator.from_exact(normal_form_rows(*MODEL_BLOCKS[key]), lambda_einstein=1.0)
 
 
 # -- sectional curvature -------------------------------------------------------
@@ -546,6 +547,22 @@ def static_weitzenbock_residual(s, w: WeylSpectrum):
     model spaces.
     """
     return s * w.norm_sq() - 36 * w.det()
+
+
+def haar_rotations(count: int, seed) -> np.ndarray:
+    """`count` Haar-random rotations in SO(4), stacked as (count, 4, 4).
+
+    QR of Gaussian matrices with the signs of R's diagonal moved into Q is
+    Haar on O(4) (Mezzadri, arXiv:math-ph/0609050); negating the first column
+    where det = -1 then gives Haar on SO(4).
+    """
+    g = np.random.default_rng(seed).standard_normal((count, 4, 4))
+    q, r = np.linalg.qr(g)
+    sign = np.sign(np.einsum("sii->si", r))
+    sign[sign == 0] = 1.0
+    q = q * sign[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return q
 
 
 def conjugate_operator(op: CurvatureOperator, frame: np.ndarray) -> CurvatureOperator:

@@ -21,10 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from .berger import BergerData, berger_data
-from .bivector import MODEL_NAMES, CurvatureOperator, model_space
+from .bivector import MODEL_BLOCKS, CurvatureOperator
 from .errors import DomainError, ExactnessError
 from .estimates import GridReport, hamilton_gap, kdiff_lower, kupper_lower, sharp_constants
-from .surd import QuadraticSurd
+from .surd import QuadraticSurd, coerce, sqrt
 
 _SHARP = sharp_constants()["constants"]
 COND_A_MAX_SEC = _SHARP["sec_upper_threshold"].value  # (14 - sqrt19)/12
@@ -33,22 +33,6 @@ COND_B_DIFF_MAX = _SHARP["sec_diff_upper"].value  # (7 - sqrt19)/4
 NONNEG_SEC_MAX = _SHARP["nonneg_sec_threshold"].value  # sqrt3/2
 NONNEG_DIFF_MAX = _SHARP["nonneg_diff_threshold"].value  # sqrt3 - 1
 WEYL_SUM_MAX = _SHARP["weyl_sum_threshold"].value  # sqrt6/2
-
-SQRT6 = QuadraticSurd(0, 1, 6, 1)
-
-
-def _to_exact(x):
-    """Promote to exact arithmetic; floats become the rationals they store."""
-    if isinstance(x, QuadraticSurd):
-        return x
-    if isinstance(x, float):
-        return Fraction(x)
-    return Fraction(x)
-
-
-def _exact_leq(lhs, rhs) -> bool:
-    lhs = _to_exact(lhs)
-    return not (rhs < lhs) if isinstance(rhs, QuadraticSurd) else lhs <= _to_exact(rhs)
 
 
 @dataclass(frozen=True)
@@ -68,10 +52,12 @@ class CertificateRow:
 
 
 def _row(name, lhs, relation, rhs, note="") -> CertificateRow:
+    # Python compares int, Fraction and float exactly, and QuadraticSurd
+    # compares against a float as the rational it stores
     if relation == "<=":
-        holds = _exact_leq(lhs, rhs)
+        holds = lhs <= rhs
     elif relation == ">=":
-        holds = _exact_leq(rhs, lhs)
+        holds = lhs >= rhs
     else:
         raise DomainError(f"unsupported relation {relation!r}")
     return CertificateRow(name, holds, float(lhs), float(rhs), relation, note)
@@ -136,27 +122,19 @@ def pinch_to_weyl_gap(data: BergerData, mode: str = "upper") -> PinchWeylReport:
     if mode not in ("upper", "diff"):
         raise DomainError("mode must be 'upper' or 'diff'")
     d = data.normalized()
-    exact = d.is_exact
-    a1, a2, a3 = (_to_exact(x) if exact else float(x) for x in d.a)
+    six, a1, a2, a3, *_ = coerce(6, *d.a, *d.b, d.lambda_einstein)
     if mode == "upper":
         numerator = 4 * (a3 - a1)
     else:
         numerator = 2 - 6 * a1 + 2 * (a3 - a2)
-    if exact:
-        if isinstance(numerator, QuadraticSurd) and numerator.is_rational:
-            numerator = numerator.as_fraction()
-        try:
-            bound_exact = _to_exact(numerator) / SQRT6
-            bound = float(bound_exact)
-        except ExactnessError:  # numerator irrational in a field without sqrt6
-            bound_exact = None
-            bound = float(numerator) / math.sqrt(6.0)
-    else:
-        bound_exact = None
+    try:
+        bound = numerator / sqrt(six)
+    except ExactnessError:  # numerator irrational in a field without sqrt6
         bound = float(numerator) / math.sqrt(6.0)
+    bound_exact = None if isinstance(bound, float) else bound
     ws = _weyl_sum(d)
-    margin = bound - ws
-    return PinchWeylReport(mode, bound, ws, margin, margin >= -1e-9, bound_exact)
+    margin = float(bound) - ws
+    return PinchWeylReport(mode, float(bound), ws, margin, margin >= -1e-9, bound_exact)
 
 
 # -- the Weitzenboeck discriminant ------------------------------------------------
@@ -230,12 +208,15 @@ class ClassificationVerdict:
     verdict: "model_data" (normalized data equals a model's), "rigidity_regime"
     (condition a or b holds), or "inconclusive".  candidates are the model
     geometries compatible with the verdict; compatibility, not isometry.
+    skipped holds a (row name, reason) pair for each certificate row left out
+    because the data lies outside the domain of its closed form.
     """
 
     verdict: str
     data: BergerData
     rows: tuple
     candidates: tuple
+    skipped: tuple = ()
 
     def row(self, name: str) -> CertificateRow:
         for r in self.rows:
@@ -244,13 +225,14 @@ class ClassificationVerdict:
         raise KeyError(name)
 
 
-def _matches_model(d: BergerData, m: BergerData, tol: float = 1e-9) -> bool:
+def _matches_model(d: BergerData, model: str, tol: float = 1e-9) -> bool:
+    ma, mb = MODEL_BLOCKS[model]
     da = [float(x) for x in d.a]
-    ma = [float(x) for x in m.a]
+    ma = [float(x) for x in ma]
     if any(abs(x - y) > tol for x, y in zip(da, ma)):
         return False
     db = [float(x) for x in d.b]
-    mb = [float(x) for x in m.b]
+    mb = [float(x) for x in mb]
     same = all(abs(x - y) <= tol for x, y in zip(db, mb))
     flipped = all(abs(x + y) <= tol for x, y in zip(db, mb))
     return same or flipped
@@ -262,7 +244,8 @@ def classify(source) -> ClassificationVerdict:
     Accepts a CurvatureOperator or BergerData; the data is rescaled to
     Einstein constant 1 first (positive constant required).  Threshold
     comparisons are exact; derived rows double-check the closed-form minimum
-    bounds against the actual data.
+    bounds against the actual data, and are skipped (with the reason kept in
+    `skipped`) where the data lies outside a closed form's domain.
     """
     if isinstance(source, CurvatureOperator):
         data = berger_data(source)
@@ -293,8 +276,11 @@ def classify(source) -> ClassificationVerdict:
         ),
         check_weyl_sum(d),
     ]
+    skipped = []
     if float(a3) <= 1.0 + 1e-12:
-        arg = a3 if d.is_exact else min(max(float(a3), 1.0 / 3.0), 1.0)
+        # valid data may leave [1/3, 1] within its 1e-9 tolerance
+        arg = min(max(a3, Fraction(1, 3)), 1)
+        arg = arg if d.is_exact else float(arg)
         rows.append(
             _row(
                 "derived_min_sec",
@@ -304,18 +290,25 @@ def classify(source) -> ClassificationVerdict:
                 "closed-form floor from the max sectional curvature",
             )
         )
+    else:
+        skipped.append(("derived_min_sec", "a3 > 1 lies outside the domain [1/3, 1] of kupper_lower"))
     spread = a3 - a2
     if float(spread) < 0:
         spread = 0
-    rows.append(
-        _row(
-            "derived_min_sec_diff",
-            a1,
-            ">=",
-            kdiff_lower(spread) - Fraction(1, 10**9),
-            "closed-form floor from the sectional spread",
+    if float(spread) < 2.0:
+        rows.append(
+            _row(
+                "derived_min_sec_diff",
+                a1,
+                ">=",
+                kdiff_lower(spread) - Fraction(1, 10**9),
+                "closed-form floor from the sectional spread",
+            )
         )
-    )
+    else:
+        skipped.append(
+            ("derived_min_sec_diff", "a3 - a2 >= 2 lies outside the domain [0, 2) of kdiff_lower")
+        )
     for mode in ("upper", "diff"):
         rep = pinch_to_weyl_gap(d, mode)
         rows.append(
@@ -329,9 +322,7 @@ def classify(source) -> ClassificationVerdict:
             )
         )
 
-    matches = tuple(
-        name for name in MODEL_NAMES if _matches_model(d, berger_data(model_space(name)))
-    )
+    matches = tuple(name for name in MODEL_BLOCKS if _matches_model(d, name))
     by_name = {r.name: r for r in rows}
     cond_a = by_name["condition_a"].holds
     cond_b = by_name["condition_b_sum"].holds and by_name["condition_b_diff"].holds
@@ -344,4 +335,4 @@ def classify(source) -> ClassificationVerdict:
     else:
         verdict = "inconclusive"
         candidates = ()
-    return ClassificationVerdict(verdict, d, tuple(rows), candidates)
+    return ClassificationVerdict(verdict, d, tuple(rows), candidates, tuple(skipped))

@@ -12,7 +12,7 @@ Subcommands:
   constants    the sharp thresholds, exactly and as decimal enclosures
 
 Exit codes: 0 success / verification passed, 1 a verification failed,
-2 usage or input error.
+2 usage or input error (including a verify grid below MIN_GRID).
 """
 
 from __future__ import annotations
@@ -22,26 +22,27 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import Callable
 
 from .berger import BergerData, berger_data, berger_to_operator, reconstruct_frame
 from .bivector import (
+    MODEL_BLOCKS,
     MODEL_INFO,
     MODEL_NAMES,
     CurvatureOperator,
     conjugate_operator,
     duality_decompose,
+    haar_rotations,
     model_space,
 )
 from .classify import classify, wpm_discriminant_oracle
-from .errors import Curv4Error
+from .errors import Curv4Error, DomainError
 from .estimates import (
+    GridReport,
     hamilton_gap,
-    lemma_algebraic2_min,
     lemma_algebraic2_oracle,
-    lemma_k3k1_bounds,
     lemma_k3k1_oracle,
     pointwise_bound_oracle,
     sharp_constants,
@@ -54,92 +55,111 @@ from .io import (
 )
 from .topology import admissible_types
 
-LEMMA_NAMES = (
-    "k3k1",
-    "algebraic2",
-    "kupper",
-    "kdiff",
-    "a2a1",
-    "wpm-discriminant",
-    "hamilton-models",
-)
 
-# per-lemma (default alpha, default delta, default grid, pass tolerance)
-_LEMMA_DEFAULTS = {
-    "k3k1": (5.0 / 6.0, 1.0, 400, 1e-9),
-    "algebraic2": (1.0, 1.0, 400, 1e-6),
-    "kupper": (2.0 / 3.0, None, 120, 1e-9),
-    "kdiff": (0.5, None, 120, 1e-9),
-    "a2a1": (None, 1.0 / 6.0, 120, 1e-9),
-    "wpm-discriminant": (None, None, 400, 1e-9),
-    "hamilton-models": (None, None, 32, 1e-9),
+def _hamilton_models_check(rotations: int, seed: int) -> GridReport:
+    """Exact zero gaps on the models, plus gap stability under random frames."""
+    names = ("sphere", "cp2", "s2xs2")
+    for name in names:
+        if hamilton_gap(berger_data(model_space(name))) != 0:
+            return GridReport(math.inf, (name,), rotations, 0.0, math.inf)  # pragma: no cover
+    worst, arg = 0.0, ("exact",)
+    frames = haar_rotations(len(names) * rotations, seed).reshape(len(names), rotations, 4, 4)
+    for name, batch in zip(names, frames):
+        op = model_space(name)
+        for q in batch:
+            gap = abs(float(hamilton_gap(berger_data(conjugate_operator(op, q)))))
+            if gap > worst:
+                worst, arg = gap, (name,)
+    return GridReport(worst, arg, rotations, 0.0, worst)
+
+
+@dataclass(frozen=True)
+class _Lemma:
+    """One row of the verification table.
+
+    oracle   -- called as oracle(grid, **params), returns a GridReport
+    params   -- (report name, source, default) per parameter; the source is the
+                run_verification argument it comes from (alpha / delta, which
+                the CLI sets with --alpha / --delta, or grid / seed)
+    grid     -- default grid: subdivisions per axis, or rotations per model
+    tol      -- largest violation that still passes
+    argument -- also report the oracle's argument
+    """
+
+    oracle: Callable[..., GridReport]
+    params: tuple
+    grid: int
+    tol: float
+    argument: bool = False
+
+
+_LEMMAS = {
+    "k3k1": _Lemma(
+        lambda grid, alpha, delta: lemma_k3k1_oracle(alpha, delta, resolution=grid),
+        (("alpha", "alpha", 5.0 / 6.0), ("delta", "delta", 1.0)),
+        400,
+        1e-9,
+    ),
+    "algebraic2": _Lemma(
+        lambda grid, a, b: lemma_algebraic2_oracle(a, b, resolution=grid),
+        (("a", "alpha", 1.0), ("b", "delta", 1.0)),
+        400,
+        1e-6,
+    ),
+    "kupper": _Lemma(
+        lambda grid, alpha: pointwise_bound_oracle("kupper", alpha, resolution=grid),
+        (("alpha", "alpha", 2.0 / 3.0),),
+        120,
+        1e-9,
+    ),
+    "kdiff": _Lemma(
+        lambda grid, alpha: pointwise_bound_oracle("kdiff", alpha, resolution=grid),
+        (("alpha", "alpha", 0.5),),
+        120,
+        1e-9,
+    ),
+    "a2a1": _Lemma(
+        lambda grid, delta: pointwise_bound_oracle("a2a1", delta, resolution=grid),
+        (("delta", "delta", 1.0 / 6.0),),
+        120,
+        1e-9,
+    ),
+    "wpm-discriminant": _Lemma(
+        lambda grid: wpm_discriminant_oracle(resolution=grid), (), 400, 1e-9
+    ),
+    "hamilton-models": _Lemma(
+        lambda grid, rotations, seed: _hamilton_models_check(rotations, seed),
+        (("rotations", "grid", None), ("seed", "seed", None)),
+        32,
+        1e-9,
+        argument=True,
+    ),
 }
 
+LEMMA_NAMES = tuple(_LEMMAS)
 
-def _hamilton_models_check(rotations: int, seed: int) -> tuple[float, tuple]:
-    """Exact zero gaps on the models, plus gap stability under random frames."""
-    for name in ("sphere", "cp2", "s2xs2"):
-        gap = hamilton_gap(berger_data(model_space(name)))
-        if gap != 0:
-            return math.inf, (name,)  # pragma: no cover
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    arg = ("exact",)
-    for name in ("sphere", "cp2", "s2xs2"):
-        op = model_space(name)
-        for _ in range(rotations):
-            g = rng.standard_normal((4, 4))
-            q, r = np.linalg.qr(g)
-            q = q * np.sign(np.diag(r))
-            rotated = conjugate_operator(op, q)
-            gap = abs(float(hamilton_gap(berger_data(rotated))))
-            if gap > worst:
-                worst = gap
-                arg = (name,)
-    return worst, arg
+# the smallest grid any lemma accepts: below it an oracle checks too few
+# points (or none) for a pass to mean anything
+MIN_GRID = 8
 
 
 def run_verification(lemma: str, alpha=None, delta=None, grid=None, seed: int = 0) -> dict:
     """One named bound against its oracle; returns the report dictionary."""
-    if lemma not in _LEMMA_DEFAULTS:
+    if lemma not in _LEMMAS:
         raise Curv4Error(f"unknown lemma {lemma!r}; choose from {', '.join(LEMMA_NAMES)}")
-    d_alpha, d_delta, d_grid, tol = _LEMMA_DEFAULTS[lemma]
-    alpha = d_alpha if alpha is None else alpha
-    delta = d_delta if delta is None else delta
-    grid = d_grid if grid is None else grid
-    params = {}
+    row = _LEMMAS[lemma]
+    grid = row.grid if grid is None else grid
+    if grid < MIN_GRID:
+        raise DomainError(f"grid {grid} is below the minimum {MIN_GRID}")
+    given = {"alpha": alpha, "delta": delta, "grid": grid, "seed": seed}
+    params = {
+        name: default if given[source] is None else given[source]
+        for name, source, default in row.params
+    }
     start = time.perf_counter()
-    if lemma == "k3k1":
-        params = {"alpha": alpha, "delta": delta}
-        report = lemma_k3k1_oracle(alpha, delta, resolution=grid)
-    elif lemma == "algebraic2":
-        params = {"a": alpha, "b": delta}
-        report = lemma_algebraic2_oracle(alpha, delta, resolution=grid)
-    elif lemma in ("kupper", "kdiff"):
-        params = {"alpha": alpha}
-        report = pointwise_bound_oracle(lemma, alpha, resolution=grid)
-    elif lemma == "a2a1":
-        params = {"delta": delta}
-        report = pointwise_bound_oracle("a2a1", delta, resolution=grid)
-    elif lemma == "wpm-discriminant":
-        report = wpm_discriminant_oracle(resolution=grid)
-    else:
-        worst, arg = _hamilton_models_check(grid, seed)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return {
-            "lemma": lemma,
-            "params": {"rotations": grid, "seed": seed},
-            "bound": 0.0,
-            "oracle_extremum": worst,
-            "violation": worst,
-            "resolution": grid,
-            "elapsed_ms": elapsed,
-            "feasible": True,
-            "pass": worst <= tol,
-            "argument": list(arg),
-        }
+    report = row.oracle(grid, **params)
     elapsed = (time.perf_counter() - start) * 1000.0
-    return {
+    doc = {
         "lemma": lemma,
         "params": params,
         "bound": report.bound,
@@ -148,8 +168,11 @@ def run_verification(lemma: str, alpha=None, delta=None, grid=None, seed: int = 
         "resolution": report.resolution,
         "elapsed_ms": elapsed,
         "feasible": report.feasible,
-        "pass": report.violation <= tol,
+        "pass": report.violation <= row.tol,
     }
+    if row.argument:
+        doc["argument"] = list(report.argument)
+    return doc
 
 
 _BATTERY = (
@@ -182,17 +205,7 @@ _BATTERY = (
 
 
 def run_battery(grid=None, seed: int = 0) -> dict:
-    checks = []
-    for lemma, params in _BATTERY:
-        checks.append(
-            run_verification(
-                lemma,
-                alpha=params.get("alpha", params.get("a")),
-                delta=params.get("delta", params.get("b")),
-                grid=grid,
-                seed=seed,
-            )
-        )
+    checks = [run_verification(lemma, grid=grid, seed=seed, **params) for lemma, params in _BATTERY]
     failures = sum(1 for c in checks if not c["pass"])
     return {"checks": checks, "failures": failures}
 
@@ -253,9 +266,7 @@ def _cmd_models(args) -> int:
         return 0
     for name in names:
         info = MODEL_INFO[name]
-        data = berger_data(model_space(name))
-        a = ", ".join(str(Fraction(x)) for x in data.a)
-        b = ", ".join(str(Fraction(x)) for x in data.b)
+        a, b = (", ".join(str(Fraction(x)) for x in block) for block in MODEL_BLOCKS[name])
         tau = "-" if info["signature"] is None else str(info["signature"])
         print(f"{name:8s} a = ({a})  b = ({b})  chi = {info['euler']}  tau = {tau}")
         print(f"{'':8s} {info['description']}")
@@ -349,6 +360,7 @@ def _cmd_classify(args) -> int:
             }
             for r in verdict.rows
         ],
+        "skipped": [{"name": name, "reason": reason} for name, reason in verdict.skipped],
     }
 
     def lines(d):
@@ -475,13 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", required=True, choices=LEMMA_NAMES)
     p.add_argument("--alpha", type=float, help="first parameter (meaning depends on the lemma)")
     p.add_argument("--delta", type=float, help="second parameter (meaning depends on the lemma)")
-    p.add_argument("--grid", type=int, help="grid subdivisions per axis")
+    p.add_argument("--grid", type=int, help=f"grid subdivisions per axis (at least {MIN_GRID})")
     p.add_argument("--seed", type=int, default=0, help="seed for sampling oracles")
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("verify-all", help="the whole verification battery")
-    p.add_argument("--grid", type=int, help="grid subdivisions per axis")
+    p.add_argument("--grid", type=int, help=f"grid subdivisions per axis (at least {MIN_GRID})")
     p.add_argument("--seed", type=int, default=0)
     add_format(p)
     p.set_defaults(func=_cmd_verify_all)

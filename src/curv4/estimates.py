@@ -19,19 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ExactnessError
-from .surd import QuadraticSurd
-
-SQRT6 = math.sqrt(6.0)
-
-_EXACT_TYPES = (int, Fraction, QuadraticSurd)
-
-
-def _is_exact(*xs) -> bool:
-    return all(isinstance(x, _EXACT_TYPES) for x in xs)
-
-
-def _exact(x):
-    return x if isinstance(x, QuadraticSurd) else QuadraticSurd.from_rational(x)
+from .surd import QuadraticSurd, coerce, sqrt
 
 
 @dataclass(frozen=True)
@@ -119,15 +107,8 @@ def lemma_k3k1_bounds(alpha, delta):
         raise DomainError("alpha = a2 + a3 must be positive")
     if float(delta) < 0:
         raise DomainError("delta = 2(a3 - a2) must be nonnegative")
-    if _is_exact(alpha, delta):
-        alpha = Fraction(alpha) if not isinstance(alpha, QuadraticSurd) else alpha
-        delta = Fraction(delta) if not isinstance(delta, QuadraticSurd) else delta
-        inv_sqrt6 = QuadraticSurd(0, 1, 6, 6)  # 1/sqrt6 = sqrt6/6
-        sum_bound = (_exact(6 * alpha - 4 + delta)) * inv_sqrt6
-        normsq_bound = (12 * alpha * alpha - 16 * alpha + Fraction(16, 3) + delta * delta) / 2
-        return sum_bound, normsq_bound
-    a, dl = float(alpha), float(delta)
-    return (6.0 * a - 4.0 + dl) / SQRT6, (12.0 * a * a - 16.0 * a + 16.0 / 3.0 + dl * dl) / 2.0
+    three, a, d = coerce(3, alpha, delta)
+    return (6 * a - 4 + d) / sqrt(2 * three), (12 * a * a - 16 * a + 16 / three + d * d) / 2
 
 
 def lemma_k3k1_oracle(
@@ -182,18 +163,10 @@ def lemma_algebraic2_min(a, b):
     """
     if float(a) < 0 or float(b) < 0:
         raise DomainError("bounds a, b must be nonnegative")
-    if _is_exact(a, b):
-        if not isinstance(a, QuadraticSurd):
-            a = Fraction(a)
-        if not isinstance(b, QuadraticSurd):
-            b = Fraction(b)
-        if 2 * a < b:
-            return (2 * a * a - 2 * a * b - b * b) / 3
-        return -(b * b) / 2
-    a, b = float(a), float(b)
-    if 2.0 * a < b:
-        return (2.0 * a * a - 2.0 * a * b - b * b) / 3.0
-    return -b * b / 2.0
+    a, b = coerce(a, b)
+    if 2 * a < b:
+        return (2 * a * a - 2 * a * b - b * b) / 3
+    return -b * b / 2
 
 
 def lemma_algebraic2_oracle(
@@ -242,11 +215,6 @@ def lemma_algebraic2_oracle(
 # -- lower bounds on the minimal sectional curvature ----------------------------
 
 
-def _exact_sqrt(value):
-    """sqrt of an exact nonnegative quantity, denesting where possible."""
-    return _exact(value).sqrt()
-
-
 def kupper_lower(alpha):
     """Lower bound on a1 when the largest sectional curvature equals alpha <= 1.
 
@@ -256,12 +224,11 @@ def kupper_lower(alpha):
     """
     if not (1.0 / 3.0 - 1e-12 <= float(alpha) <= 1.0 + 1e-12):
         raise DomainError("alpha must lie in [1/3, 1]")
-    if _is_exact(alpha):
-        t = 96 * _exact(alpha) * _exact(alpha) - 80 * _exact(alpha) + 19
-        root = _exact_sqrt(3 * t)
-        return (15 - 8 * _exact(alpha) - root) / 28
-    a = float(alpha)
-    return (15.0 - 8.0 * a - math.sqrt(3.0) * math.sqrt(96.0 * a * a - 80.0 * a + 19.0)) / 28.0
+    (a,) = coerce(alpha)
+    t = 96 * a * a - 80 * a + 19
+    # floats keep the two-root product; sqrt(3t) differs in the last bit
+    root = math.sqrt(3.0) * math.sqrt(t) if isinstance(t, float) else sqrt(3 * t)
+    return (15 - 8 * a - root) / 28
 
 
 def kdiff_lower(alpha):
@@ -273,11 +240,8 @@ def kdiff_lower(alpha):
     """
     if not (0.0 <= float(alpha) < 2.0):
         raise DomainError("alpha must lie in [0, 2)")
-    if _is_exact(alpha):
-        t = 1 + 8 * _exact(alpha) * _exact(alpha) - 4 * _exact(alpha)
-        return (3 - 2 * _exact(alpha) - _exact_sqrt(t)) / 6
-    a = float(alpha)
-    return (3.0 - 2.0 * a - math.sqrt(1.0 + 8.0 * a * a - 4.0 * a)) / 6.0
+    (a,) = coerce(alpha)
+    return (3 - 2 * a - sqrt(1 + 8 * a * a - 4 * a)) / 6
 
 
 def a2a1_gap(delta):
@@ -290,22 +254,11 @@ def a2a1_gap(delta):
     """
     if not (0.0 <= float(delta) <= 1.0 / 3.0 + 1e-12):
         raise DomainError("delta must lie in [0, 1/3]")
-    if _is_exact(delta):
-        d = Fraction(delta) if not isinstance(delta, QuadraticSurd) else delta
-        radicand = 3 + 18 * d * d - 15 * d
-        disc = 48 * (1 - 2 * d) * (1 - 3 * d)
-        if 16 * _exact(radicand) != _exact(disc):
-            raise ExactnessError("discriminant identity failed")  # pragma: no cover
-        if float(radicand) < 0:
-            raise DomainError("negative discriminant")  # pragma: no cover
-        return 1 - 3 * d - _exact_sqrt(radicand) / 2
-    d = float(delta)
-    radicand = 3.0 + 18.0 * d * d - 15.0 * d
-    disc = 48.0 * (1.0 - 2.0 * d) * (1.0 - 3.0 * d)
-    if abs(16.0 * radicand - disc) > 1e-9:
+    (d,) = coerce(delta)
+    radicand = 3 + 18 * d * d - 15 * d
+    if abs(16 * radicand - 48 * (1 - 2 * d) * (1 - 3 * d)) > 1e-9:
         raise ExactnessError("discriminant identity failed")  # pragma: no cover
-    radicand = max(0.0, radicand)
-    return 1.0 - 3.0 * d - math.sqrt(radicand) / 2.0
+    return 1 - 3 * d - sqrt(max(0 * radicand, radicand)) / 2
 
 
 # -- polytope oracles ------------------------------------------------------------

@@ -394,3 +394,30 @@ class QuadraticSurd:
             return f"{sign}{whole}.{frac:0{digits}d}"
 
         return fmt(n), fmt(n + 1)
+
+
+EXACT_TYPES = (int, Fraction, QuadraticSurd)
+
+
+def coerce(*xs) -> tuple:
+    """The arguments in one arithmetic, so a formula can be written once.
+
+    When every argument is exact (int, Fraction or QuadraticSurd) surds stay
+    as they are and the rest become Fractions; otherwise every argument
+    becomes a float.
+    """
+    for x in xs:
+        if not isinstance(x, EXACT_TYPES):
+            return tuple(map(float, xs))
+    return tuple(x if isinstance(x, QuadraticSurd) else Fraction(x) for x in xs)
+
+
+def sqrt(x):
+    """Square root in the arithmetic of x: math.sqrt for floats, else exact.
+
+    Exact roots denest where they can and raise ExactnessError where they
+    cannot (see QuadraticSurd.sqrt).
+    """
+    if isinstance(x, float):
+        return math.sqrt(x)
+    return x.sqrt() if isinstance(x, QuadraticSurd) else QuadraticSurd.sqrt_rational(x)

@@ -14,15 +14,7 @@ from fractions import Fraction
 
 from .bivector import CurvatureOperator, duality_decompose
 from .errors import DomainError
-from .surd import QuadraticSurd
-
-# volume of the round 4-sphere with Rc = g (radius sqrt3): (8 pi^2 / 3) * 9
-SPHERE_VOLUME = 24.0 * math.pi**2
-
-# products of unit 2-spheres carry Rc = g directly, so the factors have K = 1
-S2XS2_VOLUME = 16.0 * math.pi**2
-
-_EXACT_TYPES = (int, Fraction, QuadraticSurd)
+from .surd import QuadraticSurd, coerce
 
 
 @dataclass(frozen=True)
@@ -44,23 +36,16 @@ class GaussBonnetDensities:
 def gbc_integrands(op: CurvatureOperator) -> GaussBonnetDensities:
     """Pointwise Gauss-Bonnet and signature densities of an operator."""
     d = duality_decompose(op)
-    wp2 = d.w_plus.norm_sq()
-    wm2 = d.w_minus.norm_sq()
-    e2 = d.traceless_ricci_norm_sq
-    s = d.s
+    wp2, wm2, e2, s = coerce(
+        d.w_plus.norm_sq(), d.w_minus.norm_sq(), d.traceless_ricci_norm_sq, d.s
+    )
+    chi_num = wp2 + wm2 - e2 / 2 + s**2 / 24
+    tau_num = wp2 - wm2
     pi2 = math.pi**2
-    if all(isinstance(x, (int, Fraction)) for x in (wp2, wm2, e2, s)):
-        chi_num = Fraction(wp2) + Fraction(wm2) - Fraction(e2) / 2 + Fraction(s) ** 2 / 24
-        tau_num = Fraction(wp2) - Fraction(wm2)
-        return GaussBonnetDensities(
-            float(chi_num) / (8.0 * pi2),
-            float(tau_num) / (12.0 * pi2),
-            chi_num / 8,
-            tau_num / 12,
-        )
-    chi_num = float(wp2) + float(wm2) - float(e2) / 2.0 + float(s) ** 2 / 24.0
-    tau_num = float(wp2) - float(wm2)
-    return GaussBonnetDensities(chi_num / (8.0 * pi2), tau_num / (12.0 * pi2))
+    densities = (float(chi_num) / (8.0 * pi2), float(tau_num) / (12.0 * pi2))
+    if isinstance(chi_num, float):
+        return GaussBonnetDensities(*densities)
+    return GaussBonnetDensities(*densities, chi_num / 8, tau_num / 12)
 
 
 def hitchin_thorpe_slack(chi: int, tau: int):
@@ -84,14 +69,8 @@ def euler_upper_per_vol(alpha, beta):
         raise DomainError("need alpha <= beta")
     if float(alpha) > 1.0 / 3.0 + 1e-12 or float(beta) < 1.0 / 3.0 - 1e-12:
         raise DomainError("sectional extrema must straddle 1/3")
-    if all(isinstance(x, _EXACT_TYPES) for x in (alpha, beta)):
-        if not isinstance(alpha, QuadraticSurd):
-            alpha = Fraction(alpha)
-        if not isinstance(beta, QuadraticSurd):
-            beta = Fraction(beta)
-        return 8 * (beta * beta - (1 - alpha) * (alpha + beta)) + Fraction(10, 3)
-    a, b = float(alpha), float(beta)
-    return 8.0 * (b * b - (1.0 - a) * (a + b)) + 10.0 / 3.0
+    three, a, b = coerce(3, alpha, beta)
+    return 8 * (b * b - (1 - a) * (a + b)) + 10 / three
 
 
 # the volume cap 3 * euler_upper_per_vol never exceeds 10 on the pinched
@@ -127,12 +106,8 @@ def admissible_types(alpha) -> TopologyReport:
     """
     if not (-1e-12 <= float(alpha) <= 1.0 / 3.0 + 1e-12):
         raise DomainError("pinching level alpha must lie in [0, 1/3]")
-    if isinstance(alpha, _EXACT_TYPES):
-        beta = 1 - alpha - alpha
-    else:
-        alpha = float(alpha)
-        beta = 1.0 - 2.0 * alpha
-    cap = 3 * euler_upper_per_vol(alpha, beta)
+    (alpha,) = coerce(alpha)
+    cap = 3 * euler_upper_per_vol(alpha, 1 - 2 * alpha)
     cap_repr = cap.expression() if isinstance(cap, QuadraticSurd) else str(cap)
     trail = [
         "chi >= 2: positive Einstein constant forces first Betti number 0",

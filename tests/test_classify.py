@@ -30,6 +30,7 @@ from curv4.errors import DomainError
 S19 = QuadraticSurd(0, 1, 19, 1)
 BETA = (14 - S19) / 12
 SQRT32 = QuadraticSurd(0, 1, 6, 2)  # sqrt(3/2) = sqrt6/2
+THIRD_Q = Fraction(1, 3)
 
 # valid non-model data with strict interior Hamilton slack 13/200: a slide
 # along the tight cp2 dominance face
@@ -76,6 +77,33 @@ def test_verdict_inconclusive():
         v.row("no_such_row")
     with pytest.raises(DomainError):
         classify(42)
+
+
+def test_verdict_outside_closed_form_domains():
+    # spread a3 - a2 >= 2: kdiff_lower has no value there, and a3 > 1 puts
+    # kupper_lower out of reach too; both rows are skipped with a reason
+    v = classify(BergerData(a=(-1.0, 0.0, 2.0), b=(0, 0, 0)))
+    assert v.verdict == "inconclusive" and v.candidates == ()
+    assert [name for name, _ in v.skipped] == ["derived_min_sec", "derived_min_sec_diff"]
+    with pytest.raises(KeyError):
+        v.row("derived_min_sec_diff")
+
+    # a3 > 1 with a small spread: only the kupper row is skipped
+    v = classify(BergerData(a=(-1.0, 0.5, 1.5), b=(0, 0, 0)))
+    assert [name for name, _ in v.skipped] == ["derived_min_sec"]
+    assert "kupper_lower" in v.skipped[0][1]
+    assert v.row("derived_min_sec_diff").holds is False
+    assert classify(model_space("cp2")).skipped == ()
+
+
+def test_verdict_exact_data_inside_ordering_tolerance():
+    # a3 a hair below 1/3 is valid within the 1e-9 ordering tolerance, and
+    # exact data there gets the same verdict as float data
+    e = Fraction(4, 10**10)
+    exact = classify(BergerData(a=(THIRD_Q + e, THIRD_Q, THIRD_Q - e), b=(0, 0, 0)))
+    flt = classify(BergerData(a=(1 / 3 + 4e-10, 1 / 3, 1 / 3 - 4e-10), b=(0.0, 0.0, 0.0)))
+    assert exact.verdict == flt.verdict == "model_data"
+    assert exact.row("derived_min_sec").holds and flt.row("derived_min_sec").holds
 
 
 def test_row_str_marks():

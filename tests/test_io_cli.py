@@ -19,7 +19,7 @@ from curv4 import (
     read_document,
     sample_berger_data,
 )
-from curv4.cli import main, run_verification
+from curv4.cli import LEMMA_NAMES, MIN_GRID, main, run_verification
 from curv4.errors import DomainError, InvalidBergerError, InvalidOperatorError
 from curv4.io import BERGER_FORMAT, OPERATOR_FORMAT
 
@@ -205,6 +205,22 @@ def test_cli_verify_all_small_grid(capsys):
     assert "25/25 checks passed" in out
 
 
+@pytest.mark.parametrize("lemma", LEMMA_NAMES)
+def test_cli_verify_rejects_grid_below_minimum(lemma, capsys):
+    # a grid this small checks too few points (or none) for a pass to mean anything
+    assert MIN_GRID <= 40
+    for grid in (MIN_GRID - 1, 1, 0, -5):
+        assert main(["verify", "--lemma", lemma, "--grid", str(grid)]) == 2, grid
+        assert f"below the minimum {MIN_GRID}" in capsys.readouterr().err
+    assert main(["verify", "--lemma", lemma, "--grid", str(MIN_GRID)]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"]
+
+
+def test_cli_verify_all_rejects_grid_below_minimum(capsys):
+    assert main(["verify-all", "--grid", str(MIN_GRID - 1)]) == 2
+    assert "below the minimum" in capsys.readouterr().err
+
+
 def test_cli_infeasible_params_still_verify(capsys):
     # mid-window parameters have empty constraint sets: the bound holds
     # vacuously and the report says so instead of failing
@@ -225,6 +241,16 @@ def test_cli_classify(tmp_path, capsys):
     assert main(["classify", "--in", path, "--format", "table"]) == 0
     out = capsys.readouterr().out
     assert "verdict: model_data" in out and "compatible models: cp2" in out
+
+
+def test_cli_classify_large_spread(tmp_path, capsys):
+    # spread a3 - a2 >= 2 is valid data outside the kdiff_lower domain
+    doc = berger_to_json(BergerData(a=(-1.0, 0.0, 2.0), b=(0.0, 0.0, 0.0)))
+    assert main(["classify", "--in", write_doc(tmp_path, "spread.json", doc)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "inconclusive"
+    assert [s["name"] for s in doc["skipped"]] == ["derived_min_sec", "derived_min_sec_diff"]
+    assert all(s["reason"] for s in doc["skipped"])
 
 
 def test_cli_chi_tau_snapping(capsys):

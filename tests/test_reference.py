@@ -1,0 +1,98 @@
+"""Shared code against independent references.
+
+The model table against normal-form extraction from the model operators,
+each generic closed form on exact input against the same form on float
+input, and the Haar sampler against the defining properties of SO(4).
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from curv4 import (
+    BergerData,
+    CurvatureOperator,
+    a2a1_gap,
+    berger_data,
+    berger_to_operator,
+    euler_upper_per_vol,
+    gbc_integrands,
+    kdiff_lower,
+    kupper_lower,
+    lemma_algebraic2_min,
+    lemma_k3k1_bounds,
+    model_space,
+)
+from curv4.bivector import MODEL_BLOCKS, MODEL_NAMES, haar_rotations
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_model_table_matches_extraction(name):
+    d = berger_data(model_space(name))
+    assert (d.a, d.b) == MODEL_BLOCKS[name]
+    assert all(type(x) is Fraction for x in (*d.a, *d.b))
+
+
+def _agree(exact, flt):
+    exact = exact if isinstance(exact, tuple) else (exact,)
+    flt = flt if isinstance(flt, tuple) else (flt,)
+    for e, f in zip(exact, flt, strict=True):
+        assert not isinstance(e, float) and isinstance(f, float)
+        assert abs(float(e) - f) <= 1e-12 * max(1.0, abs(f))
+
+
+RATIONAL_GRID = [Fraction(k, 60) for k in range(121)]
+THIRD = Fraction(1, 3)
+CLOSED_FORMS = [
+    (kupper_lower, [(x,) for x in RATIONAL_GRID if THIRD <= x <= 1]),
+    (kdiff_lower, [(x,) for x in RATIONAL_GRID if x < 2]),
+    (a2a1_gap, [(x,) for x in RATIONAL_GRID if x <= THIRD]),
+    (lemma_k3k1_bounds, [(x, y) for x in RATIONAL_GRID[1::7] for y in RATIONAL_GRID[::7]]),
+    (lemma_algebraic2_min, [(x, y) for x in RATIONAL_GRID[::6] for y in RATIONAL_GRID[::6]]),
+    (
+        euler_upper_per_vol,
+        [(x, y) for x in RATIONAL_GRID if x <= THIRD for y in RATIONAL_GRID[::5] if y >= THIRD],
+    ),
+]
+
+
+@pytest.mark.parametrize("form, args", CLOSED_FORMS, ids=[f.__name__ for f, _ in CLOSED_FORMS])
+def test_closed_form_exact_and_float_agree(form, args):
+    assert len(args) >= 10
+    for xs in args:
+        _agree(form(*xs), form(*(float(x) for x in xs)))
+
+
+def test_gbc_integrands_exact_and_float_agree():
+    points = [BergerData(*MODEL_BLOCKS[name]) for name in MODEL_NAMES]
+    points.append(
+        BergerData(
+            a=(Fraction(7, 60), Fraction(7, 60), Fraction(23, 30)),
+            b=(Fraction(-13, 60), Fraction(-13, 60), Fraction(13, 30)),
+        )
+    )
+    # a2 = a3 and b2 = b3, with |b2 - b1| = a2 - a1 on the dominance bound
+    points += [
+        BergerData(a=(x, (1 - x) / 2, (1 - x) / 2), b=(-(1 - 3 * x) / 3, (1 - 3 * x) / 6, (1 - 3 * x) / 6))
+        for x in RATIONAL_GRID[:21:4]
+    ]
+    for d in points:
+        exact = berger_to_operator(d)
+        flt = CurvatureOperator(exact.matrix, exact.lambda_einstein)
+        ge, gf = gbc_integrands(exact), gbc_integrands(flt)
+        assert ge.chi_coeff is not None and gf.chi_coeff is None
+        for e, f in ((ge.chi_density, gf.chi_density), (ge.tau_density, gf.tau_density)):
+            assert abs(e - f) <= 1e-12 * max(1.0, abs(f))
+
+
+def test_haar_rotations_are_special_orthogonal():
+    q = haar_rotations(2000, seed=3)
+    assert q.shape == (2000, 4, 4)
+    gram = np.einsum("sji,sjk->sik", q, q)
+    assert float(np.abs(gram - np.eye(4)).max()) <= 1e-12
+    assert float(np.abs(np.linalg.det(q) - 1.0).max()) <= 1e-12
+    assert np.array_equal(q, haar_rotations(2000, seed=3))
+    # Haar on SO(4) has mean zero entries; a fixed orientation fix biased
+    # toward any column would show here
+    assert float(np.abs(q.mean(axis=0)).max()) <= 0.1
