@@ -22,6 +22,7 @@ import numpy as np
 
 from .bivector import (
     CurvatureOperator,
+    DualityDecomposition,
     conjugate_operator,
     duality_decompose,
     factor_decomposable,
@@ -55,6 +56,8 @@ class BergerData:
         lam = self.lambda_einstein
         if lam is None:
             lam = a[0] + a[1] + a[2]
+        if not all(math.isfinite(float(x)) for x in (*a, *b, lam)):
+            raise InvalidBergerError("normal-form data and Einstein constant must be finite")
         scale = max(1.0, max(abs(float(x)) for x in (*a, *b, lam)))
         tol = 1e-9 * scale
         violations = []
@@ -92,13 +95,13 @@ class BergerData:
         )
 
 
-def berger_data(op: CurvatureOperator) -> BergerData:
-    """Extract normal-form data from an Einstein operator.
+def berger_data(source) -> BergerData:
+    """Extract normal-form data from an Einstein operator or its decomposition.
 
     The duality-block eigenvalues r+ and r- (ascending) give a = (r+ + r-)/2
     and b = (r+ - r-)/2.  Exact when the operator decomposes exactly.
     """
-    d = duality_decompose(op)
+    d = source if isinstance(source, DualityDecomposition) else duality_decompose(source)
     if not d.is_einstein:
         raise NotEinsteinError("operator has a nonzero duality cross block")
     s, *spectra = coerce(d.s, *d.w_plus.eigenvalues, *d.w_minus.eigenvalues)
@@ -262,15 +265,7 @@ def frame_functional_min(
     k13 = np.einsum("si,ij,sj->s", w13, m, w13)
     vals = 2.0 * np.maximum(k12, k13) + np.minimum(k12, k13)
     i = int(np.argmin(vals))
-    violation = max(0.0, bound - float(vals[i]))
-    return GridReport(
-        extremum=float(vals[i]),
-        argument=tuple(map(tuple, q[i].T)),
-        resolution=samples,
-        bound=bound,
-        violation=violation,
-        sense="min",
-    )
+    return GridReport(float(vals[i]), tuple(map(tuple, q[i].T)), samples, bound, "min")
 
 
 def sample_berger_data(count: int, seed: int = 0, lambda_einstein: float = 1.0) -> list:

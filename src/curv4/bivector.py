@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .errors import (
     NotEinsteinError,
     UnknownModelError,
 )
+from .estimates import grid_extremum
 
 # index pairs (1-based) of the fixed bivector basis, in order
 BASIS_PAIRS = ((1, 2), (1, 3), (1, 4), (3, 4), (4, 2), (2, 3))
@@ -213,6 +213,8 @@ class CurvatureOperator:
                 raise InvalidOperatorError("float and exact matrices disagree")
         if self.lambda_einstein is not None:
             lam = self.lambda_einstein
+            if not math.isfinite(lam):
+                raise InvalidOperatorError(f"Einstein constant must be finite, got {lam}")
             ric = np.array(ricci_tensor(m), dtype=float)
             dev = float(np.abs(ric - lam * np.eye(4)).max())
             if dev > EINSTEIN_TOL * scale:
@@ -471,8 +473,9 @@ def extremize_sectional(op: CurvatureOperator, resolution: int = 200) -> Section
     Unit decomposable bivectors are exactly (xi + eta)/sqrt2 with xi, eta unit
     vectors in the self-dual / anti-self-dual 3-spaces, so the search domain
     is a product of two 2-spheres sampled on a theta/phi grid.  For Einstein
-    operators the two factors decouple; otherwise the coupling term is scanned
-    in chunks over the full product.
+    operators the two factors decouple; otherwise the full product is scanned
+    for each extremum in slabs of bounded size (estimates.grid_extremum), ties
+    going to the first grid pair in scan order.
     """
     if resolution < 8:
         raise DomainError("resolution must be at least 8")
@@ -485,31 +488,21 @@ def extremize_sectional(op: CurvatureOperator, resolution: int = 200) -> Section
     if dd.cross_norm <= 1e-12 * scale:
         i_min, i_max = int(np.argmin(fp)), int(np.argmax(fp))
         j_min, j_max = int(np.argmin(fm)), int(np.argmax(fm))
-        kmin = 0.5 * (fp[i_min] + fm[j_min])
-        kmax = 0.5 * (fp[i_max] + fm[j_max])
-        argmin = _plane_from_duality_pair(pts[i_min], pts[j_min])
-        argmax = _plane_from_duality_pair(pts[i_max], pts[j_max])
-        return SectionalExtrema(float(kmin), float(kmax), argmin, argmax, resolution)
+        kmin = float(0.5 * (fp[i_min] + fm[j_min]))
+        kmax = float(0.5 * (fp[i_max] + fm[j_max]))
+    else:
+        # coupled search: K = (f+(xi) + f-(eta))/2 + xi . cross . eta
+        cross_eta = dd.cross_block @ pts.T
 
-    # coupled search: K = (f+(xi) + f-(eta))/2 + xi . cross . eta
-    best_min, best_max = math.inf, -math.inf
-    arg_min = arg_max = (0, 0)
-    chunk = max(1, int(2e7) // pts.shape[0])
-    cross_eta = dd.cross_block @ pts.T
-    for start in range(0, pts.shape[0], chunk):
-        stop = min(start + chunk, pts.shape[0])
-        vals = 0.5 * (fp[start:stop, None] + fm[None, :]) + pts[start:stop] @ cross_eta
-        loc_min = np.unravel_index(np.argmin(vals), vals.shape)
-        loc_max = np.unravel_index(np.argmax(vals), vals.shape)
-        if vals[loc_min] < best_min:
-            best_min = float(vals[loc_min])
-            arg_min = (start + loc_min[0], loc_min[1])
-        if vals[loc_max] > best_max:
-            best_max = float(vals[loc_max])
-            arg_max = (start + loc_max[0], loc_max[1])
-    argmin = _plane_from_duality_pair(pts[arg_min[0]], pts[arg_min[1]])
-    argmax = _plane_from_duality_pair(pts[arg_max[0]], pts[arg_max[1]])
-    return SectionalExtrema(best_min, best_max, argmin, argmax, resolution)
+        def evaluate(lo, hi):
+            return 0.5 * (fp[lo:hi, None] + fm) + pts[lo:hi] @ cross_eta, True
+
+        n = pts.shape[0]
+        kmin, (i_min, j_min) = grid_extremum(evaluate, n, n, "min")
+        kmax, (i_max, j_max) = grid_extremum(evaluate, n, n, "max")
+    argmin = _plane_from_duality_pair(pts[i_min], pts[j_min])
+    argmax = _plane_from_duality_pair(pts[i_max], pts[j_max])
+    return SectionalExtrema(kmin, kmax, argmin, argmax, resolution)
 
 
 # -- scalar invariants of Weyl spectra ------------------------------------------

@@ -23,7 +23,14 @@ import numpy as np
 from .berger import BergerData, berger_data
 from .bivector import MODEL_BLOCKS, CurvatureOperator
 from .errors import DomainError, ExactnessError
-from .estimates import GridReport, hamilton_gap, kdiff_lower, kupper_lower, sharp_constants
+from .estimates import (
+    GridReport,
+    grid_extremum,
+    hamilton_gap,
+    kdiff_lower,
+    kupper_lower,
+    sharp_constants,
+)
 from .surd import QuadraticSurd, coerce, sqrt
 
 _SHARP = sharp_constants()["constants"]
@@ -140,15 +147,15 @@ def pinch_to_weyl_gap(data: BergerData, mode: str = "upper") -> PinchWeylReport:
 # -- the Weitzenboeck discriminant ------------------------------------------------
 
 
-def wpm_discriminant(w_plus: float, w_minus: float) -> float:
+def wpm_discriminant(w_plus, w_minus):
     """Discriminant (w+ w-)^(2/3) (-48 + 16 sqrt6 (w+ + w-) - 24 w+ w-).
 
     Nonpositive whenever w+, w- >= 0 and w+ + w- <= sqrt6/2, vanishing exactly
     when either half is zero; this is the sign condition that closes the
-    elliptic rigidity argument.
+    elliptic rigidity argument.  Broadcasts over arrays of w+ and w-.
     """
-    wp, wm = float(w_plus), float(w_minus)
-    if wp < 0 or wm < 0:
+    wp, wm = np.asarray(w_plus, dtype=float), np.asarray(w_minus, dtype=float)
+    if np.any(wp < 0) or np.any(wm < 0):
         raise DomainError("Weyl norms must be nonnegative")
     prod = wp * wm
     return prod ** (2.0 / 3.0) * (-48.0 + 16.0 * math.sqrt(6.0) * (wp + wm) - 24.0 * prod)
@@ -158,22 +165,13 @@ def wpm_discriminant_oracle(resolution: int = 400) -> GridReport:
     """Grid maximum of the discriminant over the triangle w+ + w- <= sqrt6/2."""
     top = float(WEYL_SUM_MAX)
     t = np.linspace(0.0, top, resolution + 1)
-    wp, wm = np.meshgrid(t, t, indexing="ij")
-    mask = wp + wm <= top + 1e-15
-    prod = wp * wm
-    vals = prod ** (2.0 / 3.0) * (-48.0 + 16.0 * math.sqrt(6.0) * (wp + wm) - 24.0 * prod)
-    vals = np.where(mask, vals, -np.inf)
-    flat = int(np.argmax(vals))
-    i, j = np.unravel_index(flat, vals.shape)
-    extremum = float(vals[i, j])
-    return GridReport(
-        extremum,
-        (float(wp[i, j]), float(wm[i, j])),
-        resolution,
-        0.0,
-        max(0.0, extremum),
-        "max",
-    )
+
+    def evaluate(lo, hi):
+        wp = t[lo:hi, None]
+        return wpm_discriminant(wp, t), wp + t <= top + 1e-15
+
+    value, (i, j) = grid_extremum(evaluate, resolution + 1, resolution + 1)
+    return GridReport(value, (float(t[i]), float(t[j])), resolution, 0.0)
 
 
 def check_weyl_sum(data: BergerData) -> CertificateRow:
@@ -188,14 +186,13 @@ def check_weyl_sum(data: BergerData) -> CertificateRow:
 
 
 def check_wpm_hypothesis(decomposition) -> bool:
-    """True iff |W+| + |W-| <= sqrt(3/2) + 1e-12 for a duality decomposition.
+    """True iff the weyl_sum_small row holds on a duality decomposition.
 
-    Same predicate as the weyl_sum_small certificate row, but stated on a
-    DualityDecomposition so it can gate the discriminant argument directly.
+    The decomposition's normal-form data is rescaled to Einstein constant 1
+    and checked by `check_weyl_sum`, so the two are one predicate: |W+| + |W-|
+    <= sqrt6/2 exactly.  Requires an Einstein decomposition with S > 0.
     """
-    wp = math.sqrt(float(decomposition.w_plus.norm_sq()))
-    wm = math.sqrt(float(decomposition.w_minus.norm_sq()))
-    return wp + wm <= float(WEYL_SUM_MAX) + 1e-12
+    return check_weyl_sum(berger_data(decomposition)).holds
 
 
 # -- the full verdict --------------------------------------------------------------

@@ -27,19 +27,20 @@ class GridReport:
     """Outcome of one brute-force oracle run against a closed-form bound.
 
     extremum  -- best value found on the grid (max or min per `sense`)
-    argument  -- grid point achieving it (ties: first in scan order)
+    argument  -- grid point achieving it (ties: first in scan order, across
+                 slab boundaries too; see grid_extremum)
     resolution-- grid subdivisions per axis (or sample count for samplers)
     bound     -- the closed-form value under test
-    violation -- how far the grid beat the bound (0 when the bound holds)
     sense     -- "max": extremum must stay <= bound; "min": >= bound
     feasible  -- False when the constraint set contained no grid point
+
+    `gap` and `violation` are derived from these, never stored.
     """
 
     extremum: float
     argument: tuple
     resolution: int
     bound: float
-    violation: float
     sense: str = "max"
     feasible: bool = True
 
@@ -52,17 +53,45 @@ class GridReport:
             return self.bound - self.extremum
         return self.extremum - self.bound
 
-
-def _report(extremum, argument, resolution, bound, sense) -> GridReport:
-    if sense == "max":
-        violation = max(0.0, extremum - bound)
-    else:
-        violation = max(0.0, bound - extremum)
-    return GridReport(extremum, argument, resolution, bound, violation, sense)
+    @property
+    def violation(self) -> float:
+        """How far the grid beat the bound: max(0, -gap), 0 when it holds."""
+        return max(0.0, -self.gap)
 
 
 def _infeasible(resolution, bound, sense) -> GridReport:
-    return GridReport(math.nan, (), resolution, bound, 0.0, sense, feasible=False)
+    return GridReport(math.nan, (), resolution, bound, sense, feasible=False)
+
+
+# most grid points one oracle evaluates at once, so that its working memory
+# stays flat whatever the resolution (a slab still holds at least one row)
+SLAB_POINTS = 1 << 18
+
+
+def grid_extremum(evaluate, rows: int, row_points: int, sense: str = "max"):
+    """Best feasible point of a grid scanned in slabs of whole rows.
+
+    evaluate(lo, hi) returns (values, feasible) on grid rows lo..hi-1: arrays
+    that broadcast to one shape whose first axis is the row.  Each row holds
+    `row_points` points, and a slab takes as many rows as fit in SLAB_POINTS.
+    Returns (value, index) of the largest (sense "max") or smallest ("min")
+    feasible value, ties going to the first point in row-major order across
+    slabs, or None when no point is feasible.
+    """
+    pick, worst = (np.argmax, -np.inf) if sense == "max" else (np.argmin, np.inf)
+    step = max(1, SLAB_POINTS // row_points)
+    best = None
+    for lo in range(0, rows, step):
+        values, feasible = evaluate(lo, min(lo + step, rows))
+        masked = np.where(feasible, values, worst)
+        flat = int(pick(masked))
+        if not np.broadcast_to(feasible, masked.shape).flat[flat]:
+            continue
+        value = float(masked.flat[flat])
+        if best is None or (value > best[0] if sense == "max" else value < best[0]):
+            row, *rest = np.unravel_index(flat, masked.shape)
+            best = (value, (lo + int(row), *map(int, rest)))
+    return best
 
 
 # -- the pointwise quadratic inequality ----------------------------------------
@@ -140,16 +169,19 @@ def lemma_k3k1_oracle(
         return _infeasible(resolution, bound, "max")
     p, qlo, qhi = p[ok], qlo[ok], qhi[ok]
     t = np.linspace(0.0, 1.0, resolution + 1)
-    q = qlo[:, None] + t[None, :] * (qhi - qlo)[:, None]
-    pp = np.broadcast_to(p[:, None], q.shape)
-    m = alpha1 - pp
-    n = delta - q
-    wp = np.sqrt(3.0 * pp * pp + q * q) / math.sqrt(2.0)
-    wm = np.sqrt(3.0 * m * m + n * n) / math.sqrt(2.0)
-    vals = wp + wm if quantity == "sum" else wp * wp + wm * wm
-    flat = int(np.argmax(vals))
-    i, j = np.unravel_index(flat, vals.shape)
-    return _report(float(vals[i, j]), (float(pp[i, j]), float(q[i, j])), resolution, bound, "max")
+
+    def evaluate(lo, hi):
+        pp = p[lo:hi, None]
+        q = qlo[lo:hi, None] + t * (qhi - qlo)[lo:hi, None]
+        m = alpha1 - pp
+        n = delta - q
+        wp = np.sqrt(3.0 * pp * pp + q * q) / math.sqrt(2.0)
+        wm = np.sqrt(3.0 * m * m + n * n) / math.sqrt(2.0)
+        return (wp + wm if quantity == "sum" else wp * wp + wm * wm), True
+
+    value, (i, j) = grid_extremum(evaluate, len(p), resolution + 1)
+    arg = (float(p[i]), float(qlo[i] + t[j] * (qhi[i] - qlo[i])))
+    return GridReport(value, arg, resolution, bound)
 
 
 # -- the two-variable quadratic minimum -----------------------------------------
@@ -186,18 +218,19 @@ def lemma_algebraic2_oracle(
     def scan(mlo, mhi, nlo, nhi):
         m = np.linspace(mlo, mhi, resolution + 1)
         n = np.linspace(nlo, nhi, resolution + 1)
-        mm, nn = np.meshgrid(m, n, indexing="ij")
-        x = (mm + nn) / 3.0
-        y = (mm - 2.0 * nn) / 3.0
-        vals = 4.0 * x * y + x * x + y * y
-        vals = np.where(x * y <= eps, vals, np.inf)
-        flat = int(np.argmin(vals))
-        i, j = np.unravel_index(flat, vals.shape)
-        return float(vals[i, j]), float(mm[i, j]), float(nn[i, j])
 
-    best, mstar, nstar = scan(-a, a, -b, b)
-    if not math.isfinite(best):
-        best, mstar, nstar = 0.0, 0.0, 0.0  # origin is always admissible
+        def evaluate(lo, hi):
+            x = (m[lo:hi, None] + n) / 3.0
+            y = (m[lo:hi, None] - 2.0 * n) / 3.0
+            return 4.0 * x * y + x * x + y * y, x * y <= eps
+
+        found = grid_extremum(evaluate, resolution + 1, resolution + 1, "min")
+        if found is None:
+            return None
+        value, (i, j) = found
+        return value, float(m[i]), float(n[j])
+
+    best, mstar, nstar = scan(-a, a, -b, b) or (0.0, 0.0, 0.0)  # the origin is admissible
     cell_m, cell_n = 2.0 * a / resolution, 2.0 * b / resolution
     for _ in range(refinements):
         half_m, half_n = 3.0 * cell_m, 3.0 * cell_n
@@ -205,11 +238,11 @@ def lemma_algebraic2_oracle(
             max(-a, mstar - half_m), min(a, mstar + half_m),
             max(-b, nstar - half_n), min(b, nstar + half_n),
         )
-        if window[0] < best:
+        if window is not None and window[0] < best:
             best, mstar, nstar = window
         cell_m, cell_n = 2.0 * half_m / resolution, 2.0 * half_n / resolution
     x, y = (mstar + nstar) / 3.0, (mstar - 2.0 * nstar) / 3.0
-    return _report(best, (x, y), resolution, bound, "min")
+    return GridReport(best, (x, y), resolution, bound, "min")
 
 
 # -- lower bounds on the minimal sectional curvature ----------------------------
@@ -266,38 +299,6 @@ def a2a1_gap(delta):
 POINTWISE_LEMMAS = ("kupper", "kdiff", "a2a1")
 
 
-def _polytope_scan(a1, a2, a3, resolution):
-    """Feasible-(b1, b2) scan helper shared by the polytope oracles.
-
-    a1, a2, a3 are 1-d arrays of candidate sectional triples (sorted, summing
-    to 1).  Returns boolean feasibility per triple plus the per-triple Hamilton
-    verdicts on an adaptive (b1, b2) grid covering the mixed-part polytope.
-    """
-    s1 = a2 - a1
-    s2 = a3 - a1
-    s3 = a3 - a2
-    bb1 = (s1 + s2) / 3.0
-    bb2 = (s1 + s3) / 3.0
-    t = np.linspace(-1.0, 1.0, resolution + 1)
-    b1 = bb1[:, None, None] * t[None, :, None]
-    b2 = bb2[:, None, None] * t[None, None, :]
-    b3 = -b1 - b2
-    tol = 1e-12
-    feas = (
-        (np.abs(b2 - b1) <= s1[:, None, None] + tol)
-        & (np.abs(b3 - b1) <= s2[:, None, None] + tol)
-        & (np.abs(b3 - b2) <= s3[:, None, None] + tol)
-    )
-    gap = a1[:, None, None] - (
-        a1[:, None, None] ** 2
-        + b1 * b1
-        + 2.0 * (a2 * a3)[:, None, None]
-        + 2.0 * b2 * b3
-    )
-    feas &= gap >= -HAMILTON_PREDICATE_TOL
-    return feas, b1, b2
-
-
 def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> GridReport:
     """Brute-force extremum over the full normal-form polytope plus hypothesis.
 
@@ -342,19 +343,35 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
         raise DomainError(f"unknown lemma {lemma!r}; choose from {POINTWISE_LEMMAS}")
 
     order = (a1 <= a2 + 1e-12) & (a2 <= a3 + 1e-12)
-    feas, b1, b2 = _polytope_scan(a1, a2, a3, r)
-    feas &= order[:, None, None]
-    if not np.any(feas):
+    s1, s2, s3 = a2 - a1, a3 - a1, a3 - a2
+    # the (b1, b2) box covering the mixed-part polytope of each sectional triple
+    bb1, bb2 = (s1 + s2) / 3.0, (s1 + s3) / 3.0
+    t = np.linspace(-1.0, 1.0, r + 1)
+    tol = 1e-12
+
+    def evaluate(lo, hi):
+        def row(x):
+            return x[lo:hi, None, None]
+
+        b1 = row(bb1) * t[:, None]
+        b2 = row(bb2) * t
+        b3 = -b1 - b2
+        feas = (
+            (np.abs(b2 - b1) <= row(s1) + tol)
+            & (np.abs(b3 - b1) <= row(s2) + tol)
+            & (np.abs(b3 - b2) <= row(s3) + tol)
+            & row(order)
+        )
+        gap = row(a1) - (row(a1) ** 2 + b1 * b1 + 2.0 * row(a2 * a3) + 2.0 * b2 * b3)
+        return row(objective), feas & (gap >= -HAMILTON_PREDICATE_TOL)
+
+    found = grid_extremum(evaluate, r + 1, (r + 1) ** 2, sense)
+    if found is None:
         return _infeasible(r, bound, sense)
-    obj3 = np.broadcast_to(objective[:, None, None], feas.shape)
-    masked = np.where(feas, obj3, -np.inf if sense == "max" else np.inf)
-    flat = int(np.argmax(masked) if sense == "max" else np.argmin(masked))
-    i, j, k = np.unravel_index(flat, feas.shape)
-    arg = (
-        (float(a1[i]), float(a2[i]), float(a3[i])),
-        (float(b1[i, j, 0]), float(b2[i, 0, k]), float(-b1[i, j, 0] - b2[i, 0, k])),
-    )
-    return _report(float(obj3[i, j, k]), arg, r, bound, sense)
+    value, (i, j, k) = found
+    b1, b2 = float(bb1[i] * t[j]), float(bb2[i] * t[k])
+    arg = ((float(a1[i]), float(a2[i]), float(a3[i])), (b1, b2, -b1 - b2))
+    return GridReport(value, arg, r, bound, sense)
 
 
 # -- the sharp constants ----------------------------------------------------------

@@ -28,6 +28,13 @@ OPERATOR_FORMAT = "curv4-op-v1"
 BERGER_FORMAT = "curv4-berger-v1"
 
 
+def _number(value, error, name):
+    try:
+        return float(value)
+    except (ValueError, TypeError) as exc:
+        raise error(f"{name} must be a number, got {value!r}") from exc
+
+
 def _parse_exact(value, error):
     if isinstance(value, bool) or isinstance(value, float):
         raise error("exact entries must be integers or 'p/q' strings")
@@ -58,11 +65,12 @@ def operator_from_json(doc: dict) -> CurvatureOperator:
         raise InvalidOperatorError(f"unsupported basis order {basis!r}")
     lam = doc.get("einstein_lambda")
     if lam is not None:
-        lam = float(lam)
+        lam = _number(lam, InvalidOperatorError, "einstein_lambda")
     if "exact" in doc:
-        rows = [
-            [_parse_exact(x, InvalidOperatorError) for x in row] for row in doc["exact"]
-        ]
+        try:
+            rows = [[_parse_exact(x, InvalidOperatorError) for x in row] for row in doc["exact"]]
+        except TypeError as exc:
+            raise InvalidOperatorError("exact must be a 6x6 array of 'p/q' strings") from exc
         return CurvatureOperator.from_exact(rows, lambda_einstein=lam)
     try:
         matrix = np.asarray(doc["matrix"], dtype=float)
@@ -101,8 +109,11 @@ def berger_from_json(doc: dict) -> BergerData:
     if "a_exact" in doc or "b_exact" in doc:
         if not ("a_exact" in doc and "b_exact" in doc):
             raise InvalidBergerError("a_exact and b_exact must come together")
-        a = tuple(_parse_exact(x, InvalidBergerError) for x in doc["a_exact"])
-        b = tuple(_parse_exact(x, InvalidBergerError) for x in doc["b_exact"])
+        try:
+            a = tuple(_parse_exact(x, InvalidBergerError) for x in doc["a_exact"])
+            b = tuple(_parse_exact(x, InvalidBergerError) for x in doc["b_exact"])
+        except TypeError as exc:
+            raise InvalidBergerError("a_exact and b_exact must be lists") from exc
         if "lambda_exact" in doc:
             lam = _parse_exact(doc["lambda_exact"], InvalidBergerError)
         else:
@@ -113,7 +124,7 @@ def berger_from_json(doc: dict) -> BergerData:
         b = tuple(float(x) for x in doc["b"])
     except (KeyError, ValueError, TypeError) as exc:
         raise InvalidBergerError("a and b must be numeric triples") from exc
-    lam = float(doc.get("lambda", sum(a)))
+    lam = _number(doc.get("lambda", sum(a)), InvalidBergerError, "lambda")
     return BergerData(a, b, lam)
 
 

@@ -1,6 +1,5 @@
 """Normal-form extraction, reconstruction, adapted frames, polytope sampling."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +13,6 @@ from curv4 import (
     berger_data,
     berger_to_operator,
     conjugate_operator,
-    duality_decompose,
     extremize_sectional,
     frame_functional_min,
     hamilton_gap,

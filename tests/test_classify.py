@@ -25,6 +25,7 @@ from curv4 import (
     wpm_discriminant,
     wpm_discriminant_oracle,
 )
+from curv4.bivector import MODEL_BLOCKS
 from curv4.errors import DomainError
 
 S19 = QuadraticSurd(0, 1, 19, 1)
@@ -192,6 +193,20 @@ def test_wpm_hypothesis_on_models():
     assert check_wpm_hypothesis(duality_decompose(model_space("sphere")))
     assert check_wpm_hypothesis(duality_decompose(model_space("cp2")))
     assert not check_wpm_hypothesis(duality_decompose(model_space("s2xs2")))
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(2)])
+def test_weyl_sum_predicate_is_scale_free(lam):
+    # the hypothesis is stated at Einstein constant 1, so rescaling a model
+    # must not move it across sqrt6/2 (cp2 at lambda = 2 used to fail it)
+    for name, (ma, mb) in MODEL_BLOCKS.items():
+        for scale in (lam, float(lam)):
+            data = BergerData(tuple(scale * x for x in ma), tuple(scale * x for x in mb), scale)
+            op = berger_to_operator(data)
+            expected = name != "s2xs2"
+            assert check_wpm_hypothesis(duality_decompose(op)) == expected, (name, scale)
+            assert check_weyl_sum(data).holds == expected, (name, scale)
+            assert check_weyl_sum(berger_data(op)).holds == expected, (name, scale)
 
 
 def test_weyl_sum_row_matches_decomposition():

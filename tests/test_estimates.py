@@ -1,8 +1,11 @@
 """Closed-form pinching bounds against brute-force grid oracles."""
 
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from curv4 import (
     pointwise_bound_oracle,
     sharp_constants,
 )
+from curv4 import cli, estimates
 from curv4.errors import DomainError
 
 S19 = QuadraticSurd(0, 1, 19, 1)
@@ -197,6 +201,71 @@ def test_pointwise_oracles_converge_to_closed_forms():
 def test_infeasible_report_gap():
     report = pointwise_bound_oracle("kupper", 0.5, resolution=24)
     assert report.gap == math.inf
+
+
+# ------------------------------------------------------ the slabbed kernel
+
+CRITERION_5_SWEEPS = {
+    "kupper": [0.34, 0.5, 2.0 / 3.0, 0.75, 0.9, 1.0],
+    "kdiff": [0.0, 0.1, 0.5, 0.75, 1.0, 1.5],
+    "a2a1": [0.0, 0.05, 1.0 / 6.0, 0.25, 1.0 / 3.0],
+}
+
+
+def _oracle_outcomes(monkeypatch):
+    """(extremum, argument, feasible, violation) of every battery check and sweep point."""
+    reports = []
+
+    def recording(oracle):
+        def run(*args, **kwargs):
+            reports.append(oracle(*args, **kwargs))
+            return reports[-1]
+
+        return run
+
+    with monkeypatch.context() as patch:
+        for name, row in cli._LEMMAS.items():
+            patch.setitem(cli._LEMMAS, name, dataclasses.replace(row, oracle=recording(row.oracle)))
+        cli.run_battery()
+    for lemma, params in CRITERION_5_SWEEPS.items():
+        reports += [pointwise_bound_oracle(lemma, p, resolution=120) for p in params]
+    # repr: infeasible reports carry a NaN extremum
+    return [(repr(r.extremum), r.argument, r.feasible, r.violation) for r in reports]
+
+
+def test_slab_size_does_not_change_any_result(monkeypatch):
+    # one row per slab puts a slab boundary between every two rows, so ties
+    # must still go to the first point in scan order
+    default = _oracle_outcomes(monkeypatch)
+    assert len(default) == len(cli._BATTERY) + sum(map(len, CRITERION_5_SWEEPS.values()))
+    monkeypatch.setattr(estimates, "SLAB_POINTS", 1)
+    assert _oracle_outcomes(monkeypatch) == default
+
+
+def test_grid_extremum_ties_and_empty_grid(monkeypatch):
+    values = np.array([[1.0, 3.0], [3.0, 0.0], [3.0, 3.0]])
+    feasible = np.array([[True, False], [True, True], [True, True]])
+
+    def evaluate(lo, hi):
+        return values[lo:hi], feasible[lo:hi]
+
+    for slab in (estimates.SLAB_POINTS, 1):
+        monkeypatch.setattr(estimates, "SLAB_POINTS", slab)
+        assert estimates.grid_extremum(evaluate, 3, 2, "max") == (3.0, (1, 0))
+        assert estimates.grid_extremum(evaluate, 3, 2, "min") == (0.0, (1, 1))
+        assert estimates.grid_extremum(lambda lo, hi: (values[lo:hi], False), 3, 2) is None
+
+
+def test_polytope_oracle_memory_is_bounded():
+    # the whole-grid scan peaked at about 200 MB here and grew as r^3
+    tracemalloc.start()
+    try:
+        report = pointwise_bound_oracle("kupper", 2.0 / 3.0, resolution=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.feasible
+    assert peak <= 50e6
 
 
 # ---------------------------------------------------------------- constants

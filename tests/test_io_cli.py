@@ -1,6 +1,7 @@
 """JSON round trips and the command-line surface (driven in process)."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -295,3 +296,44 @@ def test_cli_error_paths(tmp_path, capsys):
 
     with pytest.raises(DomainError):
         run_verification("k3k1", alpha=0.0, delta=1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("command", [["decompose"], ["berger", "--frame"], ["classify"]])
+def test_cli_rejects_non_finite_einstein_constant(tmp_path, capsys, lam, command):
+    # a NaN or infinite constant made every tolerance check pass vacuously
+    op_doc = operator_to_json(model_space("sphere"))
+    op_doc["einstein_lambda"] = lam
+    data_doc = berger_to_json(BergerData(a=(0.2, 0.3, 0.5), b=(0.0, 0.0, 0.0)))
+    data_doc["lambda"] = lam
+    for name, doc in (("op.json", op_doc), ("data.json", data_doc)):
+        path = write_doc(tmp_path, name, doc)
+        assert main([command[0], "--in", path, *command[1:]]) == 2, name
+        assert "must be finite" in capsys.readouterr().err
+
+
+def test_berger_data_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidBergerError):
+            BergerData(a=(0.0, 0.0, bad), b=(0.0, 0.0, 0.0), lambda_einstein=1.0)
+
+
+_FLOAT_DATA = {"format": BERGER_FORMAT, "a": [0.2, 0.3, 0.5], "b": [0.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(_FLOAT_DATA, **{"lambda": "x"}),
+        dict(_FLOAT_DATA, **{"lambda": None}),
+        dict(operator_to_json(model_space("sphere")), einstein_lambda="x"),
+        dict(operator_to_json(model_space("sphere")), exact=5),
+        dict(_FLOAT_DATA, a_exact=5, b_exact=["0", "0", "0"]),
+    ],
+    ids=["lambda-string", "lambda-null", "einstein-lambda-string", "exact-int", "a-exact-int"],
+)
+def test_cli_rejects_malformed_numbers(tmp_path, capsys, doc):
+    # exit 1 means a verification failed, so a malformed document must not
+    # escape as a bare ValueError or TypeError
+    assert main(["classify", "--in", write_doc(tmp_path, "doc.json", doc)]) == 2
+    assert "curv4:" in capsys.readouterr().err
