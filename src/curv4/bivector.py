@@ -215,8 +215,11 @@ class CurvatureOperator:
             lam = self.lambda_einstein
             if not math.isfinite(lam):
                 raise InvalidOperatorError(f"Einstein constant must be finite, got {lam}")
-            ric = np.array(ricci_tensor(m), dtype=float)
+            # Python floats overflow to inf without a warning, and inf reaches dev
+            ric = np.array(ricci_tensor(m.tolist()), dtype=float)
             dev = float(np.abs(ric - lam * np.eye(4)).max())
+            if not math.isfinite(dev):
+                raise InvalidOperatorError("the Ricci tensor overflows the float range")
             if dev > EINSTEIN_TOL * scale:
                 raise NotEinsteinError(
                     f"flagged Einstein with lambda={lam} but |Rc - lambda g| = {dev:.3e}"
@@ -316,9 +319,16 @@ def duality_decompose(op: CurvatureOperator) -> DualityDecomposition:
     a = m[0:3, 0:3]
     b = m[0:3, 3:6]
     c = m[3:6, 3:6]
-    rp = (a + b + b.T + c) / 2.0
-    rm = (a - b - b.T + c) / 2.0
-    cross = (a + b.T - b - c) / 2.0
+    try:
+        with np.errstate(over="raise"):
+            rp = (a + b + b.T + c) / 2.0
+            rm = (a - b - b.T + c) / 2.0
+            cross = (a + b.T - b - c) / 2.0
+            s = float(2.0 * np.trace(m))
+    except FloatingPointError as exc:
+        raise InvalidOperatorError(
+            "the duality blocks or the scalar curvature overflow the float range"
+        ) from exc
 
     exact_blocks = False
     if op.exact is not None:
@@ -328,8 +338,10 @@ def duality_decompose(op: CurvatureOperator) -> DualityDecomposition:
         e2 = _traceless_ricci_norm_sq(ex, s)
         exact_blocks = _is_exact_diagonal(erp) and _is_exact_diagonal(erm)
     else:
-        s = 2.0 * float(np.trace(m))
-        e2 = float(_traceless_ricci_norm_sq(m, s))
+        # Python floats overflow to inf without a warning
+        e2 = _traceless_ricci_norm_sq(m.tolist(), s)
+        if not math.isfinite(e2):
+            raise InvalidOperatorError("the Ricci tensor overflows the float range")
     if exact_blocks:
         wp = tuple(sorted(erp[i][i] - Fraction(s, 12) for i in range(3)))
         wm = tuple(sorted(erm[i][i] - Fraction(s, 12) for i in range(3)))

@@ -64,8 +64,10 @@ def _infeasible(resolution, bound, sense) -> GridReport:
 
 
 # most grid points one oracle evaluates at once, so that its working memory
-# stays flat whatever the resolution (a slab still holds at least one row)
-SLAB_POINTS = 1 << 18
+# stays flat whatever the resolution (a slab still holds at least one row);
+# 2^13 keeps one slab's float temporaries below glibc's 128 KiB mmap
+# threshold, so they are recycled from the heap instead of mapped anew
+SLAB_POINTS = 1 << 13
 
 
 def grid_extremum(evaluate, rows: int, row_points: int, sense: str = "max"):
@@ -115,6 +117,21 @@ HAMILTON_PREDICATE_TOL = 1e-12
 def hamilton_holds(d) -> bool:
     """The inequality itself, with boundary slack 1e-12 for float data."""
     return float(hamilton_gap(d)) >= -HAMILTON_PREDICATE_TOL
+
+
+def hamilton_box_bound(a1, a2, a3, bb1, bb2):
+    """Least upper bound of hamilton_gap over the box |b1| <= bb1, |b2| <= bb2.
+
+    With b3 = -b1 - b2 the gap is a1 - a1^2 - 2 a2 a3 - b1^2 + 2 b1 b2 + 2 b2^2;
+    b1 = b2 (clipped to the box) maximizes it in b1, and the result grows with
+    |b2|, so with m = min(bb1, bb2) the bound is
+
+        a1 - a1^2 - 2 a2 a3 + 2 bb2^2 + 2 m bb2 - m^2.
+
+    Broadcasts over arrays.
+    """
+    m = np.minimum(bb1, bb2)
+    return a1 - a1 * a1 - 2 * a2 * a3 + 2 * bb2 * bb2 + 2 * m * bb2 - m * m
 
 
 # -- Weyl bounds from a two-sided sectional pinch (sum/difference form) ---------
@@ -305,7 +322,9 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     The polytope (sorted a summing to 1, b summing to 0 and dominated by the
     a-gaps, the pointwise quadratic inequality) is swept on a regular grid.
     The lemma hypothesis eliminates one a-coordinate, so the grid is
-    (free a, b1, b2) with the b-box adapted to each sectional triple:
+    (free a, b1, b2) with the b-box adapted to each sectional triple; a-rows
+    that are unsorted, or whose whole b-box fails the inequality by more than
+    1e-9 (hamilton_box_bound), are skipped without being scanned:
 
       kupper: fix a3 = param, minimize a1   (bound: kupper_lower)
       kdiff:  fix a3 - a2 = param, minimize a1   (bound: kdiff_lower)
@@ -342,16 +361,20 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     else:
         raise DomainError(f"unknown lemma {lemma!r}; choose from {POINTWISE_LEMMAS}")
 
-    order = (a1 <= a2 + 1e-12) & (a2 <= a3 + 1e-12)
     s1, s2, s3 = a2 - a1, a3 - a1, a3 - a2
     # the (b1, b2) box covering the mixed-part polytope of each sectional triple
     bb1, bb2 = (s1 + s2) / 3.0, (s1 + s3) / 3.0
+    # scan only the ordered rows whose whole b-box can pass the quadratic
+    # inequality; 1e-9 dwarfs the float error of the grid's gap on this O(1)
+    # data, so no skipped row holds a point that passes the float test
+    order = (a1 <= a2 + 1e-12) & (a2 <= a3 + 1e-12)
+    rows = np.flatnonzero(order & (hamilton_box_bound(a1, a2, a3, bb1, bb2) >= -1e-9))
     t = np.linspace(-1.0, 1.0, r + 1)
     tol = 1e-12
 
     def evaluate(lo, hi):
         def row(x):
-            return x[lo:hi, None, None]
+            return x[rows[lo:hi], None, None]
 
         b1 = row(bb1) * t[:, None]
         b2 = row(bb2) * t
@@ -360,15 +383,15 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
             (np.abs(b2 - b1) <= row(s1) + tol)
             & (np.abs(b3 - b1) <= row(s2) + tol)
             & (np.abs(b3 - b2) <= row(s3) + tol)
-            & row(order)
         )
         gap = row(a1) - (row(a1) ** 2 + b1 * b1 + 2.0 * row(a2 * a3) + 2.0 * b2 * b3)
         return row(objective), feas & (gap >= -HAMILTON_PREDICATE_TOL)
 
-    found = grid_extremum(evaluate, r + 1, (r + 1) ** 2, sense)
+    found = grid_extremum(evaluate, len(rows), (r + 1) ** 2, sense)
     if found is None:
         return _infeasible(r, bound, sense)
     value, (i, j, k) = found
+    i = int(rows[i])
     b1, b2 = float(bb1[i] * t[j]), float(bb2[i] * t[k])
     arg = ((float(a1[i]), float(a2[i]), float(a3[i])), (b1, b2, -b1 - b2))
     return GridReport(value, arg, r, bound, sense)

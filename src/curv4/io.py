@@ -144,3 +144,5 @@ def read_document(path: str) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DomainError(f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text ({exc})") from exc

@@ -1,5 +1,6 @@
 """Normal-form extraction, reconstruction, adapted frames, polytope sampling."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from curv4 import (
     reconstruct_frame,
     sample_berger_data,
 )
+from curv4.bivector import haar_rotations, wedge_coordinates
 from curv4.errors import DomainError, InvalidBergerError, NotEinsteinError
 
 THIRD = Fraction(1, 3)
@@ -184,6 +186,40 @@ def test_frame_functional_seeded_determinism():
     c = frame_functional_min(model_space("cp2"), samples=3000, seed=9)
     assert a.extremum == b.extremum
     assert a.extremum != c.extremum
+
+
+def _frame_min_all_at_once(op, samples, seed):
+    # the sampler as it was before it streamed: every rotation drawn at once
+    q = haar_rotations(samples, seed)
+    w12 = wedge_coordinates(q[:, :, 0], q[:, :, 1])
+    w13 = wedge_coordinates(q[:, :, 0], q[:, :, 2])
+    k12 = np.einsum("si,ij,sj->s", w12, op.matrix, w12)
+    k13 = np.einsum("si,ij,sj->s", w13, op.matrix, w13)
+    vals = 2.0 * np.maximum(k12, k13) + np.minimum(k12, k13)
+    i = int(np.argmin(vals))
+    return float(vals[i]), tuple(map(tuple, q[i].T))
+
+
+@pytest.mark.parametrize("samples", [100, 513, 100000])
+@pytest.mark.parametrize("name", ["cp2", "s2xs2"])
+def test_frame_functional_streams_the_same_rotations(name, samples):
+    op = model_space(name)
+    report = frame_functional_min(op, samples=samples, seed=11)
+    assert (report.extremum, report.argument) == _frame_min_all_at_once(op, samples, 11)
+    assert report.resolution == samples
+
+
+def test_frame_functional_memory_is_flat():
+    # drawing all 100000 rotations at once peaked at about 52 MB
+    op = model_space("cp2")
+    tracemalloc.start()
+    try:
+        report = frame_functional_min(op, samples=100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.extremum == pytest.approx(0.5, abs=0.02)
+    assert peak <= 8e6
 
 
 def test_hamilton_gap_signs():

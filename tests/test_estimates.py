@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -266,6 +267,122 @@ def test_polytope_oracle_memory_is_bounded():
         tracemalloc.stop()
     assert report.feasible
     assert peak <= 50e6
+
+
+# ------------------------------------------------------ the row bound
+
+
+def _reference_polytope(lemma, p, r):
+    """Every point of the oracle's (free a, b1, b2) grid, no row skipped.
+
+    Returns (a, box, objective, sense, feasible): a = (a1, a2, a3) and the
+    b-box half-widths box = (bb1, bb2) per row, and `feasible` the (r+1)^3
+    mask of the float predicates; None for an empty a-range.
+    """
+    if lemma == "kupper":
+        lo, hi = 1.0 - 2.0 * p, (1.0 - p) / 2.0
+        if lo > hi + 1e-15:
+            return None
+        a1 = np.linspace(lo, hi, r + 1)
+        a2, a3 = 1.0 - p - a1, np.full(r + 1, p)
+        objective, sense = a1, "min"
+    elif lemma == "kdiff":
+        a1 = np.linspace(-1.0, (1.0 - p) / 3.0, r + 1)
+        a2 = (1.0 - a1 - p) / 2.0
+        a3 = a2 + p
+        objective, sense = a1, "min"
+    else:
+        lo, hi = p, min((1.0 + p) / 4.0, (1.0 - p) / 2.0)
+        if lo > hi + 1e-15:
+            return None
+        a2 = np.linspace(lo, hi, r + 1)
+        a1, a3 = np.full(r + 1, p), 1.0 - p - a2
+        objective, sense = a2 - a1, "max"
+    s1, s2, s3 = a2 - a1, a3 - a1, a3 - a2
+    bb1, bb2 = (s1 + s2) / 3.0, (s1 + s3) / 3.0
+    t = np.linspace(-1.0, 1.0, r + 1)
+    b1 = bb1[:, None, None] * t[:, None]
+    b2 = bb2[:, None, None] * t
+    b3 = -b1 - b2
+    x1, x2, x3 = (x[:, None, None] for x in (a1, a2, a3))
+    gap = x1 - (x1**2 + b1 * b1 + 2.0 * (a2 * a3)[:, None, None] + 2.0 * b2 * b3)
+    feasible = (
+        (np.abs(b2 - b1) <= s1[:, None, None] + 1e-12)
+        & (np.abs(b3 - b1) <= s2[:, None, None] + 1e-12)
+        & (np.abs(b3 - b2) <= s3[:, None, None] + 1e-12)
+        & ((a1 <= a2 + 1e-12) & (a2 <= a3 + 1e-12))[:, None, None]
+        & (gap >= -1e-12)
+    )
+    return (a1, a2, a3), (bb1, bb2), objective, sense, feasible
+
+
+def _reference_oracle(lemma, p, r):
+    """(extremum, argument) of the full-grid scan, first point in scan order."""
+    grid = _reference_polytope(lemma, p, r)
+    if grid is None or not grid[4].any():
+        return None
+    (a1, a2, a3), (bb1, bb2), objective, sense, feasible = grid
+    values = np.broadcast_to(objective[:, None, None], feasible.shape)
+    pick, worst = (np.argmin, np.inf) if sense == "min" else (np.argmax, -np.inf)
+    i, j, k = np.unravel_index(int(pick(np.where(feasible, values, worst))), feasible.shape)
+    t = np.linspace(-1.0, 1.0, r + 1)
+    b1, b2 = float(bb1[i] * t[j]), float(bb2[i] * t[k])
+    arg = ((float(a1[i]), float(a2[i]), float(a3[i])), (b1, b2, -b1 - b2))
+    return float(objective[i]), arg
+
+
+def _random_params(seed):
+    rng = np.random.default_rng(seed)
+    return (
+        [("kupper", x) for x in rng.uniform(1.0 / 3.0, 1.0, 6)]
+        + [("kdiff", x) for x in rng.uniform(0.0, 1.99, 6)]
+        + [("a2a1", x) for x in rng.uniform(0.0, 1.0 / 3.0, 6)]
+    )
+
+
+@pytest.mark.parametrize("r", [8, 24, 40])
+def test_pruned_oracle_equals_full_grid_scan(r):
+    cases = [(lemma, p) for lemma, ps in CRITERION_5_SWEEPS.items() for p in ps]
+    for lemma, p in cases + _random_params(r):
+        report = pointwise_bound_oracle(lemma, p, resolution=r)
+        reference = _reference_oracle(lemma, p, r)
+        if reference is None:
+            assert not report.feasible, (lemma, p)
+        else:
+            assert report.feasible, (lemma, p)
+            assert (report.extremum, report.argument) == reference, (lemma, p)
+
+
+@pytest.mark.parametrize("r", [8, 24, 40])
+def test_rows_the_bound_removes_hold_no_feasible_point(r):
+    removed = 0
+    for lemma, p in _random_params(100 + r) + [("kupper", 2.0 / 3.0), ("kdiff", 0.5)]:
+        grid = _reference_polytope(lemma, p, r)
+        if grid is None:
+            continue
+        (a1, a2, a3), (bb1, bb2), _, _, feasible = grid
+        bound = estimates.hamilton_box_bound(a1, a2, a3, bb1, bb2)
+        skipped = bound < -1e-9
+        assert not feasible[skipped].any(), (lemma, p)
+        removed += int(skipped.sum())
+    assert removed > 0
+
+
+def test_hamilton_box_bound_is_the_least_upper_bound():
+    # the gap's maximum over a fine box grid reaches the bound at b1 = m, b2 = bb2
+    rng = np.random.default_rng(7)
+    t = np.linspace(-1.0, 1.0, 401)
+    for _ in range(50):
+        a1, a2 = rng.uniform(-1.0, 0.4, 2)
+        a3 = 1.0 - a1 - a2
+        bb1, bb2 = rng.uniform(0.0, 1.0, 2)
+        bound = estimates.hamilton_box_bound(a1, a2, a3, bb1, bb2)
+        b1, b2 = bb1 * t[:, None], bb2 * t
+        gap = a1 - (a1 * a1 + b1 * b1 + 2.0 * a2 * a3 - 2.0 * b2 * (b1 + b2))
+        assert gap.max() <= bound + 1e-12
+        m = min(bb1, bb2)
+        corner = SimpleNamespace(a=(a1, a2, a3), b=(m, bb2, -m - bb2))
+        assert hamilton_gap(corner) == pytest.approx(bound, abs=1e-12)
 
 
 # ---------------------------------------------------------------- constants

@@ -13,6 +13,7 @@ from curv4 import (
     berger_data,
     berger_from_json,
     berger_to_json,
+    duality_decompose,
     load_any,
     model_space,
     operator_from_json,
@@ -337,3 +338,49 @@ def test_cli_rejects_malformed_numbers(tmp_path, capsys, doc):
     # escape as a bare ValueError or TypeError
     assert main(["classify", "--in", write_doc(tmp_path, "doc.json", doc)]) == 2
     assert "curv4:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["decompose"], ["berger", "--frame"], ["classify"]])
+def test_cli_rejects_non_utf8_document(tmp_path, capsys, command):
+    # a UTF-16 byte-order mark used to escape as UnicodeDecodeError (exit 1)
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(_FLOAT_DATA).encode("utf-16-le"))
+    with pytest.raises(DomainError):
+        read_document(str(path))
+    assert main([command[0], "--in", str(path), *command[1:]]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def _diagonal_operator_doc(entries, lam=None):
+    matrix = np.diag(np.array(entries, dtype=float)).tolist()
+    doc = {"format": OPERATOR_FORMAT, "matrix": matrix}
+    if lam is not None:
+        doc["einstein_lambda"] = lam
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"format": BERGER_FORMAT, "a": [-1e308, 0.0, 1e308], "b": [0.0, 0.0, 0.0]},
+        _diagonal_operator_doc([1e308, 1e308, 0, 0, 0, 0]),
+        _diagonal_operator_doc([1e308, 1e308, 0, 0, 0, 0], lam=1.0),
+        _diagonal_operator_doc([1e160, 0, 0, 0, 0, 0]),
+    ],
+    ids=["data-blocks", "operator-blocks", "operator-ricci", "ricci-norm"],
+)
+@pytest.mark.parametrize("command", [["decompose"], ["berger", "--frame"]])
+def test_cli_rejects_overflowing_operators(tmp_path, capsys, doc, command):
+    # finite entries whose duality blocks or Ricci tensor overflow used to
+    # reach the eigensolver as inf and die with LinAlgError (exit 1)
+    path = write_doc(tmp_path, "doc.json", doc)
+    assert main([command[0], "--in", path, *command[1:]]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_large_finite_operators_still_decompose():
+    op = operator_from_json(_diagonal_operator_doc([1e150] * 6, lam=3e150))
+    d = duality_decompose(op)
+    assert d.s == 1.2e151 and d.is_einstein
+    with pytest.raises(InvalidOperatorError, match="overflow"):
+        operator_from_json(_diagonal_operator_doc([1e308, 1e308, 0, 0, 0, 0], lam=1.0))
