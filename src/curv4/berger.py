@@ -26,12 +26,13 @@ from .bivector import (
     conjugate_operator,
     duality_decompose,
     factor_decomposable,
-    haar_rotations,
+    haar_gaussian_blocks,
     normal_form_rows,
+    rotations_from_gaussians,
     wedge_coordinates,
 )
 from .errors import DomainError, InvalidBergerError, InvalidOperatorError, NotEinsteinError
-from .estimates import SLAB_POINTS, GridReport
+from .estimates import GridReport
 from .surd import EXACT_TYPES, coerce
 
 
@@ -252,31 +253,35 @@ def frame_functional_min(
     The closed-form reference is the adapted-frame minimum 2 a2 + a1; sampled
     values below it (violation > 0) mean generic frames beat adapted ones.
 
-    The rotations are drawn from one generator in blocks of SLAB_POINTS // 16
-    (16 floats per rotation), so memory stays flat whatever `samples` is; the
-    normal stream does not depend on how it is split, so the rotations are
-    those of haar_rotations(samples, seed), and the first strict minimum wins.
+    The Gaussian matrices come in blocks (haar_gaussian_blocks), so memory
+    stays flat whatever `samples` is; the rotations are those of
+    haar_rotations(samples, seed), and the first strict minimum wins.  The
+    functional reads only e1, e2, e3 and is unchanged, bit for bit, when any
+    of them changes sign, so each block orthonormalises only its first three
+    columns (a reduced QR, whose Q is the first three columns of the full QR)
+    without the sign and orientation fixes; only the winning matrix is
+    rebuilt as the full rotation, by rotations_from_gaussians.
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
     data = berger_data(op)
     bound = float(2 * data.a[1] + data.a[0])
 
-    rng = np.random.default_rng(seed)
-    block = SLAB_POINTS // 16
     m = op.matrix
     best = None
-    for lo in range(0, samples, block):
-        q = haar_rotations(min(block, samples - lo), rng)
-        w12 = wedge_coordinates(q[:, :, 0], q[:, :, 1])
-        w13 = wedge_coordinates(q[:, :, 0], q[:, :, 2])
+    for g in haar_gaussian_blocks(samples, seed):
+        e = np.linalg.qr(g[:, :, :3])[0]
+        w12 = wedge_coordinates(e[:, :, 0], e[:, :, 1])
+        w13 = wedge_coordinates(e[:, :, 0], e[:, :, 2])
         k12 = np.einsum("si,ij,sj->s", w12, m, w12)
         k13 = np.einsum("si,ij,sj->s", w13, m, w13)
         vals = 2.0 * np.maximum(k12, k13) + np.minimum(k12, k13)
         i = int(np.argmin(vals))
         if best is None or vals[i] < best[0]:
-            best = (float(vals[i]), tuple(map(tuple, q[i].T)))
-    return GridReport(*best, samples, bound, "min")
+            best = (float(vals[i]), g[i])
+    value, g = best
+    q = rotations_from_gaussians(g[None])[0]
+    return GridReport(value, tuple(map(tuple, q.T)), samples, bound, "min")
 
 
 def sample_berger_data(count: int, seed: int = 0, lambda_einstein: float = 1.0) -> list:

@@ -23,7 +23,7 @@ spaces and every operator produced from normal-form data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +35,7 @@ from .errors import (
     NotEinsteinError,
     UnknownModelError,
 )
-from .estimates import grid_extremum
+from .estimates import SLAB_POINTS, grid_extremum
 
 # index pairs (1-based) of the fixed bivector basis, in order
 BASIS_PAIRS = ((1, 2), (1, 3), (1, 4), (3, 4), (4, 2), (2, 3))
@@ -241,15 +241,21 @@ class CurvatureOperator:
 
 @dataclass(frozen=True, eq=False)
 class WeylSpectrum:
-    """Ascending eigenvalue triple of a (half-)Weyl part; sums to zero."""
+    """Ascending eigenvalue triple of a (half-)Weyl part; sums to zero.
+
+    The trace may miss zero by 1e-12 times the largest of 1, the eigenvalues
+    and `scale`, the magnitude of the operator they were computed from: float
+    rounding grows with the operator, not with its Weyl part.
+    """
 
     eigenvalues: tuple
+    scale: InitVar[float] = 1.0
 
-    def __post_init__(self):
+    def __post_init__(self, scale):
         ev = tuple(self.eigenvalues)
         if len(ev) != 3:
             raise InvalidOperatorError("a Weyl spectrum has exactly three eigenvalues")
-        scale = max(1.0, max(abs(float(x)) for x in ev))
+        scale = max(1.0, float(scale), max(abs(float(x)) for x in ev))
         if not (ev[0] <= ev[1] <= ev[2]):
             raise InvalidOperatorError("Weyl spectrum must be ascending")
         if abs(float(ev[0] + ev[1] + ev[2])) > 1e-12 * scale:
@@ -348,8 +354,9 @@ def duality_decompose(op: CurvatureOperator) -> DualityDecomposition:
     else:
         wp = tuple(np.linalg.eigvalsh(rp) - float(s) / 12.0)
         wm = tuple(np.linalg.eigvalsh(rm) - float(s) / 12.0)
+    scale = float(np.abs(m).max())
     return DualityDecomposition(
-        s, WeylSpectrum(wp), WeylSpectrum(wm), e2, rp, rm, cross
+        s, WeylSpectrum(wp, scale), WeylSpectrum(wm, scale), e2, rp, rm, cross
     )
 
 
@@ -554,20 +561,38 @@ def static_weitzenbock_residual(s, w: WeylSpectrum):
     return s * w.norm_sq() - 36 * w.det()
 
 
-def haar_rotations(count: int, seed) -> np.ndarray:
-    """`count` Haar-random rotations in SO(4), stacked as (count, 4, 4).
+def haar_gaussian_blocks(count: int, seed):
+    """The normal draws of haar_rotations(count, seed), in order, in blocks.
+
+    Each block holds at most SLAB_POINTS // 16 (n, 4, 4) matrices, so memory
+    stays flat whatever `count` is; numpy's normal stream does not depend on
+    how it is split.  A Generator passed as `seed` continues its stream.
+    """
+    rng = np.random.default_rng(seed)
+    block = SLAB_POINTS // 16
+    for lo in range(0, count, block):
+        yield rng.standard_normal((min(block, count - lo), 4, 4))
+
+
+def rotations_from_gaussians(g: np.ndarray) -> np.ndarray:
+    """Turn a (count, 4, 4) stack of Gaussian matrices into rotations in SO(4).
 
     QR of Gaussian matrices with the signs of R's diagonal moved into Q is
     Haar on O(4) (Mezzadri, arXiv:math-ph/0609050); negating the first column
-    where det = -1 then gives Haar on SO(4).
+    where det = -1 then gives Haar on SO(4).  Each matrix is handled on its
+    own, so a rotation does not depend on the rest of the stack.
     """
-    g = np.random.default_rng(seed).standard_normal((count, 4, 4))
     q, r = np.linalg.qr(g)
     sign = np.sign(np.einsum("sii->si", r))
     sign[sign == 0] = 1.0
     q = q * sign[:, None, :]
     q[np.linalg.det(q) < 0, :, 0] *= -1.0
     return q
+
+
+def haar_rotations(count: int, seed) -> np.ndarray:
+    """`count` Haar-random rotations in SO(4), stacked as (count, 4, 4)."""
+    return rotations_from_gaussians(np.random.default_rng(seed).standard_normal((count, 4, 4)))
 
 
 def conjugate_operator(op: CurvatureOperator, frame: np.ndarray) -> CurvatureOperator:

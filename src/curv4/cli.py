@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .berger import BergerData, berger_data, berger_to_operator, reconstruct_frame
 from .bivector import (
     MODEL_BLOCKS,
@@ -34,8 +36,9 @@ from .bivector import (
     CurvatureOperator,
     conjugate_operator,
     duality_decompose,
-    haar_rotations,
+    haar_gaussian_blocks,
     model_space,
+    rotations_from_gaussians,
 )
 from .classify import classify, wpm_discriminant_oracle
 from .errors import Curv4Error, DomainError
@@ -63,13 +66,15 @@ def _hamilton_models_check(rotations: int, seed: int) -> GridReport:
         if hamilton_gap(berger_data(model_space(name))) != 0:
             return GridReport(math.inf, (name,), rotations, 0.0)  # pragma: no cover
     worst, arg = 0.0, ("exact",)
-    frames = haar_rotations(len(names) * rotations, seed).reshape(len(names), rotations, 4, 4)
-    for name, batch in zip(names, frames):
+    # one stream: model k gets rotations k*rotations.. of haar_rotations
+    rng = np.random.default_rng(seed)
+    for name in names:
         op = model_space(name)
-        for q in batch:
-            gap = abs(float(hamilton_gap(berger_data(conjugate_operator(op, q)))))
-            if gap > worst:
-                worst, arg = gap, (name,)
+        for g in haar_gaussian_blocks(rotations, rng):
+            for q in rotations_from_gaussians(g):
+                gap = abs(float(hamilton_gap(berger_data(conjugate_operator(op, q)))))
+                if gap > worst:
+                    worst, arg = gap, (name,)
     return GridReport(worst, arg, rotations, 0.0)
 
 

@@ -70,7 +70,9 @@ def _infeasible(resolution, bound, sense) -> GridReport:
 SLAB_POINTS = 1 << 13
 
 
-def grid_extremum(evaluate, rows: int, row_points: int, sense: str = "max"):
+def grid_extremum(
+    evaluate, rows: int, row_points: int, sense: str = "max", best_first: bool = False
+):
     """Best feasible point of a grid scanned in slabs of whole rows.
 
     evaluate(lo, hi) returns (values, feasible) on grid rows lo..hi-1: arrays
@@ -79,6 +81,10 @@ def grid_extremum(evaluate, rows: int, row_points: int, sense: str = "max"):
     Returns (value, index) of the largest (sense "max") or smallest ("min")
     feasible value, ties going to the first point in row-major order across
     slabs, or None when no point is feasible.
+
+    best_first declares that each row's values are constant and that rows come
+    ordered best first, so no later slab can win: the scan stops after the
+    first slab holding a feasible point.
     """
     pick, worst = (np.argmax, -np.inf) if sense == "max" else (np.argmin, np.inf)
     step = max(1, SLAB_POINTS // row_points)
@@ -93,6 +99,8 @@ def grid_extremum(evaluate, rows: int, row_points: int, sense: str = "max"):
         if best is None or (value > best[0] if sense == "max" else value < best[0]):
             row, *rest = np.unravel_index(flat, masked.shape)
             best = (value, (lo + int(row), *map(int, rest)))
+        if best_first:
+            break
     return best
 
 
@@ -324,7 +332,10 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     The lemma hypothesis eliminates one a-coordinate, so the grid is
     (free a, b1, b2) with the b-box adapted to each sectional triple; a-rows
     that are unsorted, or whose whole b-box fails the inequality by more than
-    1e-9 (hamilton_box_bound), are skipped without being scanned:
+    1e-9 (hamilton_box_bound), are skipped without being scanned.  The
+    objective is constant along an a-row, so the rest are scanned best first
+    (ties in row order) and the scan stops at the first row holding a
+    feasible point, whose first feasible (b1, b2) a full scan would also pick:
 
       kupper: fix a3 = param, minimize a1   (bound: kupper_lower)
       kdiff:  fix a3 - a2 = param, minimize a1   (bound: kdiff_lower)
@@ -369,6 +380,9 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     # data, so no skipped row holds a point that passes the float test
     order = (a1 <= a2 + 1e-12) & (a2 <= a3 + 1e-12)
     rows = np.flatnonzero(order & (hamilton_box_bound(a1, a2, a3, bb1, bb2) >= -1e-9))
+    # a stable sort keeps equal objectives in row order
+    key = objective[rows] if sense == "min" else -objective[rows]
+    rows = rows[np.argsort(key, kind="stable")]
     t = np.linspace(-1.0, 1.0, r + 1)
     tol = 1e-12
 
@@ -387,7 +401,7 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
         gap = row(a1) - (row(a1) ** 2 + b1 * b1 + 2.0 * row(a2 * a3) + 2.0 * b2 * b3)
         return row(objective), feas & (gap >= -HAMILTON_PREDICATE_TOL)
 
-    found = grid_extremum(evaluate, len(rows), (r + 1) ** 2, sense)
+    found = grid_extremum(evaluate, len(rows), (r + 1) ** 2, sense, best_first=True)
     if found is None:
         return _infeasible(r, bound, sense)
     value, (i, j, k) = found

@@ -21,7 +21,12 @@ from curv4 import (
     reconstruct_frame,
     sample_berger_data,
 )
-from curv4.bivector import haar_rotations, wedge_coordinates
+from curv4.bivector import (
+    haar_gaussian_blocks,
+    haar_rotations,
+    rotations_from_gaussians,
+    wedge_coordinates,
+)
 from curv4.errors import DomainError, InvalidBergerError, NotEinsteinError
 
 THIRD = Fraction(1, 3)
@@ -220,6 +225,18 @@ def test_frame_functional_memory_is_flat():
         tracemalloc.stop()
     assert report.extremum == pytest.approx(0.5, abs=0.02)
     assert peak <= 8e6
+
+
+def test_reduced_qr_gives_the_first_three_columns_of_the_full_qr():
+    # the sampler orthonormalises only e1, e2, e3 and rebuilds the winner alone
+    blocks = list(haar_gaussian_blocks(1100, 5))
+    assert [len(g) for g in blocks] == [512, 512, 76]
+    for g in blocks:
+        assert np.array_equal(np.linalg.qr(g[:, :, :3])[0], np.linalg.qr(g)[0][:, :, :3])
+        q = rotations_from_gaussians(g)
+        for i in (0, len(g) - 1):
+            assert np.array_equal(rotations_from_gaussians(g[i : i + 1])[0], q[i])
+    assert np.array_equal(rotations_from_gaussians(np.concatenate(blocks)), haar_rotations(1100, 5))
 
 
 def test_hamilton_gap_signs():

@@ -29,6 +29,7 @@ from curv4 import (
 )
 from curv4 import cli, estimates
 from curv4.errors import DomainError
+from curv4.estimates import POINTWISE_LEMMAS
 
 S19 = QuadraticSurd(0, 1, 19, 1)
 S3 = QuadraticSurd(0, 1, 3, 1)
@@ -340,7 +341,7 @@ def _random_params(seed):
     )
 
 
-@pytest.mark.parametrize("r", [8, 24, 40])
+@pytest.mark.parametrize("r", [8, 24, 40, 120])
 def test_pruned_oracle_equals_full_grid_scan(r):
     cases = [(lemma, p) for lemma, ps in CRITERION_5_SWEEPS.items() for p in ps]
     for lemma, p in cases + _random_params(r):
@@ -351,6 +352,48 @@ def test_pruned_oracle_equals_full_grid_scan(r):
         else:
             assert report.feasible, (lemma, p)
             assert (report.extremum, report.argument) == reference, (lemma, p)
+
+
+def test_grid_extremum_best_first_stops_at_the_first_feasible_slab(monkeypatch):
+    # rows 0 and 1 tie; row 1 has the earlier feasible column, row 0 still wins
+    values = np.array([[1.0], [1.0], [2.0]])
+    feasible = np.array([[False, True], [True, True], [True, True]])
+    seen = []
+
+    def evaluate(lo, hi):
+        seen.append(lo)
+        return values[lo:hi], feasible[lo:hi]
+
+    def nowhere(lo, hi):
+        return values[lo:hi], False
+
+    for slab in (estimates.SLAB_POINTS, 1):
+        monkeypatch.setattr(estimates, "SLAB_POINTS", slab)
+        seen.clear()
+        assert estimates.grid_extremum(evaluate, 3, 2, "min", best_first=True) == (1.0, (0, 1))
+        assert seen == [0]
+        assert estimates.grid_extremum(nowhere, 3, 2, "min", best_first=True) is None
+
+
+def test_battery_polytope_checks_stop_at_the_first_feasible_row(monkeypatch):
+    # rows come best objective first, so the 15 polytope checks of the battery
+    # evaluate 42 of their 1,815 rows (455 survive the row bound)
+    evaluated = []
+    kernel = estimates.grid_extremum
+
+    def counting(evaluate, *args, **kwargs):
+        def spy(lo, hi):
+            evaluated.append(hi - lo)
+            return evaluate(lo, hi)
+
+        return kernel(spy, *args, **kwargs)
+
+    monkeypatch.setattr(estimates, "SLAB_POINTS", 1)
+    monkeypatch.setattr(estimates, "grid_extremum", counting)
+    lemmas = [(lemma, params) for lemma, params in cli._BATTERY if lemma in POINTWISE_LEMMAS]
+    reports = [cli.run_verification(lemma, **params) for lemma, params in lemmas]
+    assert len(reports) == 15 and all(r["pass"] for r in reports)
+    assert sum(evaluated) == 42
 
 
 @pytest.mark.parametrize("r", [8, 24, 40])

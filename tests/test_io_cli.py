@@ -1,11 +1,18 @@
 """JSON round trips and the command-line surface (driven in process)."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curv4 import (
     BergerData,
@@ -21,6 +28,7 @@ from curv4 import (
     read_document,
     sample_berger_data,
 )
+from curv4 import bivector, cli
 from curv4.cli import LEMMA_NAMES, MIN_GRID, main, run_verification
 from curv4.errors import DomainError, InvalidBergerError, InvalidOperatorError
 from curv4.io import BERGER_FORMAT, OPERATOR_FORMAT
@@ -384,3 +392,76 @@ def test_large_finite_operators_still_decompose():
     assert d.s == 1.2e151 and d.is_einstein
     with pytest.raises(InvalidOperatorError, match="overflow"):
         operator_from_json(_diagonal_operator_doc([1e308, 1e308, 0, 0, 0, 0], lam=1.0))
+
+
+def test_hamilton_models_memory_does_not_grow_with_rotations(monkeypatch):
+    # drawing every rotation at once grew the transient peak by about 1.6 kB
+    # per rotation; streamed in blocks it is set by the block alone
+    def transient_peak(rotations):
+        tracemalloc.start()
+        try:
+            report = cli._hamilton_models_check(rotations, 0)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.feasible and report.extremum < 1e-9
+        return peak - current  # what stays allocated (free lists) is no transient
+
+    streamed = cli._hamilton_models_check(200, 3)
+    monkeypatch.setattr(bivector, "SLAB_POINTS", 16 * 16)  # blocks of 16 rotations
+    assert cli._hamilton_models_check(200, 3) == streamed
+    transient_peak(16)  # first-call allocations
+    assert transient_peak(200) <= transient_peak(24) + 32e3
+
+
+_ENTRY = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _normal_form_documents(draw):
+    # a ascending with lambda = sum(a) > 0 (a negative sum is mirrored), and
+    # (b1, b2) drawn from the box, then pulled toward 0 until every
+    # |b_j - b_i| <= a_j - a_i holds, with b3 = -b1 - b2
+    a = sorted(draw(st.lists(_ENTRY, min_size=3, max_size=3)))
+    if a[0] + a[1] + a[2] < 0:
+        a = [-x for x in reversed(a)]
+    lam = a[0] + a[1] + a[2]
+    assume(lam > 0)
+    s1, s2, s3 = a[1] - a[0], a[2] - a[0], a[2] - a[1]
+    b1 = draw(_UNIT) * (s1 + s2) / 3.0
+    b2 = draw(_UNIT) * (s1 + s3) / 3.0
+    gaps = ((b2 - b1, s1), (2.0 * b1 + b2, s2), (b1 + 2.0 * b2, s3))
+    pull = min([1.0] + [s / abs(x) for x, s in gaps if abs(x) > s])
+    b1, b2 = b1 * pull, b2 * pull
+    return {"format": BERGER_FORMAT, "a": a, "b": [b1, b2, -b1 - b2], "lambda": lam}
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_normal_form_documents())
+def test_cli_gives_every_valid_normal_form_a_verdict(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = _run_cli(["classify", "--in", path])
+        assert code == 0, err
+        assert json.loads(out)["verdict"] in ("model_data", "rigidity_regime", "inconclusive")
+        code, out, err = _run_cli(["berger", "--in", path, "--frame"])
+        assert code == 0, err
+
+
+@pytest.mark.parametrize("command", [["decompose"], ["berger", "--frame"], ["classify"]])
+def test_cli_accepts_large_nearly_round_data(tmp_path, command):
+    # a small Weyl spectrum of a large operator carries the operator's rounding
+    # error; the trace-free check used to measure it against the spectrum (exit 2)
+    doc = {"format": BERGER_FORMAT, "a": [419170.0, 419171.0, 419249.0], "b": [0.0, 0.0, 0.0]}
+    path = write_doc(tmp_path, "doc.json", doc)
+    assert main([command[0], "--in", path, *command[1:]]) == 0
