@@ -46,7 +46,6 @@ from .classify import (
     check_condition_a,
     check_condition_b,
     check_weyl_sum,
-    check_wpm_hypothesis,
     classify,
     pinch_to_weyl_gap,
     wpm_discriminant,

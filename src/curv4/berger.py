@@ -229,7 +229,7 @@ def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
     e4 = -spsi * f3 + cpsi * f4
     frame = Frame(np.stack([e1, e2, e3, e4], axis=1), degenerate=degenerate)
 
-    data = berger_data(op)
+    data = berger_data(d)
     target = berger_to_operator(data)
     got = conjugate_operator(op, frame.matrix)
     residual = float(np.abs(got.matrix - target.matrix).max())

@@ -30,12 +30,11 @@ import numpy as np
 
 from .errors import (
     DegeneratePlaneError,
-    DomainError,
     InvalidOperatorError,
     NotEinsteinError,
     UnknownModelError,
 )
-from .estimates import SLAB_POINTS, grid_extremum
+from .estimates import SLAB_POINTS
 
 # index pairs (1-based) of the fixed bivector basis, in order
 BASIS_PAIRS = ((1, 2), (1, 3), (1, 4), (3, 4), (4, 2), (2, 3))
@@ -70,18 +69,6 @@ def hodge_star_matrix() -> np.ndarray:
         star[k, k + 3] = 1.0
         star[k + 3, k] = 1.0
     return star
-
-
-def duality_basis_matrix() -> np.ndarray:
-    """Columns are w+_1, w+_2, w+_3, w-_1, w-_2, w-_3 in fixed coordinates."""
-    p = np.zeros((6, 6))
-    c = 1.0 / math.sqrt(2.0)
-    for k in range(3):
-        p[k, k] = c
-        p[k + 3, k] = c
-        p[k, k + 3] = c
-        p[k + 3, k + 3] = -c
-    return p
 
 
 def riemann_component(matrix, i: int, j: int, k: int, l: int):
@@ -434,22 +421,20 @@ def sectional(op: CurvatureOperator, plane: TangentPlane) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SectionalExtrema:
-    """Grid extrema of the sectional curvature over all tangent planes."""
+    """Extrema of the sectional curvature over all tangent planes.
+
+    kmin, kmax             -- K at the witness planes argmin, argmax
+    kmin_lower, kmax_upper -- dual bounds: kmin_lower <= K <= kmax_upper on
+                              every plane, so [kmin_lower, kmin] and
+                              [kmax, kmax_upper] bracket the true extrema
+    """
 
     kmin: float
     kmax: float
     argmin: TangentPlane
     argmax: TangentPlane
-    resolution: int
-
-
-def _sphere_grid(n: int) -> np.ndarray:
-    theta = np.linspace(0.0, np.pi, n + 1)
-    phi = np.linspace(0.0, 2.0 * np.pi, 2 * n, endpoint=False)
-    t, p = np.meshgrid(theta, phi, indexing="ij")
-    st = np.sin(t)
-    pts = np.stack([st * np.cos(p), st * np.sin(p), np.cos(t)], axis=-1)
-    return pts.reshape(-1, 3)
+    kmin_lower: float
+    kmax_upper: float
 
 
 def antisymmetric_matrix(sigma) -> np.ndarray:
@@ -478,50 +463,62 @@ def factor_decomposable(sigma) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _plane_from_duality_pair(xi: np.ndarray, eta: np.ndarray) -> TangentPlane:
-    """Tangent plane of the decomposable bivector (xi + eta)/sqrt2."""
-    c = 1.0 / math.sqrt(2.0)
-    sigma = np.concatenate([xi + eta, xi - eta]) * (c / math.sqrt(2.0))
-    u, v = factor_decomposable(sigma)
-    return TangentPlane(u, v)
+# bisection steps of the dual search; 2^-100 of the bracket is below float spacing
+_DUAL_STEPS = 100
 
 
-def extremize_sectional(op: CurvatureOperator, resolution: int = 200) -> SectionalExtrema:
-    """Brute-force extrema of K over the Grassmannian of 2-planes.
+def _dual_min(m: np.ndarray) -> tuple[float, TangentPlane]:
+    """The dual bound max_t lambda_min(m + t*) on K = <m w, w> over planes.
 
-    Unit decomposable bivectors are exactly (xi + eta)/sqrt2 with xi, eta unit
-    vectors in the self-dual / anti-self-dual 3-spaces, so the search domain
-    is a product of two 2-spheres sampled on a theta/phi grid.  For Einstein
-    operators the two factors decouple; otherwise the full product is scanned
-    for each extremum in slabs of bounded size (estimates.grid_extremum), ties
-    going to the first grid pair in scan order.
+    A unit bivector w is a plane exactly when <*w, w> = 0 (Pluecker), so
+    every lambda_min(m + t*) bounds K from below, and the S-lemma makes the
+    best bound the minimum (Singer and Thorpe 1969).  lambda_min(m + t*) is
+    concave in t with supergradient <*v, v> at a bottom eigenvector v, so a
+    fixed number of bisections on its sign reach the maximiser.  The
+    witness plane is the combination of the bracket ends' eigenvectors on
+    which <*w, w> vanishes.
     """
-    if resolution < 8:
-        raise DomainError("resolution must be at least 8")
-    dd = duality_decompose(op)
-    pts = _sphere_grid(resolution)
-    fp = np.einsum("ni,ij,nj->n", pts, dd.r_plus_block, pts)
-    fm = np.einsum("ni,ij,nj->n", pts, dd.r_minus_block, pts)
+    star = hodge_star_matrix()
 
-    scale = max(1.0, float(np.abs(op.matrix).max()))
-    if dd.cross_norm <= 1e-12 * scale:
-        i_min, i_max = int(np.argmin(fp)), int(np.argmax(fp))
-        j_min, j_max = int(np.argmin(fm)), int(np.argmax(fm))
-        kmin = float(0.5 * (fp[i_min] + fm[j_min]))
-        kmax = float(0.5 * (fp[i_max] + fm[j_max]))
-    else:
-        # coupled search: K = (f+(xi) + f-(eta))/2 + xi . cross . eta
-        cross_eta = dd.cross_block @ pts.T
+    def bottom(t):
+        ev, vec = np.linalg.eigh(m + t * star)
+        v = vec[:, 0]
+        return t, float(ev[0]), v, float(v @ star @ v)
 
-        def evaluate(lo, hi):
-            return 0.5 * (fp[lo:hi, None] + fm) + pts[lo:hi] @ cross_eta, True
+    # lambda_min(m + t*) <= |m|_2 - |t| < -|m|_2 <= lambda_min(m) beyond the
+    # bracket, so every maximiser lies inside it
+    bound = 2.0 * float(np.linalg.norm(m)) + 1.0
+    t_lo, lam_lo, v_lo, a = bottom(-bound)
+    t_hi, lam_hi, v_hi, c = bottom(bound)
+    for _ in range(_DUAL_STEPS):
+        t, lam, v, g = bottom(0.5 * (t_lo + t_hi))
+        if g > 0:
+            t_lo, lam_lo, v_lo, a = t, lam, v, g
+        else:
+            t_hi, lam_hi, v_hi, c = t, lam, v, g
+    if v_lo @ v_hi < 0:
+        v_hi = -v_hi
+    # <*w, w> = a p^2 + 2 b p q + c q^2 with a > 0 >= c; the root with p, q >= 0
+    # keeps w = p v_lo + q v_hi clear of cancellation
+    b = float(v_lo @ star @ v_hi)
+    root = math.sqrt(b * b - a * c)
+    p, q = (root - b, a) if b <= 0 else (-c, b + root)
+    w = p * v_lo + q * v_hi
+    u, v = factor_decomposable(w / math.sqrt(float(w @ w)))
+    return max(lam_lo, lam_hi), TangentPlane(u, v)
 
-        n = pts.shape[0]
-        kmin, (i_min, j_min) = grid_extremum(evaluate, n, n, "min")
-        kmax, (i_max, j_max) = grid_extremum(evaluate, n, n, "max")
-    argmin = _plane_from_duality_pair(pts[i_min], pts[j_min])
-    argmax = _plane_from_duality_pair(pts[i_max], pts[j_max])
-    return SectionalExtrema(kmin, kmax, argmin, argmax, resolution)
+
+def extremize_sectional(op: CurvatureOperator) -> SectionalExtrema:
+    """Extrema of K over the Grassmannian of 2-planes, each with a certificate.
+
+    min K is the dual bound of R and max K that of -R; each comes with a
+    witness plane whose K is reported, so the extremum lies between the two.
+    """
+    kmin_lower, argmin = _dual_min(op.matrix)
+    neg_upper, argmax = _dual_min(-op.matrix)
+    return SectionalExtrema(
+        sectional(op, argmin), sectional(op, argmax), argmin, argmax, kmin_lower, -neg_upper
+    )
 
 
 # -- scalar invariants of Weyl spectra ------------------------------------------

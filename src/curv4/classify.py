@@ -109,14 +109,12 @@ def _weyl_sum(data: BergerData) -> float:
 
 @dataclass(frozen=True)
 class PinchWeylReport:
-    """Closed-form bound on |W+| + |W-| implied by the sectional data.
+    """Closed-form bound 4 (a3 - a1)/sqrt6 on |W+| + |W-| from the sectional data.
 
-    The `upper` mode writes it as 4 (a3 - a1)/sqrt6, the `diff` mode as
-    (2 - 6 a1 + 2 (a3 - a2))/sqrt6; the two agree identically when the
-    sectional triple sums to 1.  `bound_exact` is present for exact data.
+    On normalized data (a1 + a2 + a3 = 1) it equals (2 - 6 a1 + 2 (a3 - a2))/sqrt6.
+    `bound_exact` is present for exact data.
     """
 
-    mode: str
     bound: float
     weyl_sum: float
     margin: float
@@ -124,16 +122,11 @@ class PinchWeylReport:
     bound_exact: QuadraticSurd | None = None
 
 
-def pinch_to_weyl_gap(data: BergerData, mode: str = "upper") -> PinchWeylReport:
-    """Bound |W+| + |W-| by the sectional gaps and verify against the spectra."""
-    if mode not in ("upper", "diff"):
-        raise DomainError("mode must be 'upper' or 'diff'")
+def pinch_to_weyl_gap(data: BergerData) -> PinchWeylReport:
+    """Bound |W+| + |W-| by the sectional gap and verify against the spectra."""
     d = data.normalized()
-    six, a1, a2, a3, *_ = coerce(6, *d.a, *d.b, d.lambda_einstein)
-    if mode == "upper":
-        numerator = 4 * (a3 - a1)
-    else:
-        numerator = 2 - 6 * a1 + 2 * (a3 - a2)
+    six, a1, _, a3, *_ = coerce(6, *d.a, *d.b, d.lambda_einstein)
+    numerator = 4 * (a3 - a1)
     try:
         bound = numerator / sqrt(six)
     except ExactnessError:  # numerator irrational in a field without sqrt6
@@ -141,7 +134,7 @@ def pinch_to_weyl_gap(data: BergerData, mode: str = "upper") -> PinchWeylReport:
     bound_exact = None if isinstance(bound, float) else bound
     ws = _weyl_sum(d)
     margin = float(bound) - ws
-    return PinchWeylReport(mode, float(bound), ws, margin, margin >= -1e-9, bound_exact)
+    return PinchWeylReport(float(bound), ws, margin, margin >= -1e-9, bound_exact)
 
 
 # -- the Weitzenboeck discriminant ------------------------------------------------
@@ -183,16 +176,6 @@ def check_weyl_sum(data: BergerData) -> CertificateRow:
         WEYL_SUM_MAX,
         "elliptic rigidity regime",
     )
-
-
-def check_wpm_hypothesis(decomposition) -> bool:
-    """True iff the weyl_sum_small row holds on a duality decomposition.
-
-    The decomposition's normal-form data is rescaled to Einstein constant 1
-    and checked by `check_weyl_sum`, so the two are one predicate: |W+| + |W-|
-    <= sqrt6/2 exactly.  Requires an Einstein decomposition with S > 0.
-    """
-    return check_weyl_sum(berger_data(decomposition)).holds
 
 
 # -- the full verdict --------------------------------------------------------------
@@ -306,18 +289,17 @@ def classify(source) -> ClassificationVerdict:
         skipped.append(
             ("derived_min_sec_diff", "a3 - a2 >= 2 lies outside the domain [0, 2) of kdiff_lower")
         )
-    for mode in ("upper", "diff"):
-        rep = pinch_to_weyl_gap(d, mode)
-        rows.append(
-            CertificateRow(
-                f"pinch_weyl_{mode}",
-                rep.holds,
-                rep.weyl_sum,
-                rep.bound,
-                "<=",
-                "Weyl sum against its sectional bound",
-            )
+    rep = pinch_to_weyl_gap(d)
+    rows.append(
+        CertificateRow(
+            "pinch_weyl_upper",
+            rep.holds,
+            rep.weyl_sum,
+            rep.bound,
+            "<=",
+            "Weyl sum against its sectional bound",
         )
+    )
 
     matches = tuple(name for name in MODEL_BLOCKS if _matches_model(d, name))
     by_name = {r.name: r for r in rows}

@@ -146,6 +146,10 @@ LEMMA_NAMES = tuple(_LEMMAS)
 # the smallest grid any lemma accepts: below it an oracle checks too few
 # points (or none) for a pass to mean anything
 MIN_GRID = 8
+_GRID_HELP = (
+    "grid subdivisions per axis, or rotations per model for hamilton-models "
+    f"(at least {MIN_GRID})"
+)
 
 
 def run_verification(lemma: str, alpha=None, delta=None, grid=None, seed: int = 0) -> dict:
@@ -156,6 +160,10 @@ def run_verification(lemma: str, alpha=None, delta=None, grid=None, seed: int = 
     grid = row.grid if grid is None else grid
     if grid < MIN_GRID:
         raise DomainError(f"grid {grid} is below the minimum {MIN_GRID}")
+    # a NaN slips past every `x < 0` guard and an oracle then checks nothing
+    for name, value in (("alpha", alpha), ("delta", delta)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     given = {"alpha": alpha, "delta": delta, "grid": grid, "seed": seed}
     params = {
         name: default if given[source] is None else given[source]
@@ -492,13 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", required=True, choices=LEMMA_NAMES)
     p.add_argument("--alpha", type=float, help="first parameter (meaning depends on the lemma)")
     p.add_argument("--delta", type=float, help="second parameter (meaning depends on the lemma)")
-    p.add_argument("--grid", type=int, help=f"grid subdivisions per axis (at least {MIN_GRID})")
+    p.add_argument("--grid", type=int, help=_GRID_HELP)
     p.add_argument("--seed", type=int, default=0, help="seed for sampling oracles")
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("verify-all", help="the whole verification battery")
-    p.add_argument("--grid", type=int, help=f"grid subdivisions per axis (at least {MIN_GRID})")
+    p.add_argument("--grid", type=int, help=_GRID_HELP)
     p.add_argument("--seed", type=int, default=0)
     add_format(p)
     p.set_defaults(func=_cmd_verify_all)

@@ -249,9 +249,10 @@ def test_hamilton_gap_signs():
 def test_extremes_agree_with_extremize():
     d = sample_berger_data(1, seed=77)[0]
     op = berger_to_operator(d)
-    ext = extremize_sectional(op, resolution=80)
-    assert ext.kmin == pytest.approx(float(d.a[0]), abs=10.0 / 80**2)
-    assert ext.kmax == pytest.approx(float(d.a[2]), abs=10.0 / 80**2)
+    ext = extremize_sectional(op)
+    tol = 1e-12 * max(1.0, float(np.abs(op.matrix).max()))
+    assert ext.kmin == pytest.approx(float(d.a[0]), abs=tol)
+    assert ext.kmax == pytest.approx(float(d.a[2]), abs=tol)
 
 
 def test_surd_data_is_exact_but_operator_path_is_float():

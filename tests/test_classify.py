@@ -13,7 +13,6 @@ from curv4 import (
     check_condition_a,
     check_condition_b,
     check_weyl_sum,
-    check_wpm_hypothesis,
     classify,
     duality_decompose,
     frame_functional_min,
@@ -139,23 +138,26 @@ def test_condition_a_monotone_in_a3():
 
 
 def test_pinch_modes_agree_when_normalized():
+    # the one pinch row writes the bound as 4 (a3 - a1)/sqrt6; on normalized
+    # data 2 - 6 a1 + 2 (a3 - a2) is the same number, which is why there is
+    # no second row
     for data in sample_berger_data(50, seed=21):
-        up = pinch_to_weyl_gap(data, "upper")
-        diff = pinch_to_weyl_gap(data, "diff")
-        assert up.bound == pytest.approx(diff.bound, abs=1e-12)
-        assert up.weyl_sum == pytest.approx(diff.weyl_sum, abs=1e-12)
-        assert up.holds and diff.holds  # bound is a proved upper bound
-    with pytest.raises(DomainError):
-        pinch_to_weyl_gap(RIGID_POINT, "sideways")
+        a1, a2, a3 = (float(x) for x in data.normalized().a)
+        rep = pinch_to_weyl_gap(data)
+        assert rep.bound == pytest.approx(4.0 * (a3 - a1) / math.sqrt(6.0), abs=1e-12)
+        assert rep.bound == pytest.approx((2 - 6 * a1 + 2 * (a3 - a2)) / math.sqrt(6.0), abs=1e-12)
+        assert rep.holds  # bound is a proved upper bound
 
 
 def test_pinch_bound_exact_at_theorem_endpoint():
     a1 = kupper_lower(BETA)
     endpoint = BergerData(a=(a1, 1 - BETA - a1, BETA), b=(Fraction(0),) * 3)
-    for mode in ("upper", "diff"):
-        rep = pinch_to_weyl_gap(endpoint, mode)
-        assert rep.bound_exact == SQRT32  # the ℚ(√19) algebra collapses
-        assert rep.holds
+    rep = pinch_to_weyl_gap(endpoint)
+    assert rep.bound_exact == SQRT32  # the ℚ(√19) algebra collapses
+    # the other form's numerator is 3 as well: 3/sqrt6 = sqrt6/2
+    e1, e2, e3 = endpoint.a
+    assert 4 * (e3 - e1) == 2 - 6 * e1 + 2 * (e3 - e2) == 3
+    assert rep.holds
 
 
 def test_pipeline_soundness_sampled():
@@ -190,9 +192,8 @@ def test_wpm_oracle_max_zero_on_axes():
 
 
 def test_wpm_hypothesis_on_models():
-    assert check_wpm_hypothesis(duality_decompose(model_space("sphere")))
-    assert check_wpm_hypothesis(duality_decompose(model_space("cp2")))
-    assert not check_wpm_hypothesis(duality_decompose(model_space("s2xs2")))
+    for name, expected in (("sphere", True), ("cp2", True), ("s2xs2", False)):
+        assert check_weyl_sum(berger_data(duality_decompose(model_space(name)))).holds == expected
 
 
 @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(2)])
@@ -204,7 +205,7 @@ def test_weyl_sum_predicate_is_scale_free(lam):
             data = BergerData(tuple(scale * x for x in ma), tuple(scale * x for x in mb), scale)
             op = berger_to_operator(data)
             expected = name != "s2xs2"
-            assert check_wpm_hypothesis(duality_decompose(op)) == expected, (name, scale)
+            assert check_weyl_sum(berger_data(duality_decompose(op))).holds == expected, (name, scale)
             assert check_weyl_sum(data).holds == expected, (name, scale)
             assert check_weyl_sum(berger_data(op)).holds == expected, (name, scale)
 

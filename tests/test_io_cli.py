@@ -226,6 +226,16 @@ def test_cli_verify_rejects_grid_below_minimum(lemma, capsys):
     assert json.loads(capsys.readouterr().out)["feasible"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["alpha", "delta"])
+@pytest.mark.parametrize("lemma", LEMMA_NAMES)
+def test_cli_verify_rejects_non_finite_parameters(lemma, flag, value, capsys):
+    # NaN passes every `x < 0` guard, and the oracle then reports a violation
+    # of 0 without checking anything
+    assert main(["verify", "--lemma", lemma, f"--{flag}={value}", "--grid", "40"]) == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+
+
 def test_cli_verify_all_rejects_grid_below_minimum(capsys):
     assert main(["verify-all", "--grid", str(MIN_GRID - 1)]) == 2
     assert "below the minimum" in capsys.readouterr().err
