@@ -160,10 +160,14 @@ def run_verification(lemma: str, alpha=None, delta=None, grid=None, seed: int = 
     grid = row.grid if grid is None else grid
     if grid < MIN_GRID:
         raise DomainError(f"grid {grid} is below the minimum {MIN_GRID}")
-    # a NaN slips past every `x < 0` guard and an oracle then checks nothing
+    # a NaN slips past every `x < 0` guard and an oracle then checks nothing;
+    # a value the lemma does not read would pass a check of its defaults
+    sources = {source for _, source, _ in row.params}
     for name, value in (("alpha", alpha), ("delta", delta)):
         if value is not None and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+        if value is not None and name not in sources:
+            raise DomainError(f"lemma {lemma} takes no {name} (--{name})")
     given = {"alpha": alpha, "delta": delta, "grid": grid, "seed": seed}
     params = {
         name: default if given[source] is None else given[source]

@@ -21,6 +21,7 @@ from curv4 import (
     reconstruct_frame,
     sample_berger_data,
 )
+from curv4 import berger
 from curv4.bivector import (
     haar_gaussian_blocks,
     haar_rotations,
@@ -168,7 +169,7 @@ def test_reconstruct_degenerate_sphere():
 
 
 def test_frame_functional_bound_and_models():
-    # sampled minimum of 2 K(e1,e2) + K(e1,e3) can never undershoot 2 a2 + a1
+    # the minimum over all frames is 1.5 (lambda - a3); the models reach it
     sphere = frame_functional_min(model_space("sphere"), samples=2000, seed=5)
     assert sphere.extremum == pytest.approx(1.0, abs=1e-12)  # K constant 1/3
     assert sphere.bound == pytest.approx(1.0)
@@ -177,45 +178,115 @@ def test_frame_functional_bound_and_models():
     assert cp2.sense == "min" and cp2.feasible
     assert cp2.bound == pytest.approx(0.5)
     assert cp2.extremum >= cp2.bound - 1e-9
-    assert cp2.extremum == pytest.approx(0.5, abs=0.02)
+    assert cp2.extremum == pytest.approx(0.5, abs=1e-12)  # every e1 gives 1/2
 
     s2 = frame_functional_min(model_space("s2xs2"), samples=20000, seed=5)
     assert s2.bound == pytest.approx(0.0)
     assert s2.extremum >= -1e-9
-    assert s2.extremum <= 0.08  # optimal frames are codimension 4: slow approach
+    assert s2.extremum <= 1e-3
+
+
+def _frame_functional_at(op, frame):
+    """2 max(K12, K13) + min(K12, K13) evaluated at the rows e1..e4 of `frame`."""
+    e = np.asarray(frame)
+    w12, w13 = wedge_coordinates(e[0], e[1]), wedge_coordinates(e[0], e[2])
+    k12, k13 = float(w12 @ op.matrix @ w12), float(w13 @ op.matrix @ w13)
+    return 2.0 * max(k12, k13) + min(k12, k13)
+
+
+def _rotated_samples(count, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        conjugate_operator(berger_to_operator(d), haar_rotation(rng))
+        for d in sample_berger_data(count, seed=seed)
+    ]
+
+
+def test_frame_functional_meets_the_frame_minimum():
+    # Ky Fan: no frame goes below 1.5 (lambda - a3) = 1.5 (a1 + a2), and
+    # 20,000 directions get within 1e-3 of it
+    for i, op in enumerate(_rotated_samples(20, seed=31)):
+        data = berger_data(op)
+        rep = frame_functional_min(op, samples=20000, seed=i)
+        assert rep.bound == pytest.approx(1.5 * (data.a[0] + data.a[1]), abs=1e-12)
+        assert rep.bound - 1e-9 <= rep.extremum <= rep.bound + 1e-3, i
+
+
+def test_frame_functional_reports_an_oriented_frame_that_attains_it():
+    ops = [model_space(n) for n in ("sphere", "cp2", "s2xs2")] + _rotated_samples(8, seed=32)
+    for i, op in enumerate(ops):
+        rep = frame_functional_min(op, samples=1000, seed=i)
+        e = np.array(rep.argument)
+        assert np.abs(e @ e.T - np.eye(4)).max() <= 1e-12
+        assert np.linalg.det(e) == pytest.approx(1.0, abs=1e-12)
+        scale = max(1.0, float(np.abs(op.matrix).max()))
+        assert abs(_frame_functional_at(op, e) - rep.extremum) <= 1e-12 * scale, i
+
+
+def test_frame_functional_re_solves_a_double_top_eigenvalue():
+    # with a2 = a3 the winning direction's top eigenvalue is double, where
+    # the closed form is off by up to about 1e-11 here; the report comes
+    # from the eigh solve and stays within rounding of the bound
+    rng = np.random.default_rng(33)
+    for data in (
+        BergerData((Fraction(0), Fraction(1, 2), Fraction(1, 2)), (0, 0, 0)),
+        BergerData((0.1, 0.45, 0.45), (0.0, 0.0, 0.0)),
+        BergerData((-0.2, 0.6, 0.6), (0.1, -0.05, -0.05)),
+    ):
+        op = conjugate_operator(berger_to_operator(data), haar_rotation(rng))
+        for seed in range(3):
+            rep = frame_functional_min(op, samples=20000, seed=seed)
+            assert abs(rep.extremum - rep.bound) <= 1e-14, (data, seed)
+            assert abs(_frame_functional_at(op, rep.argument) - rep.extremum) <= 1e-14
+
+
+def test_frame_functional_inner_matrices_match_the_wedge_definition():
+    # <R(e1^f_j), e1^f_k> for the quaternion frame, on an operator with a
+    # nonzero duality cross block
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((6, 6))
+    m = m + m.T
+    q = rng.standard_normal((4, 9))
+    q /= np.linalg.norm(q, axis=0)
+    got = berger._inner_matrices(q, berger._duality_halves(m))
+    for k in range(9):
+        frame = berger._quaternion_frame(q[:, k])
+        assert np.abs(frame.T @ frame - np.eye(4)).max() <= 1e-15
+        assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-15)
+        w = np.stack([wedge_coordinates(frame[:, 0], frame[:, j]) for j in (1, 2, 3)], axis=1)
+        assert np.abs(w.T @ m @ w - got[:, :, k]).max() <= 1e-14
+        assert np.array_equal(got[:, :, k], got[:, :, k].T)
 
 
 def test_frame_functional_seeded_determinism():
+    # cp2's inner minimum is 1/2 in every direction, so two seeds can give
+    # the same extremum: the winning frame tells them apart
     a = frame_functional_min(model_space("cp2"), samples=3000, seed=8)
     b = frame_functional_min(model_space("cp2"), samples=3000, seed=8)
     c = frame_functional_min(model_space("cp2"), samples=3000, seed=9)
-    assert a.extremum == b.extremum
-    assert a.extremum != c.extremum
-
-
-def _frame_min_all_at_once(op, samples, seed):
-    # the sampler as it was before it streamed: every rotation drawn at once
-    q = haar_rotations(samples, seed)
-    w12 = wedge_coordinates(q[:, :, 0], q[:, :, 1])
-    w13 = wedge_coordinates(q[:, :, 0], q[:, :, 2])
-    k12 = np.einsum("si,ij,sj->s", w12, op.matrix, w12)
-    k13 = np.einsum("si,ij,sj->s", w13, op.matrix, w13)
-    vals = 2.0 * np.maximum(k12, k13) + np.minimum(k12, k13)
-    i = int(np.argmin(vals))
-    return float(vals[i]), tuple(map(tuple, q[i].T))
+    assert (a.extremum, a.argument) == (b.extremum, b.argument)
+    assert a.argument != c.argument
 
 
 @pytest.mark.parametrize("samples", [100, 513, 100000])
 @pytest.mark.parametrize("name", ["cp2", "s2xs2"])
-def test_frame_functional_streams_the_same_rotations(name, samples):
+def test_frame_functional_streams_the_same_rotations(name, samples, monkeypatch):
+    # each direction q is the rotation (q, q i, q j, q k); streaming them in
+    # blocks must pick the winner one all-at-once evaluation of the same
+    # draws picks, even on cp2 where every direction ties up to rounding
     op = model_space(name)
-    report = frame_functional_min(op, samples=samples, seed=11)
-    assert (report.extremum, report.argument) == _frame_min_all_at_once(op, samples, 11)
-    assert report.resolution == samples
+    streamed = [frame_functional_min(op, samples=samples, seed=11)]
+    monkeypatch.setattr(berger, "SLAB_POINTS", 4 * 64)
+    streamed.append(frame_functional_min(op, samples=samples, seed=11))
+    monkeypatch.setattr(berger, "SLAB_POINTS", 4 * samples)
+    whole = frame_functional_min(op, samples=samples, seed=11)
+    assert whole.resolution == samples
+    for report in streamed:
+        assert (report.extremum, report.argument) == (whole.extremum, whole.argument)
 
 
 def test_frame_functional_memory_is_flat():
-    # drawing all 100000 rotations at once peaked at about 52 MB
+    # the directions stream in blocks: about 2 MB traced at 10^5
     op = model_space("cp2")
     tracemalloc.start()
     try:
@@ -223,16 +294,15 @@ def test_frame_functional_memory_is_flat():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.extremum == pytest.approx(0.5, abs=0.02)
+    assert report.extremum == pytest.approx(0.5, abs=1e-12)
     assert peak <= 8e6
 
 
-def test_reduced_qr_gives_the_first_three_columns_of_the_full_qr():
-    # the sampler orthonormalises only e1, e2, e3 and rebuilds the winner alone
+def test_gaussian_blocks_rebuild_haar_rotations():
+    # hamilton-models streams its rotations block by block
     blocks = list(haar_gaussian_blocks(1100, 5))
     assert [len(g) for g in blocks] == [512, 512, 76]
     for g in blocks:
-        assert np.array_equal(np.linalg.qr(g[:, :, :3])[0], np.linalg.qr(g)[0][:, :, :3])
         q = rotations_from_gaussians(g)
         for i in (0, len(g) - 1):
             assert np.array_equal(rotations_from_gaussians(g[i : i + 1])[0], q[i])

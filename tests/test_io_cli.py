@@ -236,6 +236,34 @@ def test_cli_verify_rejects_non_finite_parameters(lemma, flag, value, capsys):
     assert f"{flag} must be finite" in capsys.readouterr().err
 
 
+_LEMMA_FLAGS = {
+    "k3k1": {"alpha", "delta"},
+    "algebraic2": {"alpha", "delta"},
+    "kupper": {"alpha"},
+    "kdiff": {"alpha"},
+    "a2a1": {"delta"},
+    "wpm-discriminant": set(),
+    "hamilton-models": set(),
+}
+
+
+@pytest.mark.parametrize("flag", ["alpha", "delta"])
+@pytest.mark.parametrize("lemma", LEMMA_NAMES)
+def test_cli_verify_rejects_a_flag_the_lemma_does_not_take(lemma, flag, capsys):
+    # `verify --lemma kupper --delta 0.3` used to check the default alpha and
+    # exit 0, a PASS for something other than what was asked
+    value = {"alpha": 0.75, "delta": 0.25}[flag]  # inside every lemma's domain
+    argv = ["verify", "--lemma", lemma, f"--{flag}={value}", "--grid", str(MIN_GRID)]
+    if flag in _LEMMA_FLAGS[lemma]:
+        assert main(argv) in (0, 1)
+        assert value in json.loads(capsys.readouterr().out)["params"].values()
+    else:
+        assert main(argv) == 2
+        assert f"lemma {lemma} takes no {flag}" in capsys.readouterr().err
+        with pytest.raises(DomainError):
+            run_verification(lemma, **{flag: value})
+
+
 def test_cli_verify_all_rejects_grid_below_minimum(capsys):
     assert main(["verify-all", "--grid", str(MIN_GRID - 1)]) == 2
     assert "below the minimum" in capsys.readouterr().err

@@ -2,11 +2,13 @@
 
 The model table against normal-form extraction from the model operators,
 each generic closed form on exact input against the same form on float
-input, and the Haar sampler against the defining properties of SO(4).
+input, the Haar sampler against the defining properties of SO(4), and the
+sharp constants' decimals against mpmath at 50 digits.
 """
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from curv4 import (
     lemma_algebraic2_min,
     lemma_k3k1_bounds,
     model_space,
+    sharp_constants,
 )
 from curv4.bivector import MODEL_BLOCKS, MODEL_NAMES, haar_rotations
 
@@ -96,3 +99,48 @@ def test_haar_rotations_are_special_orthogonal():
     # Haar on SO(4) has mean zero entries; a fixed orientation fix biased
     # toward any column would show here
     assert float(np.abs(q.mean(axis=0)).max()) <= 0.1
+
+
+def _mp_constants():
+    """The sharp constants from their defining formulas, in mpmath."""
+    s3, s6, s19, s105 = (mpmath.sqrt(n) for n in (3, 6, 19, 105))
+    return {
+        "sec_upper_threshold": (14 - s19) / 12,
+        "weighted_sum_lower": (s19 - 3) / 4,
+        "sec_diff_upper": (7 - s19) / 4,
+        "apriori_min_lower": (7 - s105) / 28,
+        "nonneg_sec_threshold": s3 / 2,
+        "nonneg_diff_threshold": s3 - 1,
+        "euler_pinch_alpha": (2 - s3) / 6,
+        "cp2_sec_upper": mpmath.mpf(2) / 3,
+        "weyl_sum_threshold": s6 / 2,
+    }
+
+
+def test_sharp_constants_agree_with_mpmath():
+    # an independent arithmetic: mpmath at 50 digits, not QuadraticSurd
+    with mpmath.workdps(50):
+        book = sharp_constants()
+        reference = _mp_constants()
+        assert set(book["constants"]) == set(reference)
+        for name, const in book["constants"].items():
+            value = reference[name]
+            digits = int(mpmath.floor(value * 10**15))
+            sign, (whole, frac) = "-" if digits < 0 else "", divmod(abs(digits), 10**15)
+            assert const.decimal == f"{sign}{whole}.{frac:015d}", name
+            lo, hi = const.enclosure
+            assert lo == const.decimal and Fraction(hi) - Fraction(lo) == Fraction(1, 10**15), name
+            assert mpmath.mpf(lo) < value < mpmath.mpf(hi), name
+
+        # the two endpoint identities, with kupper_lower and kdiff_lower
+        # written out in mpmath
+        s3, s6 = mpmath.sqrt(3), mpmath.sqrt(6)
+        beta = reference["sec_upper_threshold"]
+        beta1 = (15 - 8 * beta - s3 * mpmath.sqrt(96 * beta**2 - 80 * beta + 19)) / 28
+        assert abs(4 * (beta - beta1) / s6 - s6 / 2) <= mpmath.mpf("1e-45")
+        assert abs(beta - beta1 - mpmath.mpf(3) / 4) <= mpmath.mpf("1e-45")
+        d = reference["sec_diff_upper"]
+        d1 = (3 - 2 * d - mpmath.sqrt(1 + 8 * d**2 - 4 * d)) / 6
+        assert abs((2 + 2 * d - 6 * d1) / s6 - s6 / 2) <= mpmath.mpf("1e-45")
+        assert abs(2 + 2 * d - 6 * d1 - 3) <= mpmath.mpf("1e-45")
+    assert all(book["identities"].values())
