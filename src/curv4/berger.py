@@ -25,9 +25,10 @@ from .bivector import (
     DualityDecomposition,
     conjugate_operator,
     duality_decompose,
-    factor_decomposable,
     normal_form_rows,
-    wedge_coordinates,
+    quaternion_rotation,
+    rho,
+    rho_inverse,
 )
 from .errors import DomainError, InvalidBergerError, InvalidOperatorError, NotEinsteinError
 from .estimates import SLAB_POINTS, GridReport
@@ -168,19 +169,15 @@ class FrameReconstruction:
     residual: float
 
 
-def _min_eigen_gap(vals: np.ndarray) -> float:
-    return float(np.min(np.diff(vals)))
-
-
 def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
     """Find an oriented orthonormal frame in which the operator is in normal form.
 
-    Both duality blocks are diagonalized with consistent orientation (the
-    eigenbasis determinants are fixed to +1, which SO(4) can always realize).
-    The bottom eigenvector pair determines the planes of e1, e2 and e3, e4;
-    the middle pair determines the rotation angle inside each plane.  Repeated
-    duality eigenvalues make the frame non-unique; the result is then flagged
-    degenerate but still verified.
+    Both duality blocks are diagonalized, each eigenbasis fixed to
+    determinant +1.  The rotation x -> p x q turns the self-dual half by
+    rho(p) and the anti-self-dual half by rho(q)^T, so p and q lifted from
+    U+ and U-^T bring both blocks to ascending diagonal form at once.
+    Repeated duality eigenvalues make the frame non-unique; the result is
+    then flagged degenerate but still verified.
     """
     d = duality_decompose(op)
     if not d.is_einstein:
@@ -188,44 +185,11 @@ def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
     scale = max(1.0, float(np.abs(op.matrix).max()))
     evp, up = np.linalg.eigh(np.asarray(d.r_plus_block, dtype=float))
     evm, um = np.linalg.eigh(np.asarray(d.r_minus_block, dtype=float))
-    up = up.copy()
-    um = um.copy()
-    if np.linalg.det(up) < 0:
-        up[:, 0] *= -1.0
-    if np.linalg.det(um) < 0:
-        um[:, 0] *= -1.0
-    degenerate = (
-        _min_eigen_gap(evp) < 1e-9 * scale or _min_eigen_gap(evm) < 1e-9 * scale
-    )
-
-    # planes of (e1, e2) and (e3, e4) from the bottom eigenvector pair
-    x, y = up[:, 0], um[:, 0]
-    sigma = np.concatenate([x + y, x - y]) / 2.0
-    sigma_star = np.concatenate([x - y, x + y]) / 2.0
-    f1, f2 = factor_decomposable(sigma)
-    f3, f4 = factor_decomposable(sigma_star)
-
-    # in-plane angles from the middle eigenvector pair: rotating (e1, e2) by
-    # phi and (e3, e4) by psi turns the self-dual 2,3-plane by phi + psi and
-    # the anti-self-dual one by psi - phi
-    sqrt2 = math.sqrt(2.0)
-    w2p = (wedge_coordinates(f1, f3) + wedge_coordinates(f4, f2)) / sqrt2
-    w3p = (wedge_coordinates(f1, f4) + wedge_coordinates(f2, f3)) / sqrt2
-    w2m = (wedge_coordinates(f1, f3) - wedge_coordinates(f4, f2)) / sqrt2
-    w3m = (wedge_coordinates(f1, f4) - wedge_coordinates(f2, f3)) / sqrt2
-    vp = np.concatenate([up[:, 1], up[:, 1]]) / sqrt2
-    vm = np.concatenate([um[:, 1], -um[:, 1]]) / sqrt2
-    theta_p = math.atan2(float(vp @ w3p), float(vp @ w2p))
-    theta_m = math.atan2(float(vm @ w3m), float(vm @ w2m))
-    phi = (theta_p - theta_m) / 2.0
-    psi = (theta_p + theta_m) / 2.0
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    cpsi, spsi = math.cos(psi), math.sin(psi)
-    e1 = cphi * f1 + sphi * f2
-    e2 = -sphi * f1 + cphi * f2
-    e3 = cpsi * f3 + spsi * f4
-    e4 = -spsi * f3 + cpsi * f4
-    frame = Frame(np.stack([e1, e2, e3, e4], axis=1), degenerate=degenerate)
+    up[:, 0] *= np.sign(np.linalg.det(up))
+    um[:, 0] *= np.sign(np.linalg.det(um))
+    degenerate = float(min(np.diff(evp).min(), np.diff(evm).min())) < 1e-9 * scale
+    p, q = rho_inverse(up), rho_inverse(um.T)
+    frame = Frame(quaternion_rotation(p, q), degenerate=degenerate)
 
     data = berger_data(d)
     target = berger_to_operator(data)
@@ -268,18 +232,11 @@ def _inner_matrices(q: np.ndarray, halves: tuple) -> np.ndarray:
     does not depend on the stack it sits in.
     """
     alpha, p, cross, minus = halves
-    w, u = q[0], q[1:]
-    rho = 2.0 * u[:, None] * u[None, :]
-    diag = w * w - u[0] * u[0] - u[1] * u[1] - u[2] * u[2]
-    s = 2.0 * w * u
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        rho[i, i] += diag
-        rho[j, k] -= s[i]
-        rho[k, j] += s[i]
+    r = rho(q)
     m = np.repeat(minus[:, :, None], q.shape[1], axis=2)
     for a in range(3):
-        pa = p[0, a] * rho[0] + p[1, a] * rho[1] + p[2, a] * rho[2]
-        ca = cross[a][:, None, None] * rho[a][None]
+        pa = p[0, a] * r[0] + p[1, a] * r[1] + p[2, a] * r[2]
+        ca = cross[a][:, None, None] * r[a][None]
         m += alpha[a] * (pa[:, None] * pa[None]) + (ca + ca.transpose(1, 0, 2))
     return m
 
@@ -305,15 +262,6 @@ def _inner_minimum(m: np.ndarray) -> np.ndarray:
     ps = np.where(p > 0.0, p, 1.0)
     r = np.clip(det / ps / ps / ps / 2.0, -1.0, 1.0)
     return 1.5 * (trace - c - 2.0 * p * np.cos(np.arccos(r) / 3.0))
-
-
-def _quaternion_frame(q: np.ndarray) -> np.ndarray:
-    """Left multiplication by the unit quaternion q = (w, x, y, z), in SO(4).
-
-    Its columns are q, q i, q j, q k.
-    """
-    w, x, y, z = q
-    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
 
 
 def frame_functional_min(
@@ -358,11 +306,10 @@ def frame_functional_min(
             best = (vals[i], q[:, i])
     q = best[1]
     mu, u = np.linalg.eigh(_inner_matrices(q[:, None], halves)[:, :, 0])
-    v = _quaternion_frame(q)[:, 1:] @ u
+    v = quaternion_rotation(q, (1.0, 0.0, 0.0, 0.0))[:, 1:] @ u
     frame = np.stack([q, v[:, 0] + v[:, 1], v[:, 0] - v[:, 1], v[:, 2]], axis=1)
     frame[:, 1:3] /= math.sqrt(2.0)
-    if np.linalg.det(frame) < 0:
-        frame[:, 3] *= -1.0
+    frame[:, 3] *= np.sign(np.linalg.det(frame))
     value = 1.5 * float(mu[0] + mu[1]) * scale
     return GridReport(value, tuple(map(tuple, frame.T)), samples, bound, "min")
 

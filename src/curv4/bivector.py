@@ -34,7 +34,6 @@ from .errors import (
     NotEinsteinError,
     UnknownModelError,
 )
-from .estimates import SLAB_POINTS
 
 # index pairs (1-based) of the fixed bivector basis, in order
 BASIS_PAIRS = ((1, 2), (1, 3), (1, 4), (3, 4), (4, 2), (2, 3))
@@ -217,13 +216,6 @@ class CurvatureOperator:
         ex = _as_exact_rows(rows)
         m = np.array([[float(x) for x in row] for row in ex])
         return cls(m, lambda_einstein, ex)
-
-    @property
-    def scalar_curvature(self):
-        """S = 2 * trace; exact when the operator carries exact entries."""
-        if self.exact is not None:
-            return 2 * sum(self.exact[i][i] for i in range(6))
-        return 2.0 * float(np.trace(self.matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,38 +550,79 @@ def static_weitzenbock_residual(s, w: WeylSpectrum):
     return s * w.norm_sq() - 36 * w.det()
 
 
-def haar_gaussian_blocks(count: int, seed):
-    """The normal draws of haar_rotations(count, seed), in order, in blocks.
+# -- SO(4) from unit-quaternion pairs ------------------------------------------
+#
+# Every rotation of R^4 = H is x -> p x q for unit quaternions p, q, unique up
+# to (-p, -q): SO(4) = (S^3 x S^3)/{+-1}.  Quaternions are (w, x, y, z) along
+# the first axis and broadcast over the rest.
 
-    Each block holds at most SLAB_POINTS // 16 (n, 4, 4) matrices, so memory
-    stays flat whatever `count` is; numpy's normal stream does not depend on
-    how it is split.  A Generator passed as `seed` continues its stream.
+
+def rho(q) -> np.ndarray:
+    """The rotation v -> q v q^-1 of R^3 = Im H; (3, 3, ...) for (4, ...) input.
+
+    Each entry is a fixed sequence of elementwise operations on its own
+    quaternion, so a rotation does not depend on the stack it sits in.
     """
-    rng = np.random.default_rng(seed)
-    block = SLAB_POINTS // 16
-    for lo in range(0, count, block):
-        yield rng.standard_normal((min(block, count - lo), 4, 4))
+    q = np.asarray(q, dtype=float)
+    w, u = q[0], q[1:]
+    r = 2.0 * u[:, None] * u[None, :]
+    diag = w * w - u[0] * u[0] - u[1] * u[1] - u[2] * u[2]
+    s = 2.0 * w * u
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        r[i, i] += diag
+        r[j, k] -= s[i]
+        r[k, j] += s[i]
+    return r
 
 
-def rotations_from_gaussians(g: np.ndarray) -> np.ndarray:
-    """Turn a (count, 4, 4) stack of Gaussian matrices into rotations in SO(4).
+def rho_inverse(r) -> np.ndarray:
+    """A unit quaternion q with rho(q) = r, for one r in SO(3); -q is the other.
 
-    QR of Gaussian matrices with the signs of R's diagonal moved into Q is
-    Haar on O(4) (Mezzadri, arXiv:math-ph/0609050); negating the first column
-    where det = -1 then gives Haar on SO(4).  Each matrix is handled on its
-    own, so a rotation does not depend on the rest of the stack.
+    Shepperd's method (1978): r gives the symmetric matrix of 4 q_a q_b, and
+    q is its row of largest diagonal entry 4 q_k^2, normalised, so no small
+    component is ever divided by.
     """
-    q, r = np.linalg.qr(g)
-    sign = np.sign(np.einsum("sii->si", r))
-    sign[sign == 0] = 1.0
-    q = q * sign[:, None, :]
-    q[np.linalg.det(q) < 0, :, 0] *= -1.0
-    return q
+    r = np.asarray(r, dtype=float)
+    t = np.trace(r)
+    d, a, s = 1.0 + 2.0 * np.diag(r) - t, r - r.T, r + r.T
+    k = np.array([
+        [1.0 + t, a[2, 1], a[0, 2], a[1, 0]],
+        [a[2, 1], d[0], s[0, 1], s[0, 2]],
+        [a[0, 2], s[0, 1], d[1], s[1, 2]],
+        [a[1, 0], s[0, 2], s[1, 2], d[2]],
+    ])
+    row = k[int(np.argmax(np.diag(k)))]
+    return row / math.sqrt(float(row @ row))
+
+
+def quaternion_rotation(p, q) -> np.ndarray:
+    """The matrix of x -> p x q on R^4 = H; (4, 4, ...) for (4, ...) input.
+
+    In the w+/w- basis of Lambda^2 it acts as blockdiag(rho(p), rho(q)^T)
+    (Singer and Thorpe 1969): p turns only the self-dual half and q only the
+    anti-self-dual one.  With q = 1 it is left multiplication by p, whose
+    columns are p, p i, p j, p k.  The product is written out elementwise,
+    so a matrix does not depend on the stack it sits in.
+    """
+    (w, x, y, z), (v, a, b, c) = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    left = np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+    right = np.array([[v, -a, -b, -c], [a, v, c, -b], [b, -c, v, a], [c, b, -a, v]])
+    return sum(left[:, k, None] * right[None, k] for k in range(4))
 
 
 def haar_rotations(count: int, seed) -> np.ndarray:
-    """`count` Haar-random rotations in SO(4), stacked as (count, 4, 4)."""
-    return rotations_from_gaussians(np.random.default_rng(seed).standard_normal((count, 4, 4)))
+    """`count` Haar-random rotations in SO(4), stacked as (count, 4, 4).
+
+    Row n of (count, 8) normal draws from np.random.default_rng(seed) gives
+    two independent uniform unit quaternions p, q (its normalised halves),
+    and the rotation x -> p x q; since SO(4) = (S^3 x S^3)/{+-1} that is Haar.
+    A Generator passed as `seed` continues its stream, so blocks drawn from
+    one Generator in turn are the rotations of one call for the whole count.
+    """
+    g = np.random.default_rng(seed).standard_normal((count, 8)).T
+    p, q = g[:4], g[4:]
+    m = quaternion_rotation(p / np.linalg.norm(p, axis=0), q / np.linalg.norm(q, axis=0))
+    return np.ascontiguousarray(np.moveaxis(m, -1, 0))
 
 
 def conjugate_operator(op: CurvatureOperator, frame: np.ndarray) -> CurvatureOperator:

@@ -12,7 +12,8 @@ Subcommands:
   constants    the sharp thresholds, exactly and as decimal enclosures
 
 Exit codes: 0 success / verification passed, 1 a verification failed,
-2 usage or input error (including a verify grid below MIN_GRID).
+2 usage or input error (including a verify grid outside MIN_GRID..MAX_GRID
+and a negative seed).
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ from .bivector import (
     CurvatureOperator,
     conjugate_operator,
     duality_decompose,
-    haar_gaussian_blocks,
+    haar_rotations,
     model_space,
-    rotations_from_gaussians,
 )
 from .classify import classify, wpm_discriminant_oracle
 from .errors import Curv4Error, DomainError
 from .estimates import (
+    SLAB_POINTS,
     GridReport,
     hamilton_gap,
     lemma_algebraic2_oracle,
@@ -66,12 +67,14 @@ def _hamilton_models_check(rotations: int, seed: int) -> GridReport:
         if hamilton_gap(berger_data(model_space(name))) != 0:
             return GridReport(math.inf, (name,), rotations, 0.0)  # pragma: no cover
     worst, arg = 0.0, ("exact",)
-    # one stream: model k gets rotations k*rotations.. of haar_rotations
+    # one stream: model k gets rotations k*rotations.. of haar_rotations,
+    # drawn in blocks so memory stays flat whatever `rotations` is
     rng = np.random.default_rng(seed)
+    block = SLAB_POINTS // 16
     for name in names:
         op = model_space(name)
-        for g in haar_gaussian_blocks(rotations, rng):
-            for q in rotations_from_gaussians(g):
+        for lo in range(0, rotations, block):
+            for q in haar_rotations(min(block, rotations - lo), rng):
                 gap = abs(float(hamilton_gap(berger_data(conjugate_operator(op, q)))))
                 if gap > worst:
                     worst, arg = gap, (name,)
@@ -146,9 +149,11 @@ LEMMA_NAMES = tuple(_LEMMAS)
 # the smallest grid any lemma accepts: below it an oracle checks too few
 # points (or none) for a pass to mean anything
 MIN_GRID = 8
+# the largest: an oracle's axis arrays grow with the grid, about 1 MB each here
+MAX_GRID = 10**5
 _GRID_HELP = (
     "grid subdivisions per axis, or rotations per model for hamilton-models "
-    f"(at least {MIN_GRID})"
+    f"({MIN_GRID} to {MAX_GRID})"
 )
 
 
@@ -160,6 +165,10 @@ def run_verification(lemma: str, alpha=None, delta=None, grid=None, seed: int = 
     grid = row.grid if grid is None else grid
     if grid < MIN_GRID:
         raise DomainError(f"grid {grid} is below the minimum {MIN_GRID}")
+    if grid > MAX_GRID:
+        raise DomainError(f"grid {grid} is above the maximum {MAX_GRID}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     # a NaN slips past every `x < 0` guard and an oracle then checks nothing;
     # a value the lemma does not read would pass a check of its defaults
     sources = {source for _, source, _ in row.params}

@@ -165,22 +165,17 @@ def lemma_k3k1_bounds(alpha, delta):
     return (6 * a - 4 + d) / sqrt(2 * three), (12 * a * a - 16 * a + 16 / three + d * d) / 2
 
 
-def lemma_k3k1_oracle(
-    alpha: float, delta: float, resolution: int = 400, quantity: str = "sum"
-) -> GridReport:
+def lemma_k3k1_oracle(alpha: float, delta: float, resolution: int = 400) -> GridReport:
     """Brute-force check of the pinched-Weyl bounds.
 
     The trace-free halves are parametrized by p = l2 + l3, q = l3 - l2 (and
     m, n for the other half) subject to p + m = 2 alpha - 4/3, q + n = delta,
     0 <= q <= 3p, 0 <= n <= 3m; then |W+| = sqrt(3p^2 + q^2)/sqrt2.  The grid
-    maximizes |W+| + |W-| (quantity="sum") or the squared sum ("normsq") and
-    reports the slack against the closed form.  An empty parameter polytope
-    (delta > 6 alpha - 4) is reported infeasible rather than an error.
+    maximizes |W+| + |W-| and reports the slack against the closed-form sum
+    bound.  An empty parameter polytope (delta > 6 alpha - 4) is reported
+    infeasible rather than an error.
     """
-    if quantity not in ("sum", "normsq"):
-        raise DomainError("quantity must be 'sum' or 'normsq'")
-    sum_bound, normsq_bound = lemma_k3k1_bounds(alpha, delta)
-    bound = float(sum_bound if quantity == "sum" else normsq_bound)
+    bound = float(lemma_k3k1_bounds(alpha, delta)[0])
     alpha, delta = float(alpha), float(delta)
     alpha1 = 2.0 * alpha - 4.0 / 3.0
     if alpha1 < 0.0:
@@ -202,7 +197,7 @@ def lemma_k3k1_oracle(
         n = delta - q
         wp = np.sqrt(3.0 * pp * pp + q * q) / math.sqrt(2.0)
         wm = np.sqrt(3.0 * m * m + n * n) / math.sqrt(2.0)
-        return (wp + wm if quantity == "sum" else wp * wp + wm * wm), True
+        return wp + wm, True
 
     value, (i, j) = grid_extremum(evaluate, len(p), resolution + 1)
     arg = (float(p[i]), float(qlo[i] + t[j] * (qhi[i] - qlo[i])))
@@ -226,15 +221,17 @@ def lemma_algebraic2_min(a, b):
     return -b * b / 2
 
 
-def lemma_algebraic2_oracle(
-    a: float, b: float, resolution: int = 400, refinements: int = 2
-) -> GridReport:
+# refinement passes of the algebraic2 oracle around its incumbent
+ALGEBRAIC2_REFINEMENTS = 2
+
+
+def lemma_algebraic2_oracle(a: float, b: float, resolution: int = 400) -> GridReport:
     """Grid minimum of 4xy + x^2 + y^2 over the constrained parallelogram.
 
     The (x, y) grid is sheared along the constraint coordinates m = 2x + y,
     n = x - y so the active boundary |x - y| = b lies exactly on grid lines;
-    a couple of refinement passes around the incumbent bring the discretization
-    error well under 1e-6.
+    ALGEBRAIC2_REFINEMENTS passes of a finer grid around the incumbent bring
+    the discretization error well under 1e-6.
     """
     a, b = float(a), float(b)
     bound = float(lemma_algebraic2_min(a, b))
@@ -257,7 +254,7 @@ def lemma_algebraic2_oracle(
 
     best, mstar, nstar = scan(-a, a, -b, b) or (0.0, 0.0, 0.0)  # the origin is admissible
     cell_m, cell_n = 2.0 * a / resolution, 2.0 * b / resolution
-    for _ in range(refinements):
+    for _ in range(ALGEBRAIC2_REFINEMENTS):
         half_m, half_n = 3.0 * cell_m, 3.0 * cell_n
         window = scan(
             max(-a, mstar - half_m), min(a, mstar + half_m),
@@ -335,7 +332,10 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     1e-9 (hamilton_box_bound), are skipped without being scanned.  The
     objective is constant along an a-row, so the rest are scanned best first
     (ties in row order) and the scan stops at the first row holding a
-    feasible point, whose first feasible (b1, b2) a full scan would also pick:
+    feasible point, whose first feasible (b1, b2) a full scan would also pick.
+    The kernel's rows are the (a-row, b1) lines of r + 1 points, in that
+    order, so a slab never needs a whole (r + 1)^2 a-row and memory stays
+    flat whatever the resolution:
 
       kupper: fix a3 = param, minimize a1   (bound: kupper_lower)
       kdiff:  fix a3 - a2 = param, minimize a1   (bound: kdiff_lower)
@@ -387,10 +387,14 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     tol = 1e-12
 
     def evaluate(lo, hi):
-        def row(x):
-            return x[rows[lo:hi], None, None]
+        # kernel row `line` is b1 = bb1 t[line % (r + 1)] on a-row rows[line // (r + 1)]
+        line = np.arange(lo, hi)
+        a_rows = rows[line // (r + 1)]
 
-        b1 = row(bb1) * t[:, None]
+        def row(x):
+            return x[a_rows, None]
+
+        b1 = row(bb1) * t[line % (r + 1), None]
         b2 = row(bb2) * t
         b3 = -b1 - b2
         feas = (
@@ -401,11 +405,11 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
         gap = row(a1) - (row(a1) ** 2 + b1 * b1 + 2.0 * row(a2 * a3) + 2.0 * b2 * b3)
         return row(objective), feas & (gap >= -HAMILTON_PREDICATE_TOL)
 
-    found = grid_extremum(evaluate, len(rows), (r + 1) ** 2, sense, best_first=True)
+    found = grid_extremum(evaluate, len(rows) * (r + 1), r + 1, sense, best_first=True)
     if found is None:
         return _infeasible(r, bound, sense)
-    value, (i, j, k) = found
-    i = int(rows[i])
+    value, (line, k) = found
+    i, j = int(rows[line // (r + 1)]), line % (r + 1)
     b1, b2 = float(bb1[i] * t[j]), float(bb2[i] * t[k])
     arg = ((float(a1[i]), float(a2[i]), float(a3[i])), (b1, b2, -b1 - b2))
     return GridReport(value, arg, r, bound, sense)

@@ -22,12 +22,7 @@ from curv4 import (
     sample_berger_data,
 )
 from curv4 import berger
-from curv4.bivector import (
-    haar_gaussian_blocks,
-    haar_rotations,
-    rotations_from_gaussians,
-    wedge_coordinates,
-)
+from curv4.bivector import quaternion_rotation, wedge_coordinates
 from curv4.errors import DomainError, InvalidBergerError, NotEinsteinError
 
 THIRD = Fraction(1, 3)
@@ -250,7 +245,7 @@ def test_frame_functional_inner_matrices_match_the_wedge_definition():
     q /= np.linalg.norm(q, axis=0)
     got = berger._inner_matrices(q, berger._duality_halves(m))
     for k in range(9):
-        frame = berger._quaternion_frame(q[:, k])
+        frame = quaternion_rotation(q[:, k], (1.0, 0.0, 0.0, 0.0))
         assert np.abs(frame.T @ frame - np.eye(4)).max() <= 1e-15
         assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-15)
         w = np.stack([wedge_coordinates(frame[:, 0], frame[:, j]) for j in (1, 2, 3)], axis=1)
@@ -296,17 +291,6 @@ def test_frame_functional_memory_is_flat():
         tracemalloc.stop()
     assert report.extremum == pytest.approx(0.5, abs=1e-12)
     assert peak <= 8e6
-
-
-def test_gaussian_blocks_rebuild_haar_rotations():
-    # hamilton-models streams its rotations block by block
-    blocks = list(haar_gaussian_blocks(1100, 5))
-    assert [len(g) for g in blocks] == [512, 512, 76]
-    for g in blocks:
-        q = rotations_from_gaussians(g)
-        for i in (0, len(g) - 1):
-            assert np.array_equal(rotations_from_gaussians(g[i : i + 1])[0], q[i])
-    assert np.array_equal(rotations_from_gaussians(np.concatenate(blocks)), haar_rotations(1100, 5))
 
 
 def test_hamilton_gap_signs():

@@ -30,7 +30,13 @@ from curv4 import (
     wedge_coordinates,
     weyl_scalars,
 )
-from curv4.bivector import haar_rotations
+from curv4.bivector import (
+    haar_rotations,
+    induced_bivector_rotation,
+    quaternion_rotation,
+    rho,
+    rho_inverse,
+)
 from curv4.errors import (
     DegeneratePlaneError,
     InvalidOperatorError,
@@ -271,6 +277,61 @@ def test_extremize_brackets_are_certified(name):
     assert k.max() <= ext.kmax_upper + 1e-12
     # a fixed number of 6x6 eigensolves, not a grid: milliseconds, not seconds
     assert elapsed < 1.0
+
+
+def _unit_quaternions(rng, count):
+    q = rng.standard_normal((4, count))
+    return q / np.linalg.norm(q, axis=0)
+
+
+def test_quaternion_pair_turns_each_duality_half_on_its_own():
+    # in the w+/w- basis x -> p x q acts as blockdiag(rho(p), rho(q)^T)
+    rng = np.random.default_rng(12)
+    h = np.block([[np.eye(3), np.eye(3)], [np.eye(3), -np.eye(3)]]) / math.sqrt(2.0)
+    p, q = _unit_quaternions(rng, 50), _unit_quaternions(rng, 50)
+    stack = quaternion_rotation(p, q)
+    for k in range(50):
+        f = quaternion_rotation(p[:, k], q[:, k])
+        assert np.array_equal(f, stack[:, :, k])
+        assert np.abs(f.T @ f - np.eye(4)).max() <= 1e-14
+        assert np.linalg.det(f) == pytest.approx(1.0, abs=1e-14)
+        want = np.zeros((6, 6))
+        want[:3, :3], want[3:, 3:] = rho(p[:, k]), rho(q[:, k]).T
+        assert np.abs(h @ induced_bivector_rotation(f) @ h.T - want).max() <= 1e-14
+
+
+def test_rho_inverse_lifts_every_rotation():
+    # random quaternions, and the half turns and the identity, where some
+    # components vanish and Shepperd's choice of row matters
+    rng = np.random.default_rng(13)
+    special = [np.eye(4)[i] for i in range(4)] + [np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)]
+    for p in [*_unit_quaternions(rng, 200).T, *special, *(-x for x in special)]:
+        got = rho_inverse(rho(p))
+        assert min(np.abs(got - p).max(), np.abs(got + p).max()) <= 1e-14, p
+        r = rho(p)
+        assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-14
+
+
+def test_haar_rotations_continue_one_stream_in_blocks():
+    # hamilton-models draws its rotations block by block from one Generator;
+    # each rotation depends only on its own draws
+    rng = np.random.default_rng(5)
+    blocks = [haar_rotations(n, rng) for n in (512, 512, 76)]
+    whole = haar_rotations(1100, 5)
+    assert np.array_equal(np.concatenate(blocks), whole)
+    rng = np.random.default_rng(5)
+    assert np.array_equal(np.stack([haar_rotations(1, rng)[0] for _ in range(1100)]), whole)
+
+
+def test_haar_rotations_have_haar_moments():
+    # Haar on SO(4): E tr Q = 0, E (tr Q)^2 = 1, E Q_ij^2 = 1/4.  Left
+    # multiplication alone (q = 1) would give E (tr Q)^2 = 4
+    n = 100_000
+    q = haar_rotations(n, seed=19)
+    tr = np.einsum("sii->s", q)
+    for x, mean in ((tr, 0.0), (tr * tr, 1.0), (q * q, 0.25)):
+        got, sigma = x.mean(axis=0), x.std(axis=0) / math.sqrt(n)
+        assert np.all(np.abs(got - mean) <= 5.0 * sigma), (got, mean)
 
 
 trace_free_triples = st.builds(

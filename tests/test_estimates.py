@@ -270,6 +270,20 @@ def test_polytope_oracle_memory_is_bounded():
     assert peak <= 50e6
 
 
+@pytest.mark.parametrize("lemma, param", [("kupper", 2.0 / 3.0), ("kdiff", 0.5), ("a2a1", 1.0 / 6.0)])
+def test_polytope_oracle_memory_is_flat_in_the_grid(lemma, param):
+    # slabs of whole (r + 1)^2 a-rows traced 34.6 MB at r = 1200 and grew as
+    # r^2; slabs of (a-row, b1) lines stay near 0.4 MB
+    tracemalloc.start()
+    try:
+        report = pointwise_bound_oracle(lemma, param, resolution=1200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.feasible and report.violation <= 1e-9
+    assert peak <= 2e6
+
+
 # ------------------------------------------------------ the row bound
 
 
@@ -377,16 +391,21 @@ def test_grid_extremum_best_first_stops_at_the_first_feasible_slab(monkeypatch):
 
 def test_battery_polytope_checks_stop_at_the_first_feasible_row(monkeypatch):
     # rows come best objective first, so the 15 polytope checks of the battery
-    # evaluate 42 of their 1,815 rows (455 survive the row bound)
+    # evaluate 42 of their 1,815 a-rows (455 survive the row bound); the
+    # kernel sees each a-row as r + 1 lines of fixed b1
     evaluated = []
     kernel = estimates.grid_extremum
 
-    def counting(evaluate, *args, **kwargs):
+    def counting(evaluate, rows, row_points, *args, **kwargs):
+        a_rows = set()
+
         def spy(lo, hi):
-            evaluated.append(hi - lo)
+            a_rows.update(line // row_points for line in range(lo, hi))
             return evaluate(lo, hi)
 
-        return kernel(spy, *args, **kwargs)
+        found = kernel(spy, rows, row_points, *args, **kwargs)
+        evaluated.append(len(a_rows))
+        return found
 
     monkeypatch.setattr(estimates, "SLAB_POINTS", 1)
     monkeypatch.setattr(estimates, "grid_extremum", counting)

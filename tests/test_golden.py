@@ -75,6 +75,11 @@ def test_golden(name):
     assert run(CASES[name]) == want
 
 
+def test_every_golden_file_has_a_case():
+    # a golden file that no case writes is never compared with anything
+    assert {p.name for p in GOLDEN.iterdir() if p.is_file()} == set(CASES)
+
+
 if __name__ == "__main__":
     for name, argv in CASES.items():
         (GOLDEN / name).write_text(run(argv), encoding="utf-8")

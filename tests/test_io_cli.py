@@ -1,6 +1,7 @@
 """JSON round trips and the command-line surface (driven in process)."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -28,8 +29,8 @@ from curv4 import (
     read_document,
     sample_berger_data,
 )
-from curv4 import bivector, cli
-from curv4.cli import LEMMA_NAMES, MIN_GRID, main, run_verification
+from curv4 import cli
+from curv4.cli import LEMMA_NAMES, MAX_GRID, MIN_GRID, main, run_verification
 from curv4.errors import DomainError, InvalidBergerError, InvalidOperatorError
 from curv4.io import BERGER_FORMAT, OPERATOR_FORMAT
 
@@ -269,6 +270,34 @@ def test_cli_verify_all_rejects_grid_below_minimum(capsys):
     assert "below the minimum" in capsys.readouterr().err
 
 
+def _no_oracle_runs(monkeypatch):
+    """Replace every lemma's oracle by one that fails the test if it is called."""
+
+    def oracle(grid, **params):
+        raise AssertionError(f"an oracle ran at grid {grid}")
+
+    for name, row in cli._LEMMAS.items():
+        monkeypatch.setitem(cli._LEMMAS, name, dataclasses.replace(row, oracle=oracle))
+
+
+@pytest.mark.parametrize("argv", [["verify", "--lemma", n] for n in LEMMA_NAMES] + [["verify-all"]])
+def test_cli_rejects_grid_above_maximum(argv, monkeypatch, capsys):
+    # the axis arrays grow with the grid: --grid 100000000 was killed for
+    # memory (exit 137) before this check
+    _no_oracle_runs(monkeypatch)
+    assert main([*argv, "--grid", str(MAX_GRID + 1)]) == 2
+    assert f"above the maximum {MAX_GRID}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--lemma", n] for n in LEMMA_NAMES] + [["verify-all"]])
+def test_cli_rejects_a_negative_seed(argv, monkeypatch, capsys):
+    # numpy's default_rng rejected it with a ValueError traceback (exit 1) in
+    # hamilton-models, and the lemmas that draw nothing passed with exit 0
+    _no_oracle_runs(monkeypatch)
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_cli_infeasible_params_still_verify(capsys):
     # mid-window parameters have empty constraint sets: the bound holds
     # vacuously and the report says so instead of failing
@@ -446,7 +475,7 @@ def test_hamilton_models_memory_does_not_grow_with_rotations(monkeypatch):
         return peak - current  # what stays allocated (free lists) is no transient
 
     streamed = cli._hamilton_models_check(200, 3)
-    monkeypatch.setattr(bivector, "SLAB_POINTS", 16 * 16)  # blocks of 16 rotations
+    monkeypatch.setattr(cli, "SLAB_POINTS", 16 * 16)  # blocks of 16 rotations
     assert cli._hamilton_models_check(200, 3) == streamed
     transient_peak(16)  # first-call allocations
     assert transient_peak(200) <= transient_peak(24) + 32e3
