@@ -29,11 +29,8 @@ from .bivector import (
     conjugate_operator,
     duality_decompose,
     extremize_sectional,
-    factor_decomposable,
     hodge_star_matrix,
     model_space,
-    ricci_tensor,
-    riemann_component,
     sectional,
     static_weitzenbock_residual,
     wedge_coordinates,

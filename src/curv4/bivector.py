@@ -44,10 +44,8 @@ BIANCHI_TOL = 1e-12
 EINSTEIN_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9
 
-_PAIR_INDEX: dict[tuple[int, int], tuple[int, int]] = {}
-for _idx, (_i, _j) in enumerate(BASIS_PAIRS):
-    _PAIR_INDEX[(_i, _j)] = (_idx, 1)
-    _PAIR_INDEX[(_j, _i)] = (_idx, -1)
+# 0-based first and second indices of the basis pairs
+_FIRST, _SECOND = np.array(BASIS_PAIRS).T - 1
 
 
 def wedge_coordinates(u, v) -> np.ndarray:
@@ -70,46 +68,10 @@ def hodge_star_matrix() -> np.ndarray:
     return star
 
 
-def riemann_component(matrix, i: int, j: int, k: int, l: int):
-    """Curvature component R_{ijkl} (1-based indices) from the 6x6 matrix.
-
-    Works for numpy arrays and nested sequences of Fractions alike; the sign
-    bookkeeping absorbs the e42 orientation of the fixed basis.
-    """
-    if i == j or k == l:
-        return 0 * matrix[0][0]
-    a, sa = _PAIR_INDEX[(i, j)]
-    b, sb = _PAIR_INDEX[(k, l)]
-    return sa * sb * matrix[a][b]
-
-
-def ricci_tensor(matrix):
-    """Ricci tensor Rc_{ij} = sum_k R_{ikjk} as a nested 4x4 list (type-preserving)."""
-    return [
-        [
-            sum(riemann_component(matrix, i, k, j, k) for k in range(1, 5) if k != i and k != j)
-            for j in range(1, 5)
-        ]
-        for i in range(1, 5)
-    ]
-
-
-def _traceless_ricci_norm_sq(matrix, s):
-    ric = ricci_tensor(matrix)
-    lam = s / 4
-    total = 0 * matrix[0][0]
-    for i in range(4):
-        for j in range(4):
-            e = ric[i][j] - (lam if i == j else 0)
-            total = total + e * e
-    return total
-
-
 def induced_bivector_rotation(q: np.ndarray) -> np.ndarray:
     """The 6x6 action of a rotation q of R^4 on the fixed bivector basis."""
     q = np.asarray(q, dtype=float)
-    cols = [wedge_coordinates(q[:, i - 1], q[:, j - 1]) for (i, j) in BASIS_PAIRS]
-    return np.stack(cols, axis=1)
+    return wedge_coordinates(q[:, _FIRST].T, q[:, _SECOND].T).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,21 +93,50 @@ class TangentPlane:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
-    @classmethod
-    def from_span(cls, u, v) -> "TangentPlane":
-        """Orthonormalize a spanning pair; rejects (numerically) parallel input."""
-        u = np.asarray(u, dtype=float).reshape(4)
-        v = np.asarray(v, dtype=float).reshape(4)
-        w = wedge_coordinates(u, v)
-        if math.sqrt(float(w @ w)) < 1e-9:
-            raise DegeneratePlaneError("spanning vectors are parallel within 1e-9")
-        e1 = u / math.sqrt(float(u @ u))
-        r = v - (v @ e1) * e1
-        e2 = r / math.sqrt(float(r @ r))
-        return cls(e1, e2)
-
     def bivector(self) -> np.ndarray:
         return wedge_coordinates(self.u, self.v)
+
+
+def _duality_blocks(m):
+    """The blocks (R+, R-, C) of the operator [[R+, C], [C^T, R-]] in the w+/w- basis.
+
+    Conjugating by w+-_k = (basis_k +- basis_{k+3})/sqrt2 squares the sqrt2
+    factors away, so a float array gives float blocks and an object array of
+    Fractions gives exact ones.
+    """
+    a, b, c = m[:3, :3], m[:3, 3:], m[3:, 3:]
+    return (a + b + b.T + c) / 2, (a - b - b.T + c) / 2, (a + b.T - b - c) / 2
+
+
+def _float_blocks(m: np.ndarray):
+    """(R+, R-, C, S) of a float matrix, S = 2 tr; raises when any overflows."""
+    try:
+        with np.errstate(over="raise"):
+            return (*_duality_blocks(m), float(2.0 * np.trace(m)))
+    except FloatingPointError as exc:
+        raise InvalidOperatorError(
+            "the duality blocks or the scalar curvature overflow the float range"
+        ) from exc
+
+
+def _operator_scale(m: np.ndarray) -> float:
+    """max(1, max |entry|): the unit of every tolerance on an operator."""
+    return max(1.0, float(np.abs(m).max()))
+
+
+def _einstein_defect(cross: np.ndarray, s: float, lam: float, scale: float) -> float:
+    """|Rc - lam g| / scale (Frobenius norms), read off the duality cross block.
+
+    The cross block C is the traceless Ricci tensor E = Rc - (S/4) g in the
+    duality split, with |E|^2 = 4 |C|^2 (Singer and Thorpe 1969), and E is
+    orthogonal to g with |g|^2 = 4, so |Rc - lam g|^2 = 4 |C|^2 + 4 (S/4 - lam)^2.
+    Every term is divided by `scale` before it is squared, so a finite
+    operator never overflows here.
+    """
+    c = cross / scale
+    return 2.0 * math.hypot(
+        math.sqrt(float(np.sum(c * c))), s / (4.0 * scale) - float(lam) / scale
+    )
 
 
 def _as_exact_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -161,7 +152,8 @@ class CurvatureOperator:
 
     matrix          -- 6x6 float matrix in the fixed bivector basis
     lambda_einstein -- Einstein constant when the operator is flagged Einstein
-                       (Rc = lambda * g, checked to 1e-9); None when unflagged
+                       (|Rc - lambda g| <= 1e-9 times max(1, max |entry|));
+                       None when unflagged
     exact           -- optional exact rational mirror of `matrix`
     """
 
@@ -177,7 +169,7 @@ class CurvatureOperator:
             raise InvalidOperatorError("matrix must be a finite 6x6 array")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        scale = max(1.0, float(np.abs(m).max()))
+        scale = _operator_scale(m)
         if float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
             raise InvalidOperatorError("matrix is not symmetric (tolerance 1e-12)")
         bianchi = m[0, 3] + m[1, 4] + m[2, 5]
@@ -201,14 +193,12 @@ class CurvatureOperator:
             lam = self.lambda_einstein
             if not math.isfinite(lam):
                 raise InvalidOperatorError(f"Einstein constant must be finite, got {lam}")
-            # Python floats overflow to inf without a warning, and inf reaches dev
-            ric = np.array(ricci_tensor(m.tolist()), dtype=float)
-            dev = float(np.abs(ric - lam * np.eye(4)).max())
-            if not math.isfinite(dev):
-                raise InvalidOperatorError("the Ricci tensor overflows the float range")
-            if dev > EINSTEIN_TOL * scale:
+            _, _, cross, s = _float_blocks(m)
+            defect = _einstein_defect(cross, s, lam, scale)
+            if defect > EINSTEIN_TOL:
                 raise NotEinsteinError(
-                    f"flagged Einstein with lambda={lam} but |Rc - lambda g| = {dev:.3e}"
+                    f"flagged Einstein with lambda={lam} but |Rc - lambda g| = "
+                    f"{defect * scale:.3e}"
                 )
 
     @classmethod
@@ -254,10 +244,16 @@ class WeylSpectrum:
 class DualityDecomposition:
     """Scalar/Weyl/traceless-Ricci split of a curvature operator.
 
+    In the w+/w- basis the operator is [[W+ + S/12, C], [C^T, W- + S/12]],
+    and every field below is read off these three blocks.
+
     s                       -- scalar curvature (S = 2 tr, exact when available)
     w_plus, w_minus         -- spectra of the self-dual / anti-self-dual Weyl parts
-    traceless_ricci_norm_sq -- |E|^2 with E = Rc - (S/4) g as a 2-tensor
+    traceless_ricci_norm_sq -- |E|^2 = 4 |C|^2 with E = Rc - (S/4) g as a
+                               2-tensor (exact when available)
     r_plus_block et al.     -- the 3x3 duality blocks of the operator (floats)
+    scale                   -- max(1, max |entry|) of the operator, the unit of
+                               the Einstein tolerance
     """
 
     s: object
@@ -267,6 +263,7 @@ class DualityDecomposition:
     r_plus_block: np.ndarray = field(repr=False)
     r_minus_block: np.ndarray = field(repr=False)
     cross_block: np.ndarray = field(repr=False)
+    scale: float = field(repr=False)
 
     @property
     def cross_norm(self) -> float:
@@ -275,17 +272,9 @@ class DualityDecomposition:
 
     @property
     def is_einstein(self) -> bool:
-        return self.cross_norm <= EINSTEIN_TOL * max(1.0, abs(float(self.s)))
-
-
-def _exact_duality_blocks(ex):
-    a = [[ex[i][j] for j in range(3)] for i in range(3)]
-    b = [[ex[i][j + 3] for j in range(3)] for i in range(3)]
-    c = [[ex[i + 3][j + 3] for j in range(3)] for i in range(3)]
-    rp = [[(a[i][j] + b[i][j] + b[j][i] + c[i][j]) / 2 for j in range(3)] for i in range(3)]
-    rm = [[(a[i][j] - b[i][j] - b[j][i] + c[i][j]) / 2 for j in range(3)] for i in range(3)]
-    cr = [[(a[i][j] + b[j][i] - b[i][j] - c[i][j]) / 2 for j in range(3)] for i in range(3)]
-    return rp, rm, cr
+        """|E| <= 1e-9 * scale, the check of a flagged operator at lambda = S/4."""
+        s = float(self.s)
+        return _einstein_defect(self.cross_block, s, s / 4.0, self.scale) <= EINSTEIN_TOL
 
 
 def _is_exact_diagonal(block) -> bool:
@@ -301,41 +290,28 @@ def duality_decompose(op: CurvatureOperator) -> DualityDecomposition:
     (tolerance 1e-9).
     """
     m = op.matrix
-    a = m[0:3, 0:3]
-    b = m[0:3, 3:6]
-    c = m[3:6, 3:6]
-    try:
-        with np.errstate(over="raise"):
-            rp = (a + b + b.T + c) / 2.0
-            rm = (a - b - b.T + c) / 2.0
-            cross = (a + b.T - b - c) / 2.0
-            s = float(2.0 * np.trace(m))
-    except FloatingPointError as exc:
-        raise InvalidOperatorError(
-            "the duality blocks or the scalar curvature overflow the float range"
-        ) from exc
-
+    rp, rm, cross, s = _float_blocks(m)
     exact_blocks = False
     if op.exact is not None:
-        ex = op.exact
-        s = 2 * sum(ex[i][i] for i in range(6))
-        erp, erm, _ = _exact_duality_blocks(ex)
-        e2 = _traceless_ricci_norm_sq(ex, s)
+        ex = np.array(op.exact, dtype=object)
+        s = 2 * ex.trace()
+        erp, erm, ecross = _duality_blocks(ex)
+        e2 = 4 * (ecross * ecross).sum()
         exact_blocks = _is_exact_diagonal(erp) and _is_exact_diagonal(erm)
     else:
-        # Python floats overflow to inf without a warning
-        e2 = _traceless_ricci_norm_sq(m.tolist(), s)
+        with np.errstate(over="ignore"):
+            e2 = 4.0 * float(np.sum(cross * cross))
         if not math.isfinite(e2):
-            raise InvalidOperatorError("the Ricci tensor overflows the float range")
+            raise InvalidOperatorError("|E|^2 overflows the float range")
     if exact_blocks:
         wp = tuple(sorted(erp[i][i] - Fraction(s, 12) for i in range(3)))
         wm = tuple(sorted(erm[i][i] - Fraction(s, 12) for i in range(3)))
     else:
         wp = tuple(np.linalg.eigvalsh(rp) - float(s) / 12.0)
         wm = tuple(np.linalg.eigvalsh(rm) - float(s) / 12.0)
-    scale = float(np.abs(m).max())
+    scale = _operator_scale(m)
     return DualityDecomposition(
-        s, WeylSpectrum(wp, scale), WeylSpectrum(wm, scale), e2, rp, rm, cross
+        s, WeylSpectrum(wp, scale), WeylSpectrum(wm, scale), e2, rp, rm, cross, scale
     )
 
 
@@ -429,30 +405,36 @@ class SectionalExtrema:
     kmax_upper: float
 
 
-def antisymmetric_matrix(sigma) -> np.ndarray:
-    """The 4x4 antisymmetric matrix of a bivector in fixed coordinates."""
-    f = np.zeros((4, 4))
-    for coef, (i, j) in zip(np.asarray(sigma, dtype=float), BASIS_PAIRS):
-        f[i - 1, j - 1] += coef
-        f[j - 1, i - 1] -= coef
-    return f
+def _turn_e1_to(n: np.ndarray) -> np.ndarray:
+    """A unit quaternion q with rho(q) e1 = n, for a unit n in R^3.
 
-
-def factor_decomposable(sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a unit decomposable bivector as u^v with orthonormal u, v.
-
-    For sigma = u^v the antisymmetric matrix maps v to u and u to -v, so any
-    unit vector u0 of its column space pairs with v0 = -F u0.
+    The half-way quaternion (1 + n1, 0, -n3, n2) turns e1 onto n about
+    e1 x n.  It vanishes at n = -e1, so for n1 < 0 the half-way quaternion
+    of -n follows j, the half turn that takes e1 to -e1.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    f = antisymmetric_matrix(sigma)
-    u_svd, _, _ = np.linalg.svd(f)
-    u = u_svd[:, 0]
-    v = -f @ u
-    v = v / math.sqrt(float(v @ v))
-    if float(np.abs(wedge_coordinates(u, v) - sigma).max()) > 1e-8:
+    n1, n2, n3 = n
+    q = np.array([1.0 + n1, 0.0, -n3, n2] if n1 >= 0 else [-n3, n2, 1.0 - n1, 0.0])
+    return q / math.sqrt(float(q @ q))
+
+
+def _plane_of(w: np.ndarray) -> TangentPlane:
+    """The plane u^v = w of a unit decomposable bivector w.
+
+    e1^e2 has halves (1, 0, 0)/sqrt2 in the w+ and w- coordinates, and
+    x -> p x q turns them by rho(p) and rho(q)^T (see quaternion_rotation).
+    With rho(p) e1 and rho(q)^T e1 along the halves of w, the rotation
+    carries e1^e2 onto w, and its first two columns span the plane.  A unit
+    w is decomposable exactly when its halves have equal length (Pluecker).
+    """
+    plus = (w[:3] + w[3:]) / math.sqrt(2.0)
+    minus = (w[:3] - w[3:]) / math.sqrt(2.0)
+    n_plus, n_minus = math.sqrt(float(plus @ plus)), math.sqrt(float(minus @ minus))
+    if abs(n_plus - n_minus) > 1e-8:
         raise InvalidOperatorError("bivector is not decomposable within 1e-8")
-    return u, v
+    p = _turn_e1_to(plus / n_plus)
+    q = _turn_e1_to(minus / n_minus) * np.array([1.0, -1.0, -1.0, -1.0])
+    f = quaternion_rotation(p, q)
+    return TangentPlane(f[:, 0], f[:, 1])
 
 
 # bisection steps of the dual search; 2^-100 of the bracket is below float spacing
@@ -467,8 +449,9 @@ def _dual_min(m: np.ndarray) -> tuple[float, TangentPlane]:
     best bound the minimum (Singer and Thorpe 1969).  lambda_min(m + t*) is
     concave in t with supergradient <*v, v> at a bottom eigenvector v, so a
     fixed number of bisections on its sign reach the maximiser.  The
-    witness plane is the combination of the bracket ends' eigenvectors on
-    which <*w, w> vanishes.
+    witness plane is the combination w of the bracket ends' eigenvectors on
+    which <*w, w> vanishes, factored by the quaternion pair that turns e1^e2
+    onto its w+ and w- halves.
     """
     star = hodge_star_matrix()
 
@@ -496,8 +479,7 @@ def _dual_min(m: np.ndarray) -> tuple[float, TangentPlane]:
     root = math.sqrt(b * b - a * c)
     p, q = (root - b, a) if b <= 0 else (-c, b + root)
     w = p * v_lo + q * v_hi
-    u, v = factor_decomposable(w / math.sqrt(float(w @ w)))
-    return max(lam_lo, lam_hi), TangentPlane(u, v)
+    return max(lam_lo, lam_hi), _plane_of(w / math.sqrt(float(w @ w)))
 
 
 def extremize_sectional(op: CurvatureOperator) -> SectionalExtrema:

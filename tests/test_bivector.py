@@ -19,11 +19,8 @@ from curv4 import (
     conjugate_operator,
     duality_decompose,
     extremize_sectional,
-    factor_decomposable,
     hodge_star_matrix,
     model_space,
-    riemann_component,
-    ricci_tensor,
     sample_berger_data,
     sectional,
     static_weitzenbock_residual,
@@ -31,6 +28,9 @@ from curv4 import (
     weyl_scalars,
 )
 from curv4.bivector import (
+    EINSTEIN_TOL,
+    _einstein_defect,
+    _plane_of,
     haar_rotations,
     induced_bivector_rotation,
     quaternion_rotation,
@@ -38,8 +38,8 @@ from curv4.bivector import (
     rho_inverse,
 )
 from curv4.errors import (
-    DegeneratePlaneError,
     InvalidOperatorError,
+    NotEinsteinError,
     UnknownModelError,
 )
 
@@ -80,6 +80,39 @@ def test_hodge_star_swaps_blocks_and_duality_basis():
     np.testing.assert_allclose(p.T @ p, np.eye(6), atol=1e-15)
 
 
+# index-level reference for the curvature: R_{ijkl} and Rc_{ij} = sum_k R_{ikjk}
+# read entry by entry from the 6x6 matrix, for floats and Fractions alike
+_PAIR_INDEX = {}
+for _idx, (_i, _j) in enumerate(BASIS_PAIRS):
+    _PAIR_INDEX[(_i, _j)] = (_idx, 1)
+    _PAIR_INDEX[(_j, _i)] = (_idx, -1)
+
+
+def riemann_component(matrix, i, j, k, l):
+    """R_{ijkl} (1-based); the signs absorb the e42 orientation of the basis."""
+    if i == j or k == l:
+        return 0 * matrix[0][0]
+    a, sa = _PAIR_INDEX[(i, j)]
+    b, sb = _PAIR_INDEX[(k, l)]
+    return sa * sb * matrix[a][b]
+
+
+def ricci_tensor(matrix):
+    return [
+        [
+            sum(riemann_component(matrix, i, k, j, k) for k in range(1, 5) if k != i and k != j)
+            for j in range(1, 5)
+        ]
+        for i in range(1, 5)
+    ]
+
+
+def ricci_deviation_sq(matrix, lam):
+    """|Rc - lam g|^2 in the Frobenius norm, from the index formula."""
+    ric = ricci_tensor(matrix)
+    return sum((ric[i][j] - (lam if i == j else 0)) ** 2 for i in range(4) for j in range(4))
+
+
 def test_riemann_component_symmetries():
     op = model_space("cp2")
     m = op.matrix
@@ -113,6 +146,47 @@ def test_ricci_of_models_is_einstein():
         for i in range(4):
             for j in range(4):
                 assert ric[i][j] == (Fraction(1) if i == j else 0)
+
+
+def test_index_ricci_reference_matches_the_cross_block():
+    # |E|^2 = 4 |C|^2 and |Rc - lam g|^2 = 4 |C|^2 + 4 (S/4 - lam)^2 against
+    # Rc_{ij} = sum_k R_{ikjk}, on random Bianchi operators and the models
+    rng = np.random.default_rng(29)
+    for n in range(60):
+        m = _bianchi_projected(rng) * 10.0 ** rng.integers(-3, 4)
+        op = CurvatureOperator(m)
+        d = duality_decompose(op)
+        scale = max(1.0, float(np.abs(m).max()))
+        e2 = ricci_deviation_sq(m.tolist(), float(d.s) / 4.0)
+        assert abs(math.sqrt(e2) - math.sqrt(d.traceless_ricci_norm_sq)) <= 1e-12 * scale, n
+        lam = float(rng.normal()) * scale
+        want = math.sqrt(ricci_deviation_sq(m.tolist(), lam))
+        got = _einstein_defect(d.cross_block, float(d.s), lam, scale) * scale
+        assert abs(got - want) <= 1e-12 * scale, n
+    exact = [model_space(name) for name in ("sphere", "cp2", "s2xs2")]
+    rows = [[Fraction(int(x), 7) for x in row] for row in rng.integers(-9, 10, (6, 6))]
+    rows = [[rows[min(i, j)][max(i, j)] for j in range(6)] for i in range(6)]
+    rows[2][5] = rows[5][2] = -rows[0][3] - rows[1][4]
+    exact.append(CurvatureOperator.from_exact(rows))
+    for op in exact:
+        d = duality_decompose(op)
+        assert d.traceless_ricci_norm_sq == ricci_deviation_sq(op.exact, d.s / 4)
+    assert d.traceless_ricci_norm_sq > 0 and type(d.traceless_ricci_norm_sq) is Fraction
+
+
+@pytest.mark.parametrize("delta", [5e-10, 1e-9, 2e-9, 4e-9, 8e-9])
+def test_einstein_checks_agree_near_the_tolerance(delta):
+    # cp2 with delta on m[0, 1] = m[1, 0] has |Rc - g| = |E| = sqrt2 delta; the
+    # flagged-lambda check and is_einstein read the same cross block at one scale
+    m = model_space("cp2").matrix.copy()
+    m[0, 1] = m[1, 0] = delta
+    flagged = True
+    try:
+        CurvatureOperator(m, 1.0)
+    except NotEinsteinError:
+        flagged = False
+    assert duality_decompose(CurvatureOperator(m)).is_einstein == flagged
+    assert flagged == (math.sqrt(2.0) * delta <= EINSTEIN_TOL)
 
 
 def test_model_tables_exact():
@@ -188,22 +262,19 @@ def test_tangent_plane_validation():
         TangentPlane(E[0], 2.0 * E[1])
     with pytest.raises(ValueError):
         TangentPlane(E[0], (E[0] + E[1]) / math.sqrt(2.0) * math.sqrt(2.0) / 2 + E[0] / 2)
-    plane = TangentPlane.from_span([1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0])
-    assert abs(plane.u @ plane.v) <= 1e-12
-    with pytest.raises(DegeneratePlaneError):
-        TangentPlane.from_span(E[0], 3.0 * E[0])
 
 
-def test_factor_decomposable_round_trip():
+def test_witness_plane_round_trip():
+    # -e12, e34 and -e34 each have a half along -e1, where the half-way
+    # quaternion (1 + n1, 0, -n3, n2) vanishes and the j branch runs
     rng = np.random.default_rng(2)
-    for _ in range(25):
-        q = haar_rotation(rng)
-        sigma = wedge_coordinates(q[:, 0], q[:, 1])
-        u, v = factor_decomposable(sigma)
-        np.testing.assert_allclose(wedge_coordinates(u, v), sigma, atol=1e-10)
-        assert abs(u @ u - 1.0) <= 1e-10 and abs(u @ v) <= 1e-10
+    sigmas = [wedge_coordinates(q[:, 0], q[:, 1]) for q in (haar_rotation(rng) for _ in range(25))]
+    sigmas += [sign * np.eye(6)[k] for sign in (1.0, -1.0) for k in (0, 3)]
+    for sigma in sigmas:
+        plane = _plane_of(sigma)
+        np.testing.assert_allclose(plane.bivector(), sigma, atol=1e-14)
     with pytest.raises(InvalidOperatorError):
-        factor_decomposable(np.array([1.0, 0, 0, 1.0, 0, 0]) / math.sqrt(2.0))
+        _plane_of(np.array([1.0, 0, 0, 1.0, 0, 0]) / math.sqrt(2.0))
 
 
 def _scale(op):
@@ -298,6 +369,14 @@ def test_quaternion_pair_turns_each_duality_half_on_its_own():
         want = np.zeros((6, 6))
         want[:3, :3], want[3:, 3:] = rho(p[:, k]), rho(q[:, k]).T
         assert np.abs(h @ induced_bivector_rotation(f) @ h.T - want).max() <= 1e-14
+
+
+def test_induced_rotation_matches_the_pairwise_wedges():
+    # column k is the wedge of the rotated basis pair k; reflections included
+    rotations = list(haar_rotations(200, seed=14)) + [np.diag([-1.0, 1.0, 1.0, 1.0])]
+    for f in rotations:
+        cols = [wedge_coordinates(f[:, i - 1], f[:, j - 1]) for (i, j) in BASIS_PAIRS]
+        assert np.array_equal(induced_bivector_rotation(f), np.stack(cols, axis=1))
 
 
 def test_rho_inverse_lifts_every_rotation():

@@ -207,7 +207,9 @@ def test_cli_verify_table_and_failure_exit(capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "run_verification", fake)
     assert main(["verify", "--lemma", "kupper"]) == 1
-    assert "FAIL" in capsys.readouterr().out or True  # json format: exit code carries it
+    assert json.loads(capsys.readouterr().out)["pass"] is False
+    assert main(["verify", "--lemma", "kupper", "--format", "table"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL kupper")
 
 
 def test_cli_verify_all_small_grid(capsys):

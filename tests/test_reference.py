@@ -3,14 +3,17 @@
 The model table against normal-form extraction from the model operators,
 each generic closed form on exact input against the same form on float
 input, the Haar sampler against the defining properties of SO(4), and the
-sharp constants' decimals against mpmath at 50 digits.
+sharp constants' decimals against mpmath at 50 digits, and surd square
+roots against sympy's denesting.
 """
 
+import random
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from curv4 import (
     BergerData,
@@ -28,6 +31,8 @@ from curv4 import (
     sharp_constants,
 )
 from curv4.bivector import MODEL_BLOCKS, MODEL_NAMES, haar_rotations
+from curv4.errors import ExactnessError
+from curv4.surd import QuadraticSurd
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -144,3 +149,64 @@ def test_sharp_constants_agree_with_mpmath():
         assert abs((2 + 2 * d - 6 * d1) / s6 - s6 / 2) <= mpmath.mpf("1e-45")
         assert abs(2 + 2 * d - 6 * d1 - 3) <= mpmath.mpf("1e-45")
     assert all(book["identities"].values())
+
+
+# square-free radicands of the sharp constants' fields, plus 2
+DENEST_RADICANDS = (2, 3, 6, 19, 105)
+
+
+def _denest_cases(r, rng):
+    """Positive a + b sqrt(r), b != 0: squares in Q(sqrt r), r times squares,
+    squares of sqrt(r1) c + sqrt(r2) d with r = r1 r2, and random values."""
+    def small():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    roots = [(small(), small()) for _ in range(6)]
+    cases = [(c * c + r * d * d, 2 * c * d) for c, d in roots]
+    cases += [(r * (c * c + r * d * d), 2 * r * c * d) for c, d in roots[:3]]
+    splits = [k for k in range(2, r) if r % k == 0]
+    for k in splits[:2]:
+        c, d = small(), small()
+        cases.append((k * c * c + r // k * d * d, 2 * c * d))
+    cases += [(Fraction(rng.randint(1, 60), rng.randint(1, 6)), small()) for _ in range(6)]
+    return [(a, b) if a + b * mpmath.sqrt(r) > 0 else (-a, -b) for a, b in cases]
+
+
+def _in_field(expr, r):
+    """(c, d) when expr is c + d sqrt(r) with rational c, d; else None."""
+    c = d = Fraction(0)
+    for term in sympy.Add.make_args(sympy.expand(expr)):
+        coeff, rest = term.as_coeff_Mul()
+        if not coeff.is_Rational:
+            return None
+        if rest == 1:
+            c += Fraction(int(coeff.p), int(coeff.q))
+        elif rest == sympy.sqrt(r):
+            d += Fraction(int(coeff.p), int(coeff.q))
+        else:
+            return None
+    return c, d
+
+
+@pytest.mark.parametrize("r", DENEST_RADICANDS)
+def test_surd_sqrt_denests_exactly_when_sympy_does(r):
+    # QuadraticSurd.sqrt succeeds exactly when sympy.sqrtdenest writes the
+    # root as c + d sqrt(r), and then the two are equal; every other root
+    # (still nested, or denested outside Q(sqrt r)) raises ExactnessError
+    rng = random.Random(r)
+    outcomes = {"denests": 0, "raises": 0}
+    for a, b in _denest_cases(r, rng):
+        x = QuadraticSurd.from_fractions(a, b, r)
+        root = sympy.sqrtdenest(
+            sympy.sqrt(sympy.Rational(a.numerator, a.denominator)
+                       + sympy.Rational(b.numerator, b.denominator) * sympy.sqrt(r))
+        )
+        want = _in_field(root, r)
+        if want is None:
+            with pytest.raises(ExactnessError):
+                x.sqrt()
+            outcomes["raises"] += 1
+        else:
+            assert x.sqrt() == QuadraticSurd.from_fractions(*want, r), (a, b)
+            outcomes["denests"] += 1
+    assert outcomes["denests"] >= 9 and outcomes["raises"] >= 6, outcomes
