@@ -50,7 +50,6 @@ from .classify import (
 )
 from .errors import (
     Curv4Error,
-    DegeneratePlaneError,
     DomainError,
     ExactnessError,
     InvalidBergerError,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .bivector import (
     CurvatureOperator,
     DualityDecomposition,
     conjugate_operator,
+    decompose_stack,
     duality_decompose,
     normal_form_rows,
     quaternion_rotation,
@@ -95,6 +97,49 @@ class BergerData:
         )
 
 
+class BergerStack(NamedTuple):
+    """Normal-form data of a stack of n operators: (3, n) arrays a and b, (n,) lambda."""
+
+    a: np.ndarray
+    b: np.ndarray
+    lambda_einstein: np.ndarray
+
+
+def _check_berger_stack(d: BergerStack) -> None:
+    """BergerData's checks on each column k of a stack, tolerance 1e-9 x scale.
+
+    Raises InvalidBergerError listing every constraint the first failing
+    column violates, in the constructor's words.
+    """
+    a, b, lam = d
+    finite = np.isfinite(a).all(axis=0) & np.isfinite(b).all(axis=0) & np.isfinite(lam)
+    if not finite.all():
+        raise InvalidBergerError(
+            f"operator {int(np.argmin(finite))} of the stack: "
+            "normal-form data and Einstein constant must be finite"
+        )
+    scale = np.maximum(1.0, np.maximum(np.abs(np.vstack([a, b])).max(axis=0), np.abs(lam)))
+    tol = 1e-9 * scale
+    violated = [
+        ("sectional triple a is not ascending", ~((a[0] <= a[1] + tol) & (a[1] <= a[2] + tol))),
+        ("sum(a) does not equal the Einstein constant", np.abs(a[0] + a[1] + a[2] - lam) > tol),
+        ("sum(b) is nonzero (first Bianchi identity)", np.abs(b[0] + b[1] + b[2]) > tol),
+    ]
+    violated += [
+        (
+            f"|b{j + 1} - b{i + 1}| exceeds a{j + 1} - a{i + 1}",
+            np.abs(b[j] - b[i]) > a[j] - a[i] + tol,
+        )
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ]
+    bad = np.any([mask for _, mask in violated], axis=0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise InvalidBergerError(
+            f"operator {k} of the stack: " + "; ".join(msg for msg, mask in violated if mask[k])
+        )
+
+
 def berger_data(source) -> BergerData:
     """Extract normal-form data from an Einstein operator or its decomposition.
 
@@ -105,13 +150,39 @@ def berger_data(source) -> BergerData:
     if not d.is_einstein:
         raise NotEinsteinError("operator has a nonzero duality cross block")
     s, *spectra = coerce(d.s, *d.w_plus.eigenvalues, *d.w_minus.eigenvalues)
-    wp, wm = spectra[:3], spectra[3:]
+    a, b = _normal_form_data(s, spectra[:3], spectra[3:])
+    return BergerData(a, b, s / 4)
+
+
+def _normal_form_data(s, wp, wm) -> tuple:
+    """(a, b) from S and the Weyl triples: r+- = w+- + S/12, a = (r+ + r-)/2, b = (r+ - r-)/2.
+
+    Elementwise, so it takes triples of numbers and triples of arrays alike.
+    """
     twelfth = s / 12
     rp = [w + twelfth for w in wp]
     rm = [w + twelfth for w in wm]
-    a = tuple((p + m) / 2 for p, m in zip(rp, rm))
-    b = tuple((p - m) / 2 for p, m in zip(rp, rm))
-    return BergerData(a, b, s / 4)
+    return tuple((p + m) / 2 for p, m in zip(rp, rm)), tuple((p - m) / 2 for p, m in zip(rp, rm))
+
+
+def berger_data_stack(m: np.ndarray, lambda_einstein) -> BergerStack:
+    """berger_data of each operator of a (n, 6, 6) float stack flagged with one lambda.
+
+    Every check of CurvatureOperator(m[k], lambda_einstein), duality_decompose,
+    berger_data and BergerData runs on each operator, with the same tolerances
+    and error classes, and (a, b) comes from the same formula, so each
+    column is bit for bit berger_data(CurvatureOperator(m[k], lambda_einstein)).
+    """
+    s, wp, wm, einstein = decompose_stack(m, lambda_einstein)
+    if not np.all(einstein):
+        raise NotEinsteinError(
+            f"operator {int(np.argmin(einstein))} of the stack: "
+            "operator has a nonzero duality cross block"
+        )
+    a, b = _normal_form_data(s, wp.T, wm.T)
+    d = BergerStack(np.array(a), np.array(b), s / 4)
+    _check_berger_stack(d)
+    return d
 
 
 def berger_to_operator(d: BergerData) -> CurvatureOperator:
@@ -219,36 +290,54 @@ def _duality_halves(m: np.ndarray) -> tuple:
     return alpha, p, r[:3, 3:], (r[3:, 3:] + r[3:, 3:].T) / 2.0
 
 
+def _upper(x, y, out: np.ndarray) -> np.ndarray:
+    """x_j * y_k at the upper entries (11, 22, 33, 12, 13, 23) of a 3x3, into (6, n) out."""
+    np.multiply(x, y, out=out[:3])
+    np.multiply(x[0], y[1:], out=out[3:5])
+    np.multiply(x[1], y[2], out=out[5])
+    return out
+
+
 def _inner_matrices(q: np.ndarray, halves: tuple) -> np.ndarray:
     """<R(e1 ^ f_j), e1 ^ f_k> for the frames (e1, f1, f2, f3) = (q, q i, q j, q k).
 
-    q is a (4, n) stack of unit quaternions and the result a (3, 3, n) stack,
-    symmetric bit for bit.  Left multiplication by q fixes the anti-self-dual
-    half and turns the self-dual half by the rotation rho(q), so with
-    `halves` = (alpha, p, cross, minus) the matrix is
-    rho^T p diag(alpha) p^T rho + rho^T cross + cross^T rho + minus.  Each
-    entry is a fixed sequence of elementwise operations on its own column,
-    with no BLAS product whose rounding depends on n, so a direction's value
-    does not depend on the stack it sits in.
+    q is a (4, n) stack of unit quaternions, and the result holds the upper
+    entries (a11, a22, a33, a12, a13, a23) of each symmetric 3x3 as a (6, n)
+    stack.  Left multiplication by q fixes the anti-self-dual half and turns
+    the self-dual half by the rotation rho(q), so with `halves` = (alpha, p,
+    cross, minus) the matrix is
+    rho^T p diag(alpha) p^T rho + rho^T cross + cross^T rho + minus.  Entry
+    (j, k) is minus[j, k], then for a = 0, 1, 2 plus
+    alpha[a] (pa_j pa_k) + (cross[a, j] r[a, k] + cross[a, k] r[a, j]), with
+    pa = (p^T rho)[a]: a fixed sequence of elementwise operations on its own
+    column, with no BLAS product whose rounding depends on n, so a
+    direction's value does not depend on the stack it sits in.
     """
     alpha, p, cross, minus = halves
     r = rho(q)
-    m = np.repeat(minus[:, :, None], q.shape[1], axis=2)
+    m, t, u, v = (np.empty((6, q.shape[1])) for _ in range(4))
+    m[:] = minus[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]][:, None]
     for a in range(3):
         pa = p[0, a] * r[0] + p[1, a] * r[1] + p[2, a] * r[2]
-        ca = cross[a][:, None, None] * r[a][None]
-        m += alpha[a] * (pa[:, None] * pa[None]) + (ca + ca.transpose(1, 0, 2))
+        _upper(pa, pa, t)
+        t *= alpha[a]
+        c = cross[a][:, None]
+        _upper(c, r[a], u)
+        u += _upper(r[a], c, v)
+        t += u
+        m += t
     return m
 
 
 def _inner_minimum(m: np.ndarray) -> np.ndarray:
-    """1.5 (trace - largest eigenvalue) of each symmetric 3x3 in a (3, 3, n) stack.
+    """1.5 (trace - largest eigenvalue) of each symmetric 3x3 in a (6, n) stack.
 
-    The largest eigenvalue is the trigonometric closed form of O. K. Smith
+    The rows are the upper entries (a11, a22, a33, a12, a13, a23).  The
+    largest eigenvalue is the trigonometric closed form of O. K. Smith
     (1961), elementwise, so it is as fast as a few array passes and is exact
     up to about sqrt(eps) x scale where the top eigenvalue is double.
     """
-    a11, a22, a33, a12, a13, a23 = m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2]
+    a11, a22, a33, a12, a13, a23 = m
     trace = a11 + a22 + a33
     c = trace / 3.0
     b11, b22, b33 = a11 - c, a22 - c, a33 - c
@@ -298,14 +387,16 @@ def frame_functional_min(
     block = SLAB_POINTS // 4
     best = None
     for lo in range(0, samples, block):
-        g = rng.standard_normal((min(block, samples - lo), 4))
-        q = (g / np.linalg.norm(g, axis=1)[:, None]).T.copy()
+        g = rng.standard_normal((min(block, samples - lo), 4)).T
+        norm = np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2] + g[3] * g[3])
+        q = np.divide(g, norm, order="C")
         vals = _inner_minimum(_inner_matrices(q, halves))
         i = int(np.argmin(vals))
         if best is None or vals[i] < best[0]:
             best = (vals[i], q[:, i])
     q = best[1]
-    mu, u = np.linalg.eigh(_inner_matrices(q[:, None], halves)[:, :, 0])
+    a11, a22, a33, a12, a13, a23 = _inner_matrices(q[:, None], halves)[:, 0]
+    mu, u = np.linalg.eigh(np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]))
     v = quaternion_rotation(q, (1.0, 0.0, 0.0, 0.0))[:, 1:] @ u
     frame = np.stack([q, v[:, 0] + v[:, 1], v[:, 0] - v[:, 1], v[:, 2]], axis=1)
     frame[:, 1:3] /= math.sqrt(2.0)

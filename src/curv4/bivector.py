@@ -28,12 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DegeneratePlaneError,
-    InvalidOperatorError,
-    NotEinsteinError,
-    UnknownModelError,
-)
+from .errors import InvalidOperatorError, NotEinsteinError, UnknownModelError
 
 # index pairs (1-based) of the fixed bivector basis, in order
 BASIS_PAIRS = ((1, 2), (1, 3), (1, 4), (3, 4), (4, 2), (2, 3))
@@ -42,7 +37,6 @@ BASIS_LABEL = "e12,e13,e14,e34,e42,e23"
 SYMMETRY_TOL = 1e-12
 BIANCHI_TOL = 1e-12
 EINSTEIN_TOL = 1e-9
-EIGENVALUE_TOL = 1e-9
 
 # 0-based first and second indices of the basis pairs
 _FIRST, _SECOND = np.array(BASIS_PAIRS).T - 1
@@ -69,9 +63,15 @@ def hodge_star_matrix() -> np.ndarray:
 
 
 def induced_bivector_rotation(q: np.ndarray) -> np.ndarray:
-    """The 6x6 action of a rotation q of R^4 on the fixed bivector basis."""
+    """The 6x6 action of a rotation q of R^4 on the fixed bivector basis.
+
+    Column k holds the wedge coordinates of q e_i ^ q e_j for the basis pair
+    (i, j) = BASIS_PAIRS[k].  Broadcasts over leading axes: a (..., 4, 4)
+    stack gives (..., 6, 6).
+    """
     q = np.asarray(q, dtype=float)
-    return wedge_coordinates(q[:, _FIRST].T, q[:, _SECOND].T).T
+    u, v = q[..., _FIRST], q[..., _SECOND]
+    return u[..., _FIRST, :] * v[..., _SECOND, :] - u[..., _SECOND, :] * v[..., _FIRST, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,17 +102,18 @@ def _duality_blocks(m):
 
     Conjugating by w+-_k = (basis_k +- basis_{k+3})/sqrt2 squares the sqrt2
     factors away, so a float array gives float blocks and an object array of
-    Fractions gives exact ones.
+    Fractions gives exact ones.  Broadcasts over leading axes.
     """
-    a, b, c = m[:3, :3], m[:3, 3:], m[3:, 3:]
-    return (a + b + b.T + c) / 2, (a - b - b.T + c) / 2, (a + b.T - b - c) / 2
+    a, b, c = m[..., :3, :3], m[..., :3, 3:], m[..., 3:, 3:]
+    bt = b.swapaxes(-1, -2)
+    return (a + b + bt + c) / 2, (a - b - bt + c) / 2, (a + bt - b - c) / 2
 
 
 def _float_blocks(m: np.ndarray):
-    """(R+, R-, C, S) of a float matrix, S = 2 tr; raises when any overflows."""
+    """(R+, R-, C, S) of a float matrix or stack, S = 2 tr; raises when any overflows."""
     try:
         with np.errstate(over="raise"):
-            return (*_duality_blocks(m), float(2.0 * np.trace(m)))
+            return (*_duality_blocks(m), 2.0 * m.trace(axis1=-2, axis2=-1))
     except FloatingPointError as exc:
         raise InvalidOperatorError(
             "the duality blocks or the scalar curvature overflow the float range"
@@ -137,6 +138,19 @@ def _einstein_defect(cross: np.ndarray, s: float, lam: float, scale: float) -> f
     return 2.0 * math.hypot(
         math.sqrt(float(np.sum(c * c))), s / (4.0 * scale) - float(lam) / scale
     )
+
+
+def _einstein_defects(cross: np.ndarray, s: np.ndarray, lam, scale: np.ndarray) -> np.ndarray:
+    """_einstein_defect of each operator of a stack: (n, 3, 3) cross, (n,) s and scale."""
+    c = cross / scale[:, None, None]
+    return 2.0 * np.hypot(np.sqrt(np.sum(c * c, axis=(1, 2))), s / (4.0 * scale) - lam / scale)
+
+
+def _reject_first(bad: np.ndarray, error: type, message) -> None:
+    """Raise error for the first flagged operator k of a stack, saying message(k)."""
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise error(f"operator {k} of the stack: {message(k)}")
 
 
 def _as_exact_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -208,6 +222,49 @@ class CurvatureOperator:
         return cls(m, lambda_einstein, ex)
 
 
+def _check_operator_stack(m: np.ndarray, lambda_einstein):
+    """CurvatureOperator(m[k], lambda_einstein)'s checks on each k of a (n, 6, 6) stack.
+
+    Same tolerances and error classes as the constructor; an error names the
+    first failing operator and its value.  Returns (R+, R-, C, S, scale), S
+    and scale as (n,) arrays.
+    """
+    if m.ndim != 3 or m.shape[1:] != (6, 6):
+        raise InvalidOperatorError("matrices must be a (n, 6, 6) stack")
+    _reject_first(
+        ~np.isfinite(m).all(axis=(1, 2)),
+        InvalidOperatorError,
+        lambda k: "matrix must be a finite 6x6 array",
+    )
+    scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    asym = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
+    _reject_first(
+        asym > SYMMETRY_TOL * scale,
+        InvalidOperatorError,
+        lambda k: f"matrix is not symmetric (tolerance 1e-12): |m - m^T| = {asym[k]:.3e}",
+    )
+    bianchi = m[:, 0, 3] + m[:, 1, 4] + m[:, 2, 5]
+    _reject_first(
+        np.abs(bianchi) > BIANCHI_TOL * scale,
+        InvalidOperatorError,
+        lambda k: "first Bianchi identity fails: <Re12,e34>+<Re13,e42>+<Re14,e23> = "
+        f"{bianchi[k]:.3e}",
+    )
+    rp, rm, cross, s = _float_blocks(m)
+    lam = lambda_einstein
+    if lam is not None:
+        if not math.isfinite(lam):
+            raise InvalidOperatorError(f"Einstein constant must be finite, got {lam}")
+        defect = _einstein_defects(cross, s, lam, scale)
+        _reject_first(
+            defect > EINSTEIN_TOL,
+            NotEinsteinError,
+            lambda k: f"flagged Einstein with lambda={lam} but |Rc - lambda g| = "
+            f"{defect[k] * scale[k]:.3e}",
+        )
+    return rp, rm, cross, s, scale
+
+
 @dataclass(frozen=True, eq=False)
 class WeylSpectrum:
     """Ascending eigenvalue triple of a (half-)Weyl part; sums to zero.
@@ -238,6 +295,22 @@ class WeylSpectrum:
     def det(self):
         a, b, c = self.eigenvalues
         return a * b * c
+
+
+def _check_weyl_stack(ev: np.ndarray, scale: np.ndarray) -> None:
+    """WeylSpectrum(ev[k], scale[k])'s checks on each row of a (n, 3) stack; scale >= 1."""
+    scale = np.maximum(scale, np.abs(ev).max(axis=1))
+    _reject_first(
+        ~((ev[:, 0] <= ev[:, 1]) & (ev[:, 1] <= ev[:, 2])),
+        InvalidOperatorError,
+        lambda k: f"Weyl spectrum must be ascending, got {tuple(ev[k].tolist())}",
+    )
+    trace = ev[:, 0] + ev[:, 1] + ev[:, 2]
+    _reject_first(
+        np.abs(trace) > 1e-12 * scale,
+        InvalidOperatorError,
+        lambda k: f"Weyl spectrum must be trace-free (tolerance 1e-12), trace {trace[k]:.3e}",
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,6 +364,7 @@ def duality_decompose(op: CurvatureOperator) -> DualityDecomposition:
     """
     m = op.matrix
     rp, rm, cross, s = _float_blocks(m)
+    s = float(s)
     exact_blocks = False
     if op.exact is not None:
         ex = np.array(op.exact, dtype=object)
@@ -313,6 +387,24 @@ def duality_decompose(op: CurvatureOperator) -> DualityDecomposition:
     return DualityDecomposition(
         s, WeylSpectrum(wp, scale), WeylSpectrum(wm, scale), e2, rp, rm, cross, scale
     )
+
+
+def decompose_stack(m: np.ndarray, lambda_einstein) -> tuple:
+    """duality_decompose of each operator of a (n, 6, 6) float stack.
+
+    Runs on each m[k] every check that CurvatureOperator(m[k], lambda_einstein)
+    and then duality_decompose run, with the same tolerances and error
+    classes.  Returns (s, w_plus, w_minus, is_einstein): (n,) scalar
+    curvatures, (n, 3) ascending Weyl spectra from one batched eigvalsh per
+    duality half, and the (n,) verdicts of DualityDecomposition.is_einstein.
+    Each operator's s and spectra are bit for bit the scalar path's.
+    """
+    rp, rm, cross, s, scale = _check_operator_stack(m, lambda_einstein)
+    wp = np.linalg.eigvalsh(rp) - s[:, None] / 12.0
+    wm = np.linalg.eigvalsh(rm) - s[:, None] / 12.0
+    _check_weyl_stack(wp, scale)
+    _check_weyl_stack(wm, scale)
+    return s, wp, wm, _einstein_defects(cross, s, s / 4.0, scale) <= EINSTEIN_TOL
 
 
 # -- model spaces -------------------------------------------------------------
@@ -381,9 +473,6 @@ def model_space(name: str) -> CurvatureOperator:
 def sectional(op: CurvatureOperator, plane: TangentPlane) -> float:
     """Sectional curvature K(plane) = <R(u^v), u^v>."""
     w = plane.bivector()
-    n2 = float(w @ w)
-    if math.sqrt(n2) < 1e-9:
-        raise DegeneratePlaneError("u^v vanishes within 1e-9")
     return float(w @ op.matrix @ w)
 
 
@@ -607,12 +696,31 @@ def haar_rotations(count: int, seed) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(m, -1, 0))
 
 
+def conjugate_matrices(m: np.ndarray, frames) -> np.ndarray:
+    """The 6x6 matrix m re-expressed in each orthonormal frame of a (..., 4, 4) stack.
+
+    Frame columns are e1..e4.  Raises InvalidOperatorError naming the first
+    frame that is not orthogonal to 1e-8.  A frame's matrix does not depend
+    on the stack it sits in.
+    """
+    q = np.asarray(frames, dtype=float)
+    if q.shape[-2:] != (4, 4):
+        raise InvalidOperatorError("frame must be a 4x4 orthogonal matrix")
+    defect = np.abs(q.swapaxes(-1, -2) @ q - np.eye(4)).max(axis=(-2, -1))
+    if np.any(defect > 1e-8):
+        k = int(np.argmax(defect > 1e-8))
+        raise InvalidOperatorError(
+            f"frame must be a 4x4 orthogonal matrix: frame {k} has "
+            f"|q^T q - I| = {defect.flat[k]:.3e}"
+        )
+    l6 = induced_bivector_rotation(q)
+    c = l6.swapaxes(-1, -2) @ m @ l6
+    return (c + c.swapaxes(-1, -2)) / 2.0
+
+
 def conjugate_operator(op: CurvatureOperator, frame: np.ndarray) -> CurvatureOperator:
     """Re-express the operator in the orthonormal frame given by `frame` columns."""
     q = np.asarray(frame, dtype=float)
-    if q.shape != (4, 4) or float(np.abs(q.T @ q - np.eye(4)).max()) > 1e-8:
+    if q.shape != (4, 4):
         raise InvalidOperatorError("frame must be a 4x4 orthogonal matrix")
-    l6 = induced_bivector_rotation(q)
-    m = l6.T @ op.matrix @ l6
-    m = (m + m.T) / 2.0
-    return CurvatureOperator(m, op.lambda_einstein)
+    return CurvatureOperator(conjugate_matrices(op.matrix, q), op.lambda_einstein)

@@ -13,10 +13,6 @@ class NotEinsteinError(Curv4Error):
     """Operation requires an Einstein operator (vanishing traceless Ricci)."""
 
 
-class DegeneratePlaneError(Curv4Error):
-    """Spanning vectors of a tangent plane are (numerically) parallel."""
-
-
 class InvalidBergerError(Curv4Error):
     """Normal-form data violates one of its defining constraints."""
 

@@ -342,17 +342,14 @@ class QuadraticSurd:
         if disc < 0 or not _is_square(disc):
             raise ExactnessError(f"sqrt({self}) does not denest")
         n = _fraction_sqrt(disc)
+        # the root is c + d sqrt(r) with c^2 = (a +- n)/2 and 2 c d = b; with
+        # c > 0 it may be the negative one (1 - sqrt2 for 3 - 2 sqrt2), hence abs
         for half in ((a + n) / 2, (a - n) / 2):
             if half <= 0:
                 continue
             if _is_square(half):
                 u = _fraction_sqrt(half)
-                y = QuadraticSurd.from_fractions(u, b / (2 * u), self.r)
-                return abs(y)
-            if _is_square(half / self.r):
-                w = _fraction_sqrt(half / self.r)
-                y = QuadraticSurd.from_fractions(b / (2 * w), w, self.r)
-                return abs(y)
+                return abs(QuadraticSurd.from_fractions(u, b / (2 * u), self.r))
         raise ExactnessError(f"sqrt({self}) does not denest")
 
     # -- decimal output --------------------------------------------------------

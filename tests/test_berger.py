@@ -21,9 +21,23 @@ from curv4 import (
     reconstruct_frame,
     sample_berger_data,
 )
-from curv4 import berger
-from curv4.bivector import quaternion_rotation, wedge_coordinates
-from curv4.errors import DomainError, InvalidBergerError, NotEinsteinError
+from curv4 import berger, bivector
+from curv4.berger import BergerStack, berger_data_stack
+from curv4.bivector import (
+    WeylSpectrum,
+    conjugate_matrices,
+    haar_rotations,
+    quaternion_rotation,
+    rho,
+    wedge_coordinates,
+)
+from curv4.errors import (
+    Curv4Error,
+    DomainError,
+    InvalidBergerError,
+    InvalidOperatorError,
+    NotEinsteinError,
+)
 
 THIRD = Fraction(1, 3)
 
@@ -235,22 +249,43 @@ def test_frame_functional_re_solves_a_double_top_eigenvalue():
             assert abs(_frame_functional_at(op, rep.argument) - rep.extremum) <= 1e-14
 
 
+def _full_inner_matrices(q, halves):
+    """The whole (3, 3, n) stack of <R(e1^f_j), e1^f_k>, built as one array."""
+    alpha, p, cross, minus = halves
+    r = rho(q)
+    m = np.repeat(minus[:, :, None], q.shape[1], axis=2)
+    for a in range(3):
+        pa = p[0, a] * r[0] + p[1, a] * r[1] + p[2, a] * r[2]
+        ca = cross[a][:, None, None] * r[a][None]
+        m += alpha[a] * (pa[:, None] * pa[None]) + (ca + ca.transpose(1, 0, 2))
+    return m
+
+
 def test_frame_functional_inner_matrices_match_the_wedge_definition():
-    # <R(e1^f_j), e1^f_k> for the quaternion frame, on an operator with a
-    # nonzero duality cross block
+    # <R(e1^f_j), e1^f_k> for the quaternion frame, on operators with a
+    # nonzero duality cross block: the kernel's six upper entries are bit for
+    # bit those of the whole symmetric 3x3, which matches the wedges
     rng = np.random.default_rng(7)
-    m = rng.standard_normal((6, 6))
-    m = m + m.T
-    q = rng.standard_normal((4, 9))
-    q /= np.linalg.norm(q, axis=0)
-    got = berger._inner_matrices(q, berger._duality_halves(m))
-    for k in range(9):
-        frame = quaternion_rotation(q[:, k], (1.0, 0.0, 0.0, 0.0))
-        assert np.abs(frame.T @ frame - np.eye(4)).max() <= 1e-15
-        assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-15)
-        w = np.stack([wedge_coordinates(frame[:, 0], frame[:, j]) for j in (1, 2, 3)], axis=1)
-        assert np.abs(w.T @ m @ w - got[:, :, k]).max() <= 1e-14
-        assert np.array_equal(got[:, :, k], got[:, :, k].T)
+    for _ in range(24):
+        m = rng.standard_normal((6, 6))
+        m = m + m.T
+        halves = berger._duality_halves(m)
+        assert np.abs(halves[2]).max() > 0.1
+        q = rng.standard_normal((4, 9))
+        q /= np.linalg.norm(q, axis=0)
+        got = berger._inner_matrices(q, halves)
+        full = _full_inner_matrices(q, halves)
+        assert got.shape == (6, 9)
+        assert np.array_equal(got, full[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
+        assert np.array_equal(full, full.transpose(1, 0, 2))
+        for k in range(9):
+            frame = quaternion_rotation(q[:, k], (1.0, 0.0, 0.0, 0.0))
+            assert np.abs(frame.T @ frame - np.eye(4)).max() <= 1e-15
+            assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-15)
+            w = np.stack(
+                [wedge_coordinates(frame[:, 0], frame[:, j]) for j in (1, 2, 3)], axis=1
+            )
+            assert np.abs(w.T @ m @ w - full[:, :, k]).max() <= 1e-14
 
 
 def test_frame_functional_seeded_determinism():
@@ -322,3 +357,169 @@ def test_surd_data_is_exact_but_operator_path_is_float():
     d2 = berger_data(op)
     for x, y in zip(d.a, d2.a):
         assert abs(float(x) - float(y)) <= 1e-12
+
+
+# -- stacks of operators -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["sphere", "cp2", "s2xs2"])
+def test_stack_gaps_equal_the_scalar_gaps_on_the_models(name):
+    op = model_space(name)
+    frames = haar_rotations(300, 5)
+    got = hamilton_gap(berger_data_stack(conjugate_matrices(op.matrix, frames), 1.0))
+    want = [hamilton_gap(berger_data(conjugate_operator(op, q))) for q in frames]
+    assert got.shape == (300,) and np.array_equal(got, np.array(want))
+
+
+def test_stack_data_equal_the_scalar_data_on_rotated_samples():
+    # generic data: distinct a's, nonzero b's and nonzero gaps
+    turns = haar_rotations(8, 21)
+    for k, d in enumerate(sample_berger_data(8, seed=20, lambda_einstein=2.5)):
+        op = conjugate_operator(berger_to_operator(d), turns[k])
+        frames = haar_rotations(40, k)
+        got = berger_data_stack(conjugate_matrices(op.matrix, frames), op.lambda_einstein)
+        want = [berger_data(conjugate_operator(op, q)) for q in frames]
+        assert np.array_equal(got.a, np.array([w.a for w in want]).T)
+        assert np.array_equal(got.b, np.array([w.b for w in want]).T)
+        assert np.array_equal(got.lambda_einstein, [w.lambda_einstein for w in want])
+        assert np.array_equal(hamilton_gap(got), [hamilton_gap(w) for w in want])
+        assert np.abs(hamilton_gap(got)).min() > 1e-3
+
+
+def _asymmetric(m):
+    m[0, 1] += 1e-6
+
+
+def _bianchi(m):
+    m[0, 3] += 1e-6
+    m[3, 0] += 1e-6
+
+
+def _cross(m):
+    m[0, 1] += 1e-6
+    m[1, 0] += 1e-6
+
+
+def _infinite(m):
+    m[2, 2] = np.inf
+
+
+@pytest.mark.parametrize(
+    "spoil, lam",
+    [(_asymmetric, 1.0), (_bianchi, 1.0), (_cross, 1.0), (_cross, None), (_infinite, 1.0)],
+    ids=["asymmetric", "bianchi", "not-einstein", "unflagged-not-einstein", "infinite"],
+)
+def test_one_bad_operator_in_a_stack_raises_the_scalar_error(spoil, lam):
+    m = conjugate_matrices(model_space("cp2").matrix, haar_rotations(12, 1))
+    spoil(m[7])
+    with pytest.raises(Curv4Error) as scalar:
+        berger_data(CurvatureOperator(m[7], lam))
+    with pytest.raises(Curv4Error) as stack:
+        berger_data_stack(m, lam)
+    assert stack.type is scalar.type
+    assert str(stack.value).startswith("operator 7 of the stack: ")
+    assert str(scalar.value) in str(stack.value)
+    berger_data_stack(np.delete(m, 7, axis=0), lam)
+
+
+def test_stacks_must_be_stacks():
+    op = model_space("cp2")
+    with pytest.raises(InvalidOperatorError):
+        berger_data_stack(op.matrix, 1.0)
+    with pytest.raises(InvalidOperatorError):
+        conjugate_matrices(op.matrix, np.eye(3))
+
+
+@pytest.mark.parametrize("half", [0, 1], ids=["self-dual", "anti-self-dual"])
+def test_decompose_stack_checks_each_weyl_half(monkeypatch, half):
+    # one batched eigvalsh per duality half; a descending result from either
+    # is caught before it reaches the normal form
+    op = berger_to_operator(sample_berger_data(1, seed=20)[0])
+    m = conjugate_matrices(op.matrix, haar_rotations(4, 1))
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def faulty(x):
+        calls.append(x)
+        ev = eigvalsh(x)
+        return ev[..., ::-1] if len(calls) == half + 1 else ev
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", faulty)
+    with pytest.raises(InvalidOperatorError, match="operator 0 of the stack: .*ascending"):
+        bivector.decompose_stack(m, op.lambda_einstein)
+
+
+def test_berger_data_stack_checks_the_data_it_builds(monkeypatch):
+    op = berger_to_operator(sample_berger_data(1, seed=20)[0])
+    m = conjugate_matrices(op.matrix, haar_rotations(4, 1))
+    decompose = berger.decompose_stack
+
+    def shifted(m, lam):
+        s, wp, wm, einstein = decompose(m, lam)
+        wp[3] += 0.1  # still ascending, but sum(a) and sum(b) move off
+        return s, wp, wm, einstein
+
+    monkeypatch.setattr(berger, "decompose_stack", shifted)
+    with pytest.raises(InvalidBergerError, match=r"operator 3 of the stack: sum\(a\)"):
+        berger_data_stack(m, op.lambda_einstein)
+
+
+def test_stack_rejects_a_non_finite_einstein_constant():
+    m = conjugate_matrices(model_space("cp2").matrix, haar_rotations(4, 1))
+    with pytest.raises(InvalidOperatorError, match="finite"):
+        CurvatureOperator(m[0], np.nan)
+    with pytest.raises(InvalidOperatorError, match="finite"):
+        berger_data_stack(m, np.nan)
+
+
+def test_stack_rejects_a_frame_that_is_not_orthogonal():
+    op = model_space("cp2")
+    frames = haar_rotations(6, 2)
+    frames[3] *= 1.0 + 1e-7
+    with pytest.raises(InvalidOperatorError):
+        conjugate_operator(op, frames[3])
+    with pytest.raises(InvalidOperatorError, match="frame 3 "):
+        conjugate_matrices(op.matrix, frames)
+    conjugate_matrices(op.matrix, np.delete(frames, 3, axis=0))
+
+
+@pytest.mark.parametrize("bad", [(0.5, -1.0, 0.5), (-1.0, 0.0, 1.0 + 1e-9)])
+def test_weyl_stack_checks_mirror_weyl_spectrum(bad):
+    # eigvalsh sorts and the Bianchi check zeroes the trace first, so these
+    # checks are reached only directly
+    with pytest.raises(InvalidOperatorError):
+        WeylSpectrum(bad)
+    ev = np.array([(-1.0, 0.0, 1.0), bad])
+    with pytest.raises(InvalidOperatorError, match="operator 1 of the stack"):
+        bivector._check_weyl_stack(ev, np.ones(2))
+    bivector._check_weyl_stack(ev[:1], np.ones(1))
+
+
+@pytest.mark.parametrize(
+    "a, b, lam",
+    [
+        ((0.5, 0.2, 0.3), (0.0, 0.0, 0.0), 1.0),
+        ((0.2, 0.3, 0.4), (0.0, 0.0, 0.0), 1.0),
+        ((0.0, 0.2, 0.8), (0.01, 0.0, 0.0), 1.0),
+        ((1 / 3, 1 / 3, 1 / 3), (-0.1, 0.0, 0.1), 1.0),
+        ((0.0, 0.5, 0.5), (0.0, 0.2, -0.2), 1.0),
+        ((0.0, np.nan, 1.0), (0.0, 0.0, 0.0), 1.0),
+    ],
+    ids=["descending", "sum-a", "sum-b", "b3-b1", "b3-b2", "nan"],
+)
+def test_berger_stack_checks_mirror_berger_data(a, b, lam):
+    # a stack from duality spectra always satisfies these, so the checks are
+    # reached only directly; the error lists what BergerData lists
+    with pytest.raises(InvalidBergerError) as scalar:
+        BergerData(a, b, lam)
+    good = berger_data(model_space("cp2"))
+    stack = BergerStack(
+        np.array([good.a, a], dtype=float).T,
+        np.array([good.b, b], dtype=float).T,
+        np.array([float(good.lambda_einstein), lam]),
+    )
+    with pytest.raises(InvalidBergerError) as got:
+        berger._check_berger_stack(stack)
+    assert str(got.value) == f"operator 1 of the stack: {scalar.value}"
+    berger._check_berger_stack(
+        BergerStack(stack.a[:, :1], stack.b[:, :1], stack.lambda_einstein[:1])
+    )

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -481,6 +482,16 @@ def test_hamilton_models_memory_does_not_grow_with_rotations(monkeypatch):
     assert cli._hamilton_models_check(200, 3) == streamed
     transient_peak(16)  # first-call allocations
     assert transient_peak(200) <= transient_peak(24) + 32e3
+
+
+def test_hamilton_models_checks_60000_rotations_in_two_seconds():
+    # one Python object per rotation took about 6 s on a 2-vCPU host; one
+    # (n, 6, 6) stack per block of rotations takes about 0.2 s there
+    start = time.perf_counter()
+    report = cli._hamilton_models_check(20000, 0)
+    elapsed = time.perf_counter() - start
+    assert report.feasible and report.extremum < 1e-9 and report.resolution == 20000
+    assert elapsed < 2.0
 
 
 _ENTRY = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

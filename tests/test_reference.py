@@ -157,7 +157,9 @@ DENEST_RADICANDS = (2, 3, 6, 19, 105)
 
 def _denest_cases(r, rng):
     """Positive a + b sqrt(r), b != 0: squares in Q(sqrt r), r times squares,
-    squares of sqrt(r1) c + sqrt(r2) d with r = r1 r2, and random values."""
+    squares of sqrt(r1) c + sqrt(r2) d with r = r1 r2, (sqrt r - 1)^2 (for
+    r = 2, sqrt(3 - 2 sqrt2) = sqrt2 - 1, whose c > 0 root 1 - sqrt2 is
+    negative), and random values."""
     def small():
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
 
@@ -168,6 +170,7 @@ def _denest_cases(r, rng):
     for k in splits[:2]:
         c, d = small(), small()
         cases.append((k * c * c + r // k * d * d, 2 * c * d))
+    cases.append((Fraction(r + 1), Fraction(-2)))
     cases += [(Fraction(rng.randint(1, 60), rng.randint(1, 6)), small()) for _ in range(6)]
     return [(a, b) if a + b * mpmath.sqrt(r) > 0 else (-a, -b) for a, b in cases]
 
