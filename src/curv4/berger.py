@@ -87,11 +87,17 @@ class BergerData:
         )
 
     def normalized(self) -> "BergerData":
-        """The same data rescaled to Einstein constant 1 (requires lambda > 0)."""
+        """The same data rescaled to Einstein constant 1 (requires lambda > 0);
+        self when lambda is already 1 in the data's own arithmetic."""
         lam = self.lambda_einstein
         if not float(lam) > 0:
             raise DomainError("normalization requires a positive Einstein constant")
-        one = Fraction(1) if self.is_exact else 1.0
+        exact = self.is_exact
+        one = Fraction(1) if exact else 1.0
+        if type(lam) is type(one) and lam == one:
+            if exact or all(isinstance(x, float) for x in (*self.a, *self.b)):
+                return self
+        lam = Fraction(lam) if isinstance(lam, int) else lam  # int / int gives a float
         return BergerData(
             tuple(x / lam for x in self.a), tuple(x / lam for x in self.b), one
         )
@@ -253,12 +259,11 @@ def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
     d = duality_decompose(op)
     if not d.is_einstein:
         raise NotEinsteinError("operator has a nonzero duality cross block")
-    scale = max(1.0, float(np.abs(op.matrix).max()))
     evp, up = np.linalg.eigh(np.asarray(d.r_plus_block, dtype=float))
     evm, um = np.linalg.eigh(np.asarray(d.r_minus_block, dtype=float))
     up[:, 0] *= np.sign(np.linalg.det(up))
     um[:, 0] *= np.sign(np.linalg.det(um))
-    degenerate = float(min(np.diff(evp).min(), np.diff(evm).min())) < 1e-9 * scale
+    degenerate = float(min(np.diff(evp).min(), np.diff(evm).min())) < 1e-9 * d.scale
     p, q = rho_inverse(up), rho_inverse(um.T)
     frame = Frame(quaternion_rotation(p, q), degenerate=degenerate)
 
@@ -266,7 +271,7 @@ def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
     target = berger_to_operator(data)
     got = conjugate_operator(op, frame.matrix)
     residual = float(np.abs(got.matrix - target.matrix).max())
-    if residual > 1e-8 * scale:
+    if residual > 1e-8 * d.scale:
         raise InvalidOperatorError(
             f"frame reconstruction failed to reach normal form (residual {residual:.3e})"
         )

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -207,7 +208,7 @@ class CurvatureOperator:
             lam = self.lambda_einstein
             if not math.isfinite(lam):
                 raise InvalidOperatorError(f"Einstein constant must be finite, got {lam}")
-            _, _, cross, s = _float_blocks(m)
+            _, _, cross, s = self._blocks
             defect = _einstein_defect(cross, s, lam, scale)
             if defect > EINSTEIN_TOL:
                 raise NotEinsteinError(
@@ -220,6 +221,15 @@ class CurvatureOperator:
         ex = _as_exact_rows(rows)
         m = np.array([[float(x) for x in row] for row in ex])
         return cls(m, lambda_einstein, ex)
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """_float_blocks of the matrix, built once: by the lambda check or the decomposition."""
+        return _float_blocks(self.matrix)
+
+    @cached_property
+    def _decomposition(self) -> "DualityDecomposition":
+        return _decompose(self)
 
 
 def _check_operator_stack(m: np.ndarray, lambda_einstein):
@@ -324,7 +334,7 @@ class DualityDecomposition:
     w_plus, w_minus         -- spectra of the self-dual / anti-self-dual Weyl parts
     traceless_ricci_norm_sq -- |E|^2 = 4 |C|^2 with E = Rc - (S/4) g as a
                                2-tensor (exact when available)
-    r_plus_block et al.     -- the 3x3 duality blocks of the operator (floats)
+    r_plus_block et al.     -- the 3x3 duality blocks (floats, read-only)
     scale                   -- max(1, max |entry|) of the operator, the unit of
                                the Einstein tolerance
     """
@@ -360,10 +370,17 @@ def duality_decompose(op: CurvatureOperator) -> DualityDecomposition:
     The duality blocks are obtained by conjugating with the w+/w- basis; the
     sqrt(2) factors square away, so exact operators decompose exactly.  Weyl
     spectra of non-diagonal blocks come from a symmetric eigensolver
-    (tolerance 1e-9).
+    (tolerance 1e-9).  The first call computes the decomposition and the
+    operator keeps it, so later calls return the same object.
     """
+    return op._decomposition
+
+
+def _decompose(op: CurvatureOperator) -> DualityDecomposition:
     m = op.matrix
-    rp, rm, cross, s = _float_blocks(m)
+    rp, rm, cross, s = op._blocks
+    for block in (rp, rm, cross):
+        block.setflags(write=False)  # every caller of the decomposition shares them
     s = float(s)
     exact_blocks = False
     if op.exact is not None:

@@ -58,7 +58,7 @@ class QuadraticSurd:
     generate distinct fields, so equality there is impossible).
     """
 
-    __slots__ = ("p", "q", "r", "s")
+    __slots__ = ("p", "q", "r", "s", "_bracket")
 
     def __init__(self, p: int, q: int = 0, r: int = 0, s: int = 1):
         if s == 0:
@@ -302,8 +302,27 @@ class QuadraticSurd:
                 return 1
         raise ExactnessError(f"cannot separate {self!r} and {other!r}")
 
+    def _float_side(self, x: float) -> int:
+        """1 if x > self, -1 if x < self, 0 if x is inside the float bracket or not finite.
+
+        The bracket lo <= value <= hi is _interval(64) rounded outward, built once."""
+        try:
+            lo, hi = self._bracket
+        except AttributeError:
+            lo, hi = self._interval(64)
+            try:
+                lo, hi = math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
+            except OverflowError:
+                lo, hi = -math.inf, math.inf
+            object.__setattr__(self, "_bracket", (lo, hi))
+        if hi < x < math.inf:
+            return 1
+        return -1 if -math.inf < x < lo else 0
+
     def __eq__(self, other):
         if isinstance(other, float):
+            if self._float_side(other):
+                return False
             other = Fraction(other)
         o = self._coerce(other)
         if o is None:
@@ -315,6 +334,8 @@ class QuadraticSurd:
 
     def __lt__(self, other):
         if isinstance(other, float):
+            if side := self._float_side(other):
+                return side > 0
             other = Fraction(other)
         return self._compare(other) < 0
 

@@ -13,7 +13,9 @@ from curv4 import (
     CurvatureOperator,
     berger_data,
     berger_to_operator,
+    classify,
     conjugate_operator,
+    duality_decompose,
     extremize_sectional,
     frame_functional_min,
     hamilton_gap,
@@ -90,6 +92,74 @@ def test_lambda_inferred_and_normalized():
     assert n.lambda_einstein == 1 and n.is_exact
     with pytest.raises(DomainError):
         BergerData(a=(-1.0, 0.2, 0.3), b=(0.0, 0.0, 0.0)).normalized()
+
+
+def test_normalized_keeps_exact_int_data_exact():
+    # int / int is a float; an int Einstein constant divides as a Fraction
+    d = BergerData((0, 0, 1), (0, 0, 0))
+    n = d.normalized()
+    assert n.is_exact and n.a == (0, 0, 1) and n.lambda_einstein == 1
+    assert classify(d).data.is_exact
+    assert BergerData((0, 1, 1), (0, 0, 0)).normalized().a == (0, Fraction(1, 2), Fraction(1, 2))
+
+
+def test_normalized_returns_data_already_at_einstein_constant_one():
+    exact = berger_data(model_space("cp2"))
+    floats = sample_berger_data(1, seed=2)[0]
+    assert exact.normalized() is exact and floats.normalized() is floats
+    # Fraction entries at a float constant 1.0 still become floats
+    mixed = BergerData((Fraction(0), Fraction(0), Fraction(1)), (0, 0, 0), 1.0)
+    assert mixed.normalized() is not mixed
+    assert all(isinstance(x, float) for x in mixed.normalized().a)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_document_path_builds_the_blocks_and_the_decomposition_once(monkeypatch, exact):
+    # berger, berger --frame, classify and decompose on one operator; the
+    # operators reconstruct_frame builds on the way are never decomposed
+    cp2 = model_space("cp2")
+    sample = berger_to_operator(sample_berger_data(1, seed=3)[0])
+    rotated = conjugate_operator(sample, haar_rotations(1, 4)[0])
+    built, decomposed, solved = [], [], []
+    float_blocks, decompose = bivector._float_blocks, bivector._decompose
+    eigvalsh = np.linalg.eigvalsh
+
+    def count_blocks(m):
+        built.append(m)
+        return float_blocks(m)
+
+    def count_decompose(op):
+        decomposed.append(op)
+        return decompose(op)
+
+    def count_eigvalsh(x):
+        solved.append(x)
+        return eigvalsh(x)
+
+    monkeypatch.setattr(bivector, "_float_blocks", count_blocks)
+    monkeypatch.setattr(bivector, "_decompose", count_decompose)
+    monkeypatch.setattr(np.linalg, "eigvalsh", count_eigvalsh)
+    if exact:
+        op = CurvatureOperator.from_exact(cp2.exact, cp2.lambda_einstein)
+    else:
+        op = CurvatureOperator(rotated.matrix, rotated.lambda_einstein)
+    berger_data(op)
+    reconstruct_frame(op)
+    classify(op)
+    d = duality_decompose(op)
+    assert duality_decompose(op) is d
+    assert sum(m is op.matrix for m in built) == 1
+    assert decomposed == [op]
+    # exact diagonal blocks need no eigensolver
+    want = [] if exact else [d.r_plus_block, d.r_minus_block]
+    assert len(solved) == len(want) and all(x is y for x, y in zip(solved, want))
+
+
+def test_decomposition_blocks_are_read_only():
+    d = duality_decompose(CurvatureOperator(model_space("cp2").matrix))
+    for block in (d.r_plus_block, d.r_minus_block, d.cross_block):
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
 
 
 def test_round_trip_exact():

@@ -269,3 +269,42 @@ def test_condition_rows_hold_on_hamilton_feasible_slice():
     for d in cases:
         assert check_condition_a(d).holds
         assert check_weyl_sum(d).holds
+
+
+def _lattice_slab(denominator=60, stride=8):
+    """Rational normal-form points on a 1/denominator lattice with a3 - a2 < 2.
+
+    a1 runs over [-1, 1/3]; each a-point takes b = 0, the widest b along
+    (-1, 0, 1) and the widest along (-1, -1, 2), and every stride-th point
+    is kept.
+    """
+    n = denominator
+    points = []
+    for i in range(-n, n // 3 + 1):
+        for j in range(i, (n - i) // 2 + 1):
+            k = n - i - j
+            if k - j >= 2 * n:
+                continue
+            t1 = min(j - i, (k - i) // 2, k - j)
+            t2 = (k - j) // 3
+            a = tuple(Fraction(x, n) for x in (i, j, k))
+            for b in sorted({(0, 0, 0), (-t1, 0, t1), (-t2, -t2, 2 * t2)}):
+                points.append(BergerData(a, tuple(Fraction(x, n) for x in b)))
+    return points[::stride]
+
+
+def test_exact_and_float_classify_agree_on_a_rational_lattice():
+    # float rows are decided on the thresholds' float brackets, exact rows
+    # exactly; on rational data both must reach the same certificate
+    cases = _lattice_slab() + [BergerData(*MODEL_BLOCKS[name]) for name in MODEL_BLOCKS]
+    cases.append(RIGID_POINT)
+    assert len(cases) >= 1000
+    verdicts = set()
+    for data in cases:
+        assert data.is_exact
+        floats = BergerData(tuple(map(float, data.a)), tuple(map(float, data.b)), 1.0)
+        want, got = classify(data), classify(floats)
+        assert (got.verdict, got.candidates) == (want.verdict, want.candidates)
+        assert [(r.name, r.holds) for r in got.rows] == [(r.name, r.holds) for r in want.rows]
+        verdicts.add(want.verdict)
+    assert verdicts == {"model_data", "rigidity_regime", "inconclusive"}

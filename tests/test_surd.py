@@ -8,6 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curv4 import QuadraticSurd
+from curv4.classify import (
+    COND_A_MAX_SEC,
+    COND_B_DIFF_MAX,
+    COND_B_SUM_MIN,
+    NONNEG_DIFF_MAX,
+    NONNEG_SEC_MAX,
+    WEYL_SUM_MAX,
+)
 from curv4.errors import ExactnessError
 
 RADICANDS = (2, 3, 5, 6, 19, 105)
@@ -130,3 +138,61 @@ def test_expression_strings():
     s19 = QuadraticSurd(0, 1, 19, 1)
     assert "sqrt(19)" in ((14 - s19) / 12).expression()
     assert QuadraticSurd.from_rational(Fraction(2, 3)).expression() == "2/3"
+
+
+# the six thresholds classify compares float rows with, a rational surd and a negative one
+BRACKET_SURDS = [
+    COND_A_MAX_SEC,
+    COND_B_SUM_MIN,
+    COND_B_DIFF_MAX,
+    NONNEG_SEC_MAX,
+    NONNEG_DIFF_MAX,
+    WEYL_SUM_MAX,
+    QuadraticSurd.from_rational(Fraction(1, 3)),
+    (1 - QuadraticSurd(0, 1, 19, 1)) / 4,
+]
+
+
+def _float_comparisons(x, t):
+    return (x < t, x <= t, x > t, x >= t, x == t, t < x, t <= x, t > x, t >= x, t == x, t != x)
+
+
+@pytest.mark.parametrize("t", BRACKET_SURDS, ids=str)
+def test_float_comparisons_on_the_bracket_equal_the_exact_ones(t, monkeypatch):
+    # a float outside the surd's float bracket is decided in floats, one
+    # inside it by the exact comparison; both give the Fraction(x) answer
+    t = QuadraticSurd(t.p, t.q, t.r, t.s)  # a fresh surd builds its own bracket
+    t < 0.0  # noqa: B015 -- builds the bracket
+    lo, hi = t._bracket
+    assert Fraction(lo) <= t <= Fraction(hi)
+    below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    v = float(t)
+    xs = [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf), lo, hi, below, above]
+    xs += [0.0, -0.0]
+    compare, reached = QuadraticSurd._compare, set()
+
+    def counted(self, other):
+        reached.add(float(other))  # other is x as a Fraction or a rational surd
+        return compare(self, other)
+
+    monkeypatch.setattr(QuadraticSurd, "_compare", counted)
+    got = [_float_comparisons(x, t) for x in xs]
+    monkeypatch.undo()
+    assert {lo, hi} <= reached
+    assert not {below, above} & reached
+    assert got == [_float_comparisons(Fraction(x), t) for x in xs]
+
+
+@pytest.mark.parametrize("t", BRACKET_SURDS[:1] + BRACKET_SURDS[-2:], ids=str)
+def test_non_finite_floats_still_refuse_to_compare(t):
+    for x, error in ((math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)):
+        for compare in (
+            lambda: x < t,
+            lambda: x <= t,
+            lambda: x > t,
+            lambda: x >= t,
+            lambda: x == t,
+            lambda: t != x,
+        ):
+            with pytest.raises(error):
+                compare()
