@@ -58,16 +58,18 @@ class BergerData:
         lam = self.lambda_einstein
         if lam is None:
             lam = a[0] + a[1] + a[2]
-        if not all(math.isfinite(float(x)) for x in (*a, *b, lam)):
+        try:
+            f = [float(x) for x in (*a, *b, lam)]
+        except OverflowError:  # an exact value beyond the float range
+            f = [math.inf]
+        if not all(map(math.isfinite, f)):
             raise InvalidBergerError("normal-form data and Einstein constant must be finite")
-        scale = max(1.0, max(abs(float(x)) for x in (*a, *b, lam)))
+        (fa, fb, flam), scale = (f[:3], f[3:6], f[6]), max(1.0, max(map(abs, f)))
         tol = 1e-9 * scale
         violations = []
-        fa = [float(x) for x in a]
-        fb = [float(x) for x in b]
         if not (fa[0] <= fa[1] + tol and fa[1] <= fa[2] + tol):
             violations.append("sectional triple a is not ascending")
-        if abs(fa[0] + fa[1] + fa[2] - float(lam)) > tol:
+        if abs(fa[0] + fa[1] + fa[2] - flam) > tol:
             violations.append("sum(a) does not equal the Einstein constant")
         if abs(fb[0] + fb[1] + fb[2]) > tol:
             violations.append("sum(b) is nonzero (first Bianchi identity)")
@@ -150,11 +152,17 @@ def berger_data(source) -> BergerData:
     """Extract normal-form data from an Einstein operator or its decomposition.
 
     The duality-block eigenvalues r+ and r- (ascending) give a = (r+ + r-)/2
-    and b = (r+ - r-)/2.  Exact when the operator decomposes exactly.
+    and b = (r+ - r-)/2.  Exact when the operator decomposes exactly.  The
+    decomposition keeps the data; the Einstein test runs on every call.
     """
     d = source if isinstance(source, DualityDecomposition) else duality_decompose(source)
     if not d.is_einstein:
         raise NotEinsteinError("operator has a nonzero duality cross block")
+    return d._berger_data
+
+
+def _berger_data_of(d: DualityDecomposition) -> BergerData:
+    """berger_data of an Einstein decomposition, which keeps the result."""
     s, *spectra = coerce(d.s, *d.w_plus.eigenvalues, *d.w_minus.eigenvalues)
     a, b = _normal_form_data(s, spectra[:3], spectra[3:])
     return BergerData(a, b, s / 4)

@@ -15,9 +15,9 @@ Scalar curvature is normalized so that the unit-Einstein round sphere
 S = 2 * trace(matrix).
 
 Operators built from rational data carry an optional exact mirror of the
-matrix (nested Fractions).  Decompositions stay in exact arithmetic whenever
-the duality blocks are diagonal over the rationals, which covers the model
-spaces and every operator produced from normal-form data.
+matrix (nested Fractions, worked on as integers over one denominator).
+Decompositions stay exact whenever the duality blocks are diagonal over the
+rationals, which covers the model spaces and every normal-form operator.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ EINSTEIN_TOL = 1e-9
 
 # 0-based first and second indices of the basis pairs
 _FIRST, _SECOND = np.array(BASIS_PAIRS).T - 1
+_BLOCK_CELLS = [(i, j) for i in range(3) for j in range(3)]
 
 
 def wedge_coordinates(u, v) -> np.ndarray:
@@ -102,8 +103,8 @@ def _duality_blocks(m):
     """The blocks (R+, R-, C) of the operator [[R+, C], [C^T, R-]] in the w+/w- basis.
 
     Conjugating by w+-_k = (basis_k +- basis_{k+3})/sqrt2 squares the sqrt2
-    factors away, so a float array gives float blocks and an object array of
-    Fractions gives exact ones.  Broadcasts over leading axes.
+    factors away.  Float matrices; broadcasts over leading axes.  Exact
+    operators read twice these blocks off their numerators (see _decompose).
     """
     a, b, c = m[..., :3, :3], m[..., :3, 3:], m[..., 3:, 3:]
     bt = b.swapaxes(-1, -2)
@@ -155,10 +156,18 @@ def _reject_first(bad: np.ndarray, error: type, message) -> None:
 
 
 def _as_exact_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    out = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows)
     if len(out) != 6 or any(len(r) != 6 for r in out):
         raise InvalidOperatorError("exact matrix must be 6x6")
     return out
+
+
+def _exact_floats(rows) -> np.ndarray:
+    """float(x) of each Fraction, as int / int; InvalidOperatorError beyond the float range."""
+    try:
+        return np.array([[x.numerator / x.denominator for x in row] for row in rows])
+    except OverflowError as exc:
+        raise InvalidOperatorError("an exact entry overflows the float range") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,14 +203,13 @@ class CurvatureOperator:
                 f"{float(bianchi):.3e}"
             )
         if self.exact is not None:
-            ex = self.exact
-            if any(ex[i][j] != ex[j][i] for i in range(6) for j in range(i)):
+            n, _ = self._exact_numerators
+            if any(n[i][j] != n[j][i] for i in range(6) for j in range(i)):
                 raise InvalidOperatorError("exact matrix is not symmetric")
-            if ex[0][3] + ex[1][4] + ex[2][5] != 0:
+            if n[0][3] + n[1][4] + n[2][5] != 0:
                 raise InvalidOperatorError("exact matrix violates the first Bianchi identity")
-            drift = max(
-                abs(float(ex[i][j]) - m[i, j]) for i in range(6) for j in range(6)
-            )
+            with np.errstate(over="ignore"):
+                drift = np.abs(_exact_floats(self.exact) - m).max()
             if drift > 1e-12 * scale:
                 raise InvalidOperatorError("float and exact matrices disagree")
         if self.lambda_einstein is not None:
@@ -219,8 +227,14 @@ class CurvatureOperator:
     @classmethod
     def from_exact(cls, rows, lambda_einstein: float | None = None) -> "CurvatureOperator":
         ex = _as_exact_rows(rows)
-        m = np.array([[float(x) for x in row] for row in ex])
-        return cls(m, lambda_einstein, ex)
+        return cls(_exact_floats(ex), lambda_einstein, ex)
+
+    @cached_property
+    def _exact_numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The exact mirror as integer numerators N over D = lcm of its denominators."""
+        den = math.lcm(*(x.denominator for row in self.exact for x in row))
+        rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self.exact)
+        return rows, den
 
     @cached_property
     def _blocks(self) -> tuple:
@@ -359,9 +373,11 @@ class DualityDecomposition:
         s = float(self.s)
         return _einstein_defect(self.cross_block, s, s / 4.0, self.scale) <= EINSTEIN_TOL
 
-
-def _is_exact_diagonal(block) -> bool:
-    return all(block[i][j] == 0 for i in range(3) for j in range(3) if i != j)
+    @cached_property
+    def _berger_data(self):
+        """The normal-form data of berger.berger_data, built on first use."""
+        from .berger import _berger_data_of  # berger imports this module
+        return _berger_data_of(self)
 
 
 def duality_decompose(op: CurvatureOperator) -> DualityDecomposition:
@@ -382,22 +398,27 @@ def _decompose(op: CurvatureOperator) -> DualityDecomposition:
     for block in (rp, rm, cross):
         block.setflags(write=False)  # every caller of the decomposition shares them
     s = float(s)
-    exact_blocks = False
+    wp = wm = None
     if op.exact is not None:
-        ex = np.array(op.exact, dtype=object)
-        s = 2 * ex.trace()
-        erp, erm, ecross = _duality_blocks(ex)
-        e2 = 4 * (ecross * ecross).sum()
-        exact_blocks = _is_exact_diagonal(erp) and _is_exact_diagonal(erm)
+        # twice the blocks over D: 2 R+- = a + c +- (b + b^T), 2 C = a - c + b^T - b
+        n, den = op._exact_numerators
+        trace = sum(n[i][i] for i in range(6))
+        ac = {(i, j): n[i][j] + n[i + 3][j + 3] for i, j in _BLOCK_CELLS}
+        bb = {(i, j): n[i][j + 3] + n[j][i + 3] for i, j in _BLOCK_CELLS}
+        c2 = [n[i][j] - n[i + 3][j + 3] + n[j][i + 3] - n[i][j + 3] for i, j in _BLOCK_CELLS]
+        s = Fraction(2 * trace, den)
+        e2 = Fraction(sum(x * x for x in c2), den * den)  # 4 |C|^2
+        if all(ac[i, j] == bb[i, j] == 0 for i, j in _BLOCK_CELLS if i != j):
+            # diagonal blocks: w = R_ii - S/12 = (3 (2 R)_ii - tr) / (6 D)
+            plus = sorted(ac[i, i] + bb[i, i] for i in range(3))
+            minus = sorted(ac[i, i] - bb[i, i] for i in range(3))
+            wp, wm = (tuple(Fraction(3 * x - trace, 6 * den) for x in t) for t in (plus, minus))
     else:
         with np.errstate(over="ignore"):
             e2 = 4.0 * float(np.sum(cross * cross))
         if not math.isfinite(e2):
             raise InvalidOperatorError("|E|^2 overflows the float range")
-    if exact_blocks:
-        wp = tuple(sorted(erp[i][i] - Fraction(s, 12) for i in range(3)))
-        wm = tuple(sorted(erm[i][i] - Fraction(s, 12) for i in range(3)))
-    else:
+    if wp is None:
         wp = tuple(np.linalg.eigvalsh(rp) - float(s) / 12.0)
         wm = tuple(np.linalg.eigvalsh(rm) - float(s) / 12.0)
     scale = _operator_scale(m)

@@ -3,9 +3,9 @@
 The rigidity theorems for positive Einstein four-manifolds take normal-form
 hypotheses (bounds on the extremal sectional curvatures) and conclude that the
 space is one of the symmetric models.  This module evaluates those hypotheses
-on curvature data, with every threshold comparison done in exact arithmetic
-(floats are promoted to exact rationals, thresholds live in quadratic fields),
-and assembles a certificate of which implications fired.
+on curvature data, with every threshold comparison decided exactly (on the
+threshold's float bracket where that is decisive; thresholds live in quadratic
+fields), and assembles a certificate of which implications fired.
 
 A verdict never claims an isometry: pointwise data can only show that the
 hypotheses of a rigidity theorem hold, or that the data coincides with a

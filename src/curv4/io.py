@@ -38,6 +38,9 @@ def _number(value, error, name):
 def _parse_exact(value, error):
     if isinstance(value, bool) or isinstance(value, float):
         raise error("exact entries must be integers or 'p/q' strings")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        # Fraction("1e999999999") would build 10**999999999 first
+        raise error(f"bad exact entry {value!r}: exponents are not accepted")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

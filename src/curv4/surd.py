@@ -20,16 +20,27 @@ Rational = int | Fraction
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = m*m*d with d square-free; returns (m, d).  Requires n >= 0."""
+    """Write n = m*m*d with d square-free; returns (m, d).  Requires n >= 0.
+
+    Trial division by k stops once the unsplit part c is a square or c < k^3, when c has at
+    most two prime factors left: then only a prime square is not square-free.
+    """
     if n < 0:
         raise ValueError("radicand must be nonnegative")
-    m, d, k = 1, n, 2
-    while k * k <= d:
-        while d % (k * k) == 0:
-            d //= k * k
-            m *= k
+    m, d, c, k = 1, 1, n, 2
+    square = math.isqrt(c) ** 2 == c
+    while not square and k * k * k <= c:
+        if c % k == 0:
+            while c % (k * k) == 0:
+                c //= k * k
+                m *= k
+            if c % k == 0:
+                c //= k
+                d *= k
+            square = math.isqrt(c) ** 2 == c
         k += 1
-    return m, d
+    root = math.isqrt(c)
+    return (m * root, d) if root * root == c and c else (m, d * c)
 
 
 def _is_square(x: Fraction) -> bool:
@@ -50,12 +61,10 @@ class QuadraticSurd:
     """Canonical exact representation of (p + q*sqrt(r)) / s.
 
     Invariants: integers p, q, r, s with s > 0, r square-free, r = 0 iff
-    q = 0, and gcd(p, q, s) = 1.  Comparisons against other surds in the
-    same field (or rationals) are exact integer arithmetic; mixed-radicand
-    comparisons fall back to refined integer intervals for sqrt(r) and are
-    flagged by `exact_comparison = False` on the class of the result only in
-    the sense that they never report equality (distinct square-free radicands
-    generate distinct fields, so equality there is impossible).
+    q = 0, and gcd(p, q, s) = 1.  Comparisons within one field are exact
+    integer arithmetic; distinct square-free radicands generate distinct
+    fields, whose values never coincide, so refined integer intervals for
+    sqrt(r) always separate them.
     """
 
     __slots__ = ("p", "q", "r", "s", "_bracket")
@@ -69,12 +78,20 @@ class QuadraticSurd:
         if q != 0 and r > 1:
             m, d = _squarefree_split(r)
             q, r = q * m, d
+        self._store(p, q, r, s)
+
+    @classmethod
+    def _of(cls, p: int, q: int, r: int, s: int) -> "QuadraticSurd":
+        """(p + q*sqrt(r))/s for s != 0 and r already 0, 1 or square-free: no split."""
+        out = object.__new__(cls)
+        out._store(p, q, r, s)
+        return out
+
+    def _store(self, p: int, q: int, r: int, s: int) -> None:
         if r == 1:
             p, q, r = p + q, 0, 0
-        if q == 0:
-            r = 0
-        if r == 0:
-            q = 0
+        if q == 0 or r == 0:
+            q, r = 0, 0
         if s < 0:
             p, q, s = -p, -q, -s
         g = math.gcd(math.gcd(abs(p), abs(q)), s)
@@ -108,8 +125,9 @@ class QuadraticSurd:
         f = Fraction(x)
         if f < 0:
             raise ValueError("square root of negative rational")
-        m, d = _squarefree_split(f.numerator * f.denominator)
-        return cls(0, m, d, f.denominator)
+        # sqrt(n/d) = sqrt(n d)/d, and coprime n, d have coprime square-free parts
+        (mn, rn), (md, rd) = _squarefree_split(f.numerator), _squarefree_split(f.denominator)
+        return cls._of(0, mn * md, rn * rd, f.denominator)
 
     # -- basic queries -------------------------------------------------------
 
@@ -182,7 +200,7 @@ class QuadraticSurd:
         if o is None:
             return NotImplemented
         r = self._common_radicand(o)
-        return QuadraticSurd(
+        return QuadraticSurd._of(
             self.p * o.s + o.p * self.s,
             self.q * o.s + o.q * self.s,
             r,
@@ -192,7 +210,7 @@ class QuadraticSurd:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticSurd(-self.p, -self.q, self.r, self.s)
+        return QuadraticSurd._of(-self.p, -self.q, self.r, self.s)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -211,7 +229,7 @@ class QuadraticSurd:
         if o is None:
             return NotImplemented
         r = self._common_radicand(o)
-        return QuadraticSurd(
+        return QuadraticSurd._of(
             self.p * o.p + self.q * o.q * r,
             self.p * o.q + self.q * o.p,
             r,
@@ -225,13 +243,12 @@ class QuadraticSurd:
         norm = self.p * self.p - self.q * self.q * self.r
         if norm == 0:
             raise ZeroDivisionError("division by zero surd")
-        return QuadraticSurd(self.s * self.p, -self.s * self.q, self.r, norm)
+        return QuadraticSurd._of(self.s * self.p, -self.s * self.q, self.r, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        self._common_radicand(o)
         return self * o._inverse()
 
     def __rtruediv__(self, other):
@@ -276,17 +293,15 @@ class QuadraticSurd:
             return 1 if lhs > rhs else -1
         return -1 if lhs > rhs else 1
 
-    def _interval(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Rational enclosure of the value, sqrt(r) bounded to 2^-bits."""
-        scale = 1 << bits
-        root_lo = Fraction(math.isqrt(self.r * scale * scale), scale)
-        root_hi = root_lo + Fraction(1, scale)
-        a = Fraction(self.q) * (root_lo if self.q >= 0 else root_hi)
-        b = Fraction(self.q) * (root_hi if self.q >= 0 else root_lo)
-        return (self.p + a) / self.s, (self.p + b) / self.s
+    def _interval(self, bits: int) -> tuple[int, int, int]:
+        """Integers lo, hi, den > 0 with lo/den <= value <= hi/den, sqrt(r) bounded to 2^-bits."""
+        root = math.isqrt(self.r << 2 * bits)
+        base = (self.p << bits) + self.q * root
+        lo, hi = (base, base + self.q) if self.q >= 0 else (base + self.q, base)
+        return lo, hi, self.s << bits
 
     def _compare(self, other) -> int:
-        o = self._coerce(other)
+        o = self._coerce(Fraction(other) if isinstance(other, float) else other)
         if o is None:
             raise TypeError(f"cannot compare QuadraticSurd with {type(other)!r}")
         if self.q == 0 or o.q == 0 or self.r == o.r:
@@ -294,24 +309,34 @@ class QuadraticSurd:
         # distinct square-free radicands: values can never be equal, so
         # interval refinement always separates them
         for bits in (64, 128, 256, 512, 1024):
-            lo1, hi1 = self._interval(bits)
-            lo2, hi2 = o._interval(bits)
-            if hi1 < lo2:
+            lo1, hi1, den1 = self._interval(bits)
+            lo2, hi2, den2 = o._interval(bits)
+            if hi1 * den2 < lo2 * den1:
                 return -1
-            if hi2 < lo1:
+            if hi2 * den1 < lo1 * den2:
                 return 1
         raise ExactnessError(f"cannot separate {self!r} and {other!r}")
 
-    def _float_side(self, x: float) -> int:
-        """1 if x > self, -1 if x < self, 0 if x is inside the float bracket or not finite.
+    def _side(self, x) -> int:
+        """1 if x > self, -1 if x < self, when the float bracket decides it; else 0.
 
-        The bracket lo <= value <= hi is _interval(64) rounded outward, built once."""
+        The bracket lo <= value <= hi is _interval(64) rounded outward, built
+        once.  A float, int or Fraction x is at least as near to its correctly
+        rounded float(x) as to lo or hi, so float(x) beyond one puts x beyond it.
+        """
+        if not isinstance(x, (float, int, Fraction)):
+            return 0
+        try:
+            x = float(x)
+        except OverflowError:  # a rational beyond the float range
+            return 0
         try:
             lo, hi = self._bracket
         except AttributeError:
-            lo, hi = self._interval(64)
+            lo, hi, den = self._interval(64)
             try:
-                lo, hi = math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
+                # int / int rounds correctly, as float(Fraction(lo, den)) does
+                lo, hi = math.nextafter(lo / den, -math.inf), math.nextafter(hi / den, math.inf)
             except OverflowError:
                 lo, hi = -math.inf, math.inf
             object.__setattr__(self, "_bracket", (lo, hi))
@@ -320,23 +345,18 @@ class QuadraticSurd:
         return -1 if -math.inf < x < lo else 0
 
     def __eq__(self, other):
-        if isinstance(other, float):
-            if self._float_side(other):
-                return False
-            other = Fraction(other)
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (QuadraticSurd, float, int, Fraction)):
             return NotImplemented
+        if self._side(other):
+            return False
         try:
-            return self._compare(o) == 0
+            return self._compare(other) == 0
         except ExactnessError:
             return False
 
     def __lt__(self, other):
-        if isinstance(other, float):
-            if side := self._float_side(other):
-                return side > 0
-            other = Fraction(other)
+        if side := self._side(other):
+            return side > 0
         return self._compare(other) < 0
 
     def __hash__(self):

@@ -155,6 +155,36 @@ def test_document_path_builds_the_blocks_and_the_decomposition_once(monkeypatch,
     assert len(solved) == len(want) and all(x is y for x, y in zip(solved, want))
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_document_path_builds_the_normal_form_data_once(monkeypatch, exact):
+    # berger_data keeps its result on the decomposition; classify normalises
+    # a float constant S/4 once, and exact cp2 is already at constant 1
+    cp2 = model_space("cp2")
+    sample = berger_to_operator(sample_berger_data(1, seed=3)[0])
+    rotated = conjugate_operator(sample, haar_rotations(1, 4)[0]).matrix
+    op = CurvatureOperator.from_exact(cp2.exact, 1.0) if exact else CurvatureOperator(rotated, 1.0)
+    built = []
+    post_init = BergerData.__post_init__
+
+    def count(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BergerData, "__post_init__", count)
+    data = berger_data(op)
+    reconstruct_frame(op)
+    classify(op)
+    assert berger_data(op) is data
+    assert len(built) == (1 if exact else 2)
+
+
+def test_berger_data_raises_on_every_call_for_a_non_einstein_operator():
+    d = duality_decompose(CurvatureOperator(np.diag([0.5, 1 / 3, 1 / 3, 0.2, 1 / 3, 1 / 3])))
+    for _ in range(2):
+        with pytest.raises(NotEinsteinError):
+            berger_data(d)
+
+
 def test_decomposition_blocks_are_read_only():
     d = duality_decompose(CurvatureOperator(model_space("cp2").matrix))
     for block in (d.r_plus_block, d.r_minus_block, d.cross_block):

@@ -212,6 +212,48 @@ def test_operator_validation():
         CurvatureOperator(np.zeros((5, 5)))
 
 
+@pytest.mark.parametrize("build", ["constructor", "from_exact"])
+def test_exact_checks_catch_what_the_floats_cannot(build):
+    # a mirror off by 1e-15 passes every float check and the drift check
+    cp2 = model_space("cp2")
+    eps = Fraction(1, 10**15)
+    asym = [list(row) for row in cp2.exact]
+    asym[0][1] += eps
+    bianchi = [list(row) for row in cp2.exact]
+    bianchi[0][3] += eps
+    bianchi[3][0] += eps
+    for rows, message in (
+        (asym, "exact matrix is not symmetric"),
+        (bianchi, "exact matrix violates the first Bianchi identity"),
+    ):
+        with pytest.raises(InvalidOperatorError, match=f"^{message}$"):
+            if build == "constructor":
+                CurvatureOperator(cp2.matrix, 1.0, rows)
+            else:
+                CurvatureOperator.from_exact(rows, 1.0)
+    drifted = [list(row) for row in cp2.exact]
+    drifted[0][0] += Fraction(1, 10**9)
+    with pytest.raises(InvalidOperatorError, match="^float and exact matrices disagree$"):
+        CurvatureOperator(cp2.matrix, None, drifted)
+
+
+def test_exact_entries_beyond_the_float_range_are_invalid():
+    rows = [[Fraction(0)] * 6 for _ in range(6)]
+    rows[0][0] = Fraction(10**400)
+    with pytest.raises(InvalidOperatorError, match="overflows the float range"):
+        CurvatureOperator.from_exact(rows)
+    with pytest.raises(InvalidOperatorError, match="overflows the float range"):
+        CurvatureOperator(np.zeros((6, 6)), None, rows)
+
+
+def test_exact_mirror_keeps_its_fractions():
+    op = model_space("cp2")
+    again = CurvatureOperator.from_exact(op.exact)
+    assert all(x is y for r, s in zip(op.exact, again.exact) for x, y in zip(r, s))
+    numerators, den = op._exact_numerators
+    assert den == 6 and numerators[2][2] == 4 and numerators[2][5] == 2
+
+
 def test_decompose_float_matches_exact():
     op = model_space("cp2")
     fl = CurvatureOperator(op.matrix.copy())  # drop the exact mirror

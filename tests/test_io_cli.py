@@ -418,6 +418,41 @@ def test_cli_rejects_malformed_numbers(tmp_path, capsys, doc):
     assert "curv4:" in capsys.readouterr().err
 
 
+def _with_entry(rows, value):
+    rows = [list(row) for row in rows]
+    rows[0][0] = value
+    return rows
+
+
+_HUGE = "1" + "0" * 400
+_SPHERE_DOC = operator_to_json(model_space("sphere"))
+_EXACT_DATA = {"format": BERGER_FORMAT, "a": [0.0, 0.0, 1.0], "b": [0.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(_SPHERE_DOC, exact=_with_entry(_SPHERE_DOC["exact"], "1e400")), "exponents"),
+        (dict(_SPHERE_DOC, exact=_with_entry(_SPHERE_DOC["exact"], _HUGE)), "float range"),
+        (dict(_EXACT_DATA, a_exact=["1e400", "0", "1"], b_exact=["0", "0", "0"]), "exponents"),
+        (dict(_EXACT_DATA, a_exact=["-" + _HUGE, "0", "1"], b_exact=["0", "0", "0"]), "finite"),
+    ],
+    ids=["op-exponent", "op-huge", "berger-exponent", "berger-huge"],
+)
+@pytest.mark.parametrize("command", [["decompose"], ["berger"], ["classify"]])
+def test_cli_rejects_exact_entries_beyond_the_float_range(tmp_path, capsys, doc, message, command):
+    # these escaped as OverflowError with a traceback and exit 1
+    path = write_doc(tmp_path, "doc.json", doc)
+    assert main([command[0], "--in", path]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_exact_strings_without_exponents_still_parse():
+    doc = dict(_EXACT_DATA, a_exact=["-0.25", "1/4", "1"], b_exact=["0", "0.0", "0"])
+    assert berger_from_json(doc).a == (Fraction(-1, 4), Fraction(1, 4), Fraction(1))
+
+
 @pytest.mark.parametrize("command", [["decompose"], ["berger", "--frame"], ["classify"]])
 def test_cli_rejects_non_utf8_document(tmp_path, capsys, command):
     # a UTF-16 byte-order mark used to escape as UnicodeDecodeError (exit 1)

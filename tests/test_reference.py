@@ -8,6 +8,7 @@ roots against sympy's denesting.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +22,8 @@ from curv4 import (
     a2a1_gap,
     berger_data,
     berger_to_operator,
+    classify,
+    duality_decompose,
     euler_upper_per_vol,
     gbc_integrands,
     kdiff_lower,
@@ -30,9 +33,19 @@ from curv4 import (
     model_space,
     sharp_constants,
 )
-from curv4.bivector import MODEL_BLOCKS, MODEL_NAMES, haar_rotations
+from curv4 import surd
+from curv4.bivector import (
+    BASIS_PAIRS,
+    EINSTEIN_TOL,
+    MODEL_BLOCKS,
+    MODEL_NAMES,
+    _einstein_defect,
+    haar_rotations,
+    normal_form_rows,
+)
 from curv4.errors import ExactnessError
 from curv4.surd import QuadraticSurd
+from test_classify import RIGID_POINT, _lattice_slab
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -213,3 +226,157 @@ def test_surd_sqrt_denests_exactly_when_sympy_does(r):
             assert x.sqrt() == QuadraticSurd.from_fractions(*want, r), (a, b)
             outcomes["denests"] += 1
     assert outcomes["denests"] >= 9 and outcomes["raises"] >= 6, outcomes
+
+
+# -- square-free splits ------------------------------------------------------------
+
+
+def _sympy_split(n):
+    """(m, d) with n = m^2 d and d square-free, from sympy's factorisation."""
+    m, d = 1, 1
+    for prime, power in sympy.factorint(n).items():
+        m *= prime ** (power // 2)
+        d *= prime ** (power % 2)
+    return (m, d) if n else (1, 0)
+
+
+def test_squarefree_split_agrees_with_sympy():
+    # the trial division stops at the cube root of the unsplit part, so prime
+    # squares and products of two large primes are where it could go wrong
+    rng = random.Random(41)
+    primes = [2, 3, 7, 101, 10007, 1000003]
+    cases = list(range(200)) + [rng.randrange(1, 10**12) for _ in range(300)]
+    cases += [p * q * k for p in primes for q in primes for k in (1, 2, 12, 49, 1009)]
+    cases += [p * p * q * q * q for p in primes[:5] for q in primes[:5]]
+    cases += [999999937**2, 2 * 999999937**2]
+    for n in cases:
+        assert surd._squarefree_split(n) == _sympy_split(n), n
+
+
+def _resplit_everything(monkeypatch):
+    """Make every surd, arithmetic results included, split its radicand again, with sympy."""
+    monkeypatch.setattr(surd, "_squarefree_split", _sympy_split)
+    monkeypatch.setattr(
+        QuadraticSurd, "_of", classmethod(lambda cls, p, q, r, s: cls(p, q, r, s))
+    )
+
+
+def test_classify_with_a_large_prime_denominator_is_fast_and_unchanged(monkeypatch):
+    # a2 = 3/10 + 1/P puts the prime P squared into the radicands of the
+    # derived rows; splitting every arithmetic result again took about 19 s
+    big = 1000003
+    a1, a2 = Fraction(1, 10), Fraction(3, 10) + Fraction(1, big)
+    data = BergerData((a1, a2, 1 - a1 - a2), (0, 0, 0))
+    start = time.perf_counter()
+    got = classify(data)
+    assert time.perf_counter() - start < 1.0
+    _resplit_everything(monkeypatch)
+    want = classify(data)
+    assert (got.verdict, got.candidates, got.skipped) == (want.verdict, want.candidates, want.skipped)
+    assert got.rows == want.rows
+    assert {r.name for r in got.rows} >= {"derived_min_sec", "derived_min_sec_diff"}
+
+
+# -- exact operators on one common denominator -------------------------------------
+
+
+def _object_array_decomposition(op):
+    """(s, |E|^2, w+, w-, is_einstein) of an exact operator from the Fraction blocks.
+
+    The blocks are (a + b + b^T + c)/2, (a - b - b^T + c)/2 and (a + b^T - b - c)/2
+    of the object array of op.exact; the spectra are exact when both Weyl
+    blocks are diagonal and come from eigvalsh of the float blocks otherwise.
+    """
+    ex = np.array(op.exact, dtype=object)
+    a, b, c = ex[:3, :3], ex[:3, 3:], ex[3:, 3:]
+    rp, rm, cross = (a + b + b.T + c) / 2, (a - b - b.T + c) / 2, (a + b.T - b - c) / 2
+    s = 2 * ex.trace()
+    e2 = 4 * (cross * cross).sum()
+    m = op.matrix
+    fa, fb, fc = m[:3, :3], m[:3, 3:], m[3:, 3:]
+    if all(x[i, j] == 0 for x in (rp, rm) for i in range(3) for j in range(3) if i != j):
+        spectra = [tuple(sorted(x[i, i] - Fraction(s, 12) for i in range(3))) for x in (rp, rm)]
+    else:
+        float_blocks = ((fa + fb + fb.T + fc) / 2, (fa - fb - fb.T + fc) / 2)
+        spectra = [tuple(np.linalg.eigvalsh(x) - float(s) / 12.0) for x in float_blocks]
+    scale = max(1.0, float(np.abs(m).max()))
+    einstein = _einstein_defect((fa + fb.T - fb - fc) / 2, float(s), float(s) / 4.0, scale)
+    return s, e2, *spectra, einstein <= EINSTEIN_TOL
+
+
+def _assert_decomposition_matches(op):
+    d = duality_decompose(op)
+    s, e2, wp, wm, einstein = _object_array_decomposition(op)
+    assert type(d.s) is type(d.traceless_ricci_norm_sq) is Fraction
+    assert (d.s, d.traceless_ricci_norm_sq, d.is_einstein) == (s, e2, einstein)
+    for got, want in ((d.w_plus.eigenvalues, wp), (d.w_minus.eigenvalues, wm)):
+        assert got == want and list(map(type, got)) == list(map(type, want))
+    return isinstance(wp[0], Fraction)
+
+
+def test_exact_decomposition_matches_the_object_array_formula_on_the_lattice():
+    cases = _lattice_slab() + [BergerData(*MODEL_BLOCKS[name]) for name in MODEL_NAMES]
+    cases.append(RIGID_POINT)
+    ops = [berger_to_operator(d) for d in cases] + [model_space(name) for name in MODEL_NAMES]
+    assert len(cases) >= 1353
+    assert all([_assert_decomposition_matches(op) for op in ops])
+
+
+def _random_exact_rows(rng, primes):
+    """A symmetric Bianchi 6x6 of Fractions whose entries have the given prime denominators."""
+    rows = [[Fraction(rng.randint(-30, 30), rng.choice(primes)) for _ in range(6)] for _ in range(6)]
+    rows = [[rows[min(i, j)][max(i, j)] for j in range(6)] for i in range(6)]
+    rows[2][5] = rows[5][2] = -rows[0][3] - rows[1][4]
+    return rows
+
+
+def test_exact_decomposition_matches_on_coprime_denominators():
+    # an lcm of at least 10^6: the common denominator is not a small number
+    rng = random.Random(43)
+    primes = [101, 103, 107, 109, 10007, 10009]
+    a1 = Fraction(1, 101)
+    a2 = a1 + Fraction(1, 103)
+    b1, b2 = Fraction(-1, 10007), Fraction(1, 10009)
+    a, b = (a1, a2, 1 - a1 - a2), (b1, b2, -b1 - b2)
+    ops = [berger_to_operator(BergerData(a, b))]
+    # the frame e4, e3, e2, e1 reverses both diagonal blocks, and off-diagonal
+    # entries of b + b^T alone make the Weyl blocks non-diagonal
+    ops.append(CurvatureOperator.from_exact(normal_form_rows(a[::-1], b[::-1])))
+    rows = normal_form_rows(a, b)
+    rows[0][4] = rows[4][0] = rows[1][3] = rows[3][1] = Fraction(1, 10007)
+    ops.append(CurvatureOperator.from_exact(rows))
+    ops += [CurvatureOperator.from_exact(_random_exact_rows(rng, primes)) for _ in range(30)]
+    for op in ops:
+        assert op._exact_numerators[1] >= 10**6
+        _assert_decomposition_matches(op)
+    assert not all(duality_decompose(op).is_einstein for op in ops)
+
+
+def _cayley_rotation(rng):
+    """A rational rotation (I - A)(I + A)^-1 of R^4, A skew with small rational entries."""
+    a = sympy.zeros(4, 4)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            a[i, j] = sympy.Rational(rng.randint(-3, 3), rng.randint(1, 4))
+            a[j, i] = -a[i, j]
+    q = (sympy.eye(4) - a) * (sympy.eye(4) + a).inv()
+    return np.array([[Fraction(int(x.p), int(x.q)) for x in q.row(i)] for i in range(4)])
+
+
+def _rotate_exact(rows, q):
+    """L^T M L for the bivector action L of a rational rotation q, in Fractions."""
+    first, second = (np.array(BASIS_PAIRS) - 1).T
+    u, v = q[:, first], q[:, second]
+    lift = u[first, :] * v[second, :] - u[second, :] * v[first, :]
+    return (lift.T @ np.array(rows, dtype=object) @ lift).tolist()
+
+
+def test_exact_decomposition_matches_on_cayley_rotated_operators():
+    rng = random.Random(47)
+    bases = [berger_to_operator(d) for d in _lattice_slab()[::60]] + [model_space("cp2")]
+    non_diagonal = 0
+    for k in range(60):
+        base = bases[k % len(bases)]
+        op = CurvatureOperator.from_exact(_rotate_exact(base.exact, _cayley_rotation(rng)))
+        non_diagonal += not _assert_decomposition_matches(op)
+    assert non_diagonal >= 50

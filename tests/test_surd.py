@@ -1,6 +1,7 @@
 """Exact quadratic-surd arithmetic: canonical form, ordering, roots, decimals."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -196,3 +197,78 @@ def test_non_finite_floats_still_refuse_to_compare(t):
         ):
             with pytest.raises(error):
                 compare()
+
+
+def _fraction_bracket(t):
+    """The float bracket of t built from Fraction endpoints of its 2^-64 enclosure."""
+    scale = 1 << 64
+    root_lo = Fraction(math.isqrt(t.r * scale * scale), scale)
+    root_hi = root_lo + Fraction(1, scale)
+    lo = (t.p + t.q * (root_lo if t.q >= 0 else root_hi)) / Fraction(t.s)
+    hi = (t.p + t.q * (root_hi if t.q >= 0 else root_lo)) / Fraction(t.s)
+    return math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
+
+
+def test_integer_built_bracket_equals_the_fraction_built_one():
+    # int / int true division rounds correctly, as float(Fraction) does
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(3000):
+        p, q = (rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(0, 40)) for _ in range(2))
+        r = rng.choice((2, 3, 19, 105, rng.randrange(2, 10**12)))
+        t = QuadraticSurd(p, q, r, rng.randrange(1, 10 ** rng.randint(1, 40)))
+        t < 0.0  # noqa: B015 -- builds the bracket
+        assert t._bracket == _fraction_bracket(t), t
+        checked += t.q != 0
+    assert checked >= 2000
+
+
+def _convergents(t, count):
+    """The first continued-fraction convergents of an irrational surd t, exactly."""
+    x, (h0, h1), (k0, k1) = t, (0, 1), (1, 0)
+    out = []
+    for _ in range(count):
+        a = x._floor_scaled(0)
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        out.append(Fraction(h1, k1))
+        x = 1 / (x - a)
+    return out
+
+
+def _rational_comparisons(t, x):
+    return (t < x, t <= x, t > x, t >= x, t == x, x < t, x <= t, x > t, x >= t, x == t)
+
+
+def _exact_answers(sign):
+    """_rational_comparisons(t, x) for sign = t._compare(x)."""
+    return (sign < 0, sign <= 0, sign > 0, sign >= 0, sign == 0) + (
+        sign > 0, sign >= 0, sign < 0, sign <= 0, sign == 0
+    )
+
+
+@pytest.mark.parametrize("t", BRACKET_SURDS[:6] + BRACKET_SURDS[-1:], ids=str)
+def test_rational_comparisons_on_the_bracket_equal_the_exact_ones(t, monkeypatch):
+    # a rational whose float lies beyond the surd's float bracket is decided
+    # there; one within it, or too large for a float, falls back to the exact
+    # comparison, and both give _compare's answer
+    t = QuadraticSurd(t.p, t.q, t.r, t.s)
+    v = Fraction(float(t))
+    near = Fraction(t._floor_scaled(40), 10**40)
+    tiny = Fraction(1, 10**30)
+    xs = [v, v - tiny, v + tiny, near, near + tiny, *_convergents(t, 40), 10**400, -(10**400)]
+    ints = [math.floor(float(t)) + k for k in range(-2, 3)]
+    xs += ints
+    want = [_exact_answers(t._compare(x)) for x in xs]
+    compare, fallbacks = QuadraticSurd._compare, set()
+
+    def counted(self, other):
+        # other is x, or x as a rational surd
+        fallbacks.add(other.as_fraction() if isinstance(other, QuadraticSurd) else other)
+        return compare(self, other)
+
+    monkeypatch.setattr(QuadraticSurd, "_compare", counted)
+    got = [_rational_comparisons(t, x) for x in xs]
+    monkeypatch.undo()
+    assert got == want
+    assert {10**400, near, near + tiny} <= fallbacks
+    assert not fallbacks & set(ints)
