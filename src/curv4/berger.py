@@ -24,6 +24,7 @@ import numpy as np
 from .bivector import (
     CurvatureOperator,
     DualityDecomposition,
+    _require,
     conjugate_operator,
     decompose_stack,
     duality_decompose,
@@ -61,23 +62,8 @@ class BergerData:
         try:
             f = [float(x) for x in (*a, *b, lam)]
         except OverflowError:  # an exact value beyond the float range
-            f = [math.inf]
-        if not all(map(math.isfinite, f)):
-            raise InvalidBergerError("normal-form data and Einstein constant must be finite")
-        (fa, fb, flam), scale = (f[:3], f[3:6], f[6]), max(1.0, max(map(abs, f)))
-        tol = 1e-9 * scale
-        violations = []
-        if not (fa[0] <= fa[1] + tol and fa[1] <= fa[2] + tol):
-            violations.append("sectional triple a is not ascending")
-        if abs(fa[0] + fa[1] + fa[2] - flam) > tol:
-            violations.append("sum(a) does not equal the Einstein constant")
-        if abs(fb[0] + fb[1] + fb[2]) > tol:
-            violations.append("sum(b) is nonzero (first Bianchi identity)")
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            if abs(fb[j] - fb[i]) > fa[j] - fa[i] + tol:
-                violations.append(f"|b{j + 1} - b{i + 1}| exceeds a{j + 1} - a{i + 1}")
-        if violations:
-            raise InvalidBergerError("; ".join(violations))
+            f = [math.inf] * 7
+        _check_berger(f[:3], f[3:6], f[6])
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lambda_einstein", lam)
@@ -113,39 +99,37 @@ class BergerStack(NamedTuple):
     lambda_einstein: np.ndarray
 
 
-def _check_berger_stack(d: BergerStack) -> None:
-    """BergerData's checks on each column k of a stack, tolerance 1e-9 x scale.
+_NOT_EINSTEIN = "operator has a nonzero duality cross block"
+_NOT_FINITE = "normal-form data and Einstein constant must be finite"
+_NOT_ASCENDING = "sectional triple a is not ascending"
+_SUM_A = "sum(a) does not equal the Einstein constant"
+_SUM_B = "sum(b) is nonzero (first Bianchi identity)"
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_DOMINANCE = tuple(f"|b{j + 1} - b{i + 1}| exceeds a{j + 1} - a{i + 1}" for i, j in _PAIRS)
+_CONSTRAINTS = (_NOT_ASCENDING, _SUM_A, _SUM_B, *_DOMINANCE)
 
-    Raises InvalidBergerError listing every constraint the first failing
-    column violates, in the constructor's words.
+
+def _violations(*holds) -> str:
+    return "; ".join(msg for msg, ok in zip(_CONSTRAINTS, holds) if not ok)
+
+
+def _check_berger(a, b, lam) -> None:
+    """BergerData's constraints on float triples a, b and lam, tolerance 1e-9 x scale.
+
+    Numbers for one datum, or (n,) arrays for a stack.  The error lists every
+    constraint violated (by the first failing operator of a stack).
     """
-    a, b, lam = d
-    finite = np.isfinite(a).all(axis=0) & np.isfinite(b).all(axis=0) & np.isfinite(lam)
-    if not finite.all():
-        raise InvalidBergerError(
-            f"operator {int(np.argmin(finite))} of the stack: "
-            "normal-form data and Einstein constant must be finite"
-        )
-    scale = np.maximum(1.0, np.maximum(np.abs(np.vstack([a, b])).max(axis=0), np.abs(lam)))
+    scale = np.abs([*a, *b, lam]).max(axis=0, initial=1.0)  # inf or NaN with an entry
+    _require(scale < np.inf, InvalidBergerError, _NOT_FINITE.format)
     tol = 1e-9 * scale
-    violated = [
-        ("sectional triple a is not ascending", ~((a[0] <= a[1] + tol) & (a[1] <= a[2] + tol))),
-        ("sum(a) does not equal the Einstein constant", np.abs(a[0] + a[1] + a[2] - lam) > tol),
-        ("sum(b) is nonzero (first Bianchi identity)", np.abs(b[0] + b[1] + b[2]) > tol),
+    holds = [
+        (a[0] <= a[1] + tol) & (a[1] <= a[2] + tol),
+        abs(a[0] + a[1] + a[2] - lam) <= tol,
+        abs(b[0] + b[1] + b[2]) <= tol,
+        *(abs(b[j] - b[i]) <= a[j] - a[i] + tol for i, j in _PAIRS),
     ]
-    violated += [
-        (
-            f"|b{j + 1} - b{i + 1}| exceeds a{j + 1} - a{i + 1}",
-            np.abs(b[j] - b[i]) > a[j] - a[i] + tol,
-        )
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    ]
-    bad = np.any([mask for _, mask in violated], axis=0)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise InvalidBergerError(
-            f"operator {k} of the stack: " + "; ".join(msg for msg, mask in violated if mask[k])
-        )
+    all_hold = holds[0] & holds[1] & holds[2] & holds[3] & holds[4] & holds[5]
+    _require(all_hold, InvalidBergerError, _violations, *holds)
 
 
 def berger_data(source) -> BergerData:
@@ -156,8 +140,7 @@ def berger_data(source) -> BergerData:
     decomposition keeps the data; the Einstein test runs on every call.
     """
     d = source if isinstance(source, DualityDecomposition) else duality_decompose(source)
-    if not d.is_einstein:
-        raise NotEinsteinError("operator has a nonzero duality cross block")
+    _require(d.is_einstein, NotEinsteinError, _NOT_EINSTEIN.format)
     return d._berger_data
 
 
@@ -182,21 +165,16 @@ def _normal_form_data(s, wp, wm) -> tuple:
 def berger_data_stack(m: np.ndarray, lambda_einstein) -> BergerStack:
     """berger_data of each operator of a (n, 6, 6) float stack flagged with one lambda.
 
-    Every check of CurvatureOperator(m[k], lambda_einstein), duality_decompose,
-    berger_data and BergerData runs on each operator, with the same tolerances
-    and error classes, and (a, b) comes from the same formula, so each
+    The rules of CurvatureOperator(m[k], lambda_einstein), duality_decompose,
+    berger_data and BergerData run on the whole stack, through the functions
+    they call on one operator, and (a, b) comes from the same formula, so each
     column is bit for bit berger_data(CurvatureOperator(m[k], lambda_einstein)).
     """
     s, wp, wm, einstein = decompose_stack(m, lambda_einstein)
-    if not np.all(einstein):
-        raise NotEinsteinError(
-            f"operator {int(np.argmin(einstein))} of the stack: "
-            "operator has a nonzero duality cross block"
-        )
+    _require(einstein, NotEinsteinError, _NOT_EINSTEIN.format)
     a, b = _normal_form_data(s, wp.T, wm.T)
-    d = BergerStack(np.array(a), np.array(b), s / 4)
-    _check_berger_stack(d)
-    return d
+    _check_berger(a, b, s / 4)
+    return BergerStack(np.array(a), np.array(b), s / 4)
 
 
 def berger_to_operator(d: BergerData) -> CurvatureOperator:
@@ -265,8 +243,7 @@ def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
     then flagged degenerate but still verified.
     """
     d = duality_decompose(op)
-    if not d.is_einstein:
-        raise NotEinsteinError("operator has a nonzero duality cross block")
+    data = berger_data(d)
     evp, up = np.linalg.eigh(np.asarray(d.r_plus_block, dtype=float))
     evm, um = np.linalg.eigh(np.asarray(d.r_minus_block, dtype=float))
     up[:, 0] *= np.sign(np.linalg.det(up))
@@ -275,7 +252,6 @@ def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
     p, q = rho_inverse(up), rho_inverse(um.T)
     frame = Frame(quaternion_rotation(p, q), degenerate=degenerate)
 
-    data = berger_data(d)
     target = berger_to_operator(data)
     got = conjugate_operator(op, frame.matrix)
     residual = float(np.abs(got.matrix - target.matrix).max())
@@ -287,20 +263,6 @@ def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
 
 
 # -- the frame functional 2 K(e1, e2) + K(e1, e3) -------------------------------
-
-
-def _duality_halves(m: np.ndarray) -> tuple:
-    """Half the operator's blocks in the self-dual / anti-self-dual basis.
-
-    Returns (alpha, p, cross, minus), the self-dual block being
-    p diag(alpha) p^T.  The half is there because e1 ^ v has a component of
-    norm 1/sqrt2 in each duality half.
-    """
-    eye = np.eye(3)
-    h = np.block([[eye, eye], [eye, -eye]]) / 2.0
-    r = h @ m @ h.T
-    alpha, p = np.linalg.eigh(r[:3, :3])
-    return alpha, p, r[:3, 3:], (r[3:, 3:] + r[3:, 3:].T) / 2.0
 
 
 def _upper(x, y, out: np.ndarray) -> np.ndarray:
@@ -318,7 +280,8 @@ def _inner_matrices(q: np.ndarray, halves: tuple) -> np.ndarray:
     entries (a11, a22, a33, a12, a13, a23) of each symmetric 3x3 as a (6, n)
     stack.  Left multiplication by q fixes the anti-self-dual half and turns
     the self-dual half by the rotation rho(q), so with `halves` = (alpha, p,
-    cross, minus) the matrix is
+    cross, minus), half the duality blocks with the self-dual one
+    p diag(alpha) p^T, the matrix is
     rho^T p diag(alpha) p^T rho + rho^T cross + cross^T rho + minus.  Entry
     (j, k) is minus[j, k], then for a = 0, 1, 2 plus
     alpha[a] (pa_j pa_k) + (cross[a, j] r[a, k] + cross[a, k] r[a, j]), with
@@ -390,12 +353,16 @@ def frame_functional_min(
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
-    data = berger_data(op)
+    d = duality_decompose(op)
+    data = berger_data(d)
     bound = 1.5 * float(data.lambda_einstein - data.a[2])
 
-    # at unit scale the closed form's cubes neither overflow nor underflow
+    # half the blocks (e1 ^ v has norm 1/sqrt2 in each duality half) at unit scale, where
+    # the closed form's cubes stay in range; the elementwise minus block is symmetrised
     scale = float(np.abs(op.matrix).max()) or 1.0
-    halves = _duality_halves(op.matrix / scale)
+    blocks = (d.r_plus_block, d.r_minus_block, d.cross_block)
+    plus, minus, cross = (x / (2.0 * scale) for x in blocks)
+    halves = (*np.linalg.eigh(plus), cross, (minus + minus.T) / 2.0)
     rng = np.random.default_rng(seed)
     block = SLAB_POINTS // 4
     best = None

@@ -122,37 +122,58 @@ def _float_blocks(m: np.ndarray):
         ) from exc
 
 
-def _operator_scale(m: np.ndarray) -> float:
-    """max(1, max |entry|): the unit of every tolerance on an operator."""
-    return max(1.0, float(np.abs(m).max()))
+def _operator_scale(m: np.ndarray):
+    """max(1, max |entry|): the unit of every tolerance on an operator; (n,) for a stack."""
+    return abs(m).max(axis=(-2, -1), initial=1.0)
 
 
-def _einstein_defect(cross: np.ndarray, s: float, lam: float, scale: float) -> float:
+def _einstein_defect(cross: np.ndarray, s, lam, scale):
     """|Rc - lam g| / scale (Frobenius norms), read off the duality cross block.
 
     The cross block C is the traceless Ricci tensor E = Rc - (S/4) g in the
     duality split, with |E|^2 = 4 |C|^2 (Singer and Thorpe 1969), and E is
     orthogonal to g with |g|^2 = 4, so |Rc - lam g|^2 = 4 |C|^2 + 4 (S/4 - lam)^2.
     Every term is divided by `scale` before it is squared, so a finite
-    operator never overflows here.
+    operator never overflows here.  Broadcasts over leading axes.
     """
-    c = cross / scale
-    return 2.0 * math.hypot(
-        math.sqrt(float(np.sum(c * c))), s / (4.0 * scale) - float(lam) / scale
-    )
+    c = cross / np.asarray(scale)[..., None, None]
+    return 2.0 * np.hypot(np.sqrt((c * c).sum(axis=(-2, -1))), s / (4.0 * scale) - lam / scale)
 
 
-def _einstein_defects(cross: np.ndarray, s: np.ndarray, lam, scale: np.ndarray) -> np.ndarray:
-    """_einstein_defect of each operator of a stack: (n, 3, 3) cross, (n,) s and scale."""
-    c = cross / scale[:, None, None]
-    return 2.0 * np.hypot(np.sqrt(np.sum(c * c, axis=(1, 2))), s / (4.0 * scale) - lam / scale)
+def _require(ok, error: type, message, *values) -> None:
+    """Raise error(message(*values)) unless a rule holds; message is often a str.format.
+
+    ok is one verdict, or an (n,) mask over a stack.  For a stack the error
+    names the first failing operator k, and message takes entry k of each value.
+    """
+    if not isinstance(ok, np.ndarray):
+        if not ok:
+            raise error(message(*values))
+    elif not ok.all():
+        k = int(np.argmin(ok))
+        raise error(f"operator {k} of the stack: " + message(*(v[k] for v in values)))
 
 
-def _reject_first(bad: np.ndarray, error: type, message) -> None:
-    """Raise error for the first flagged operator k of a stack, saying message(k)."""
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise error(f"operator {k} of the stack: {message(k)}")
+def _check_matrix(m: np.ndarray):
+    """Finite, symmetric and Bianchi to 1e-12 x scale: a 6x6 or (n, 6, 6) m; returns scale."""
+    scale = _operator_scale(m)  # inf or NaN exactly when an entry is
+    _require(scale < np.inf, InvalidOperatorError, "matrix must be a finite 6x6 array".format)
+    asym = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
+    message = "matrix is not symmetric (tolerance 1e-12): |m - m^T| = {:.3e}".format
+    _require(asym <= SYMMETRY_TOL * scale, InvalidOperatorError, message, asym)
+    bianchi = m.T[3, 0] + m.T[4, 1] + m.T[5, 2]  # m.T[j, i] is m[..., i, j], with no slow ellipsis
+    message = "first Bianchi identity fails: <Re12,e34>+<Re13,e42>+<Re14,e23> = {:.3e}".format
+    _require(abs(bianchi) <= BIANCHI_TOL * scale, InvalidOperatorError, message, bianchi)
+    return scale
+
+
+def _check_einstein(cross: np.ndarray, s, lam, scale) -> None:
+    """A finite lam, and |Rc - lam g| <= 1e-9 x scale for each operator (see _check_matrix)."""
+    if not math.isfinite(lam):
+        raise InvalidOperatorError(f"Einstein constant must be finite, got {lam}")
+    defect = _einstein_defect(cross, s, lam, scale)
+    message = f"flagged Einstein with lambda={lam} but |Rc - lambda g| = " + "{:.3e}"
+    _require(defect <= EINSTEIN_TOL, NotEinsteinError, message.format, defect * scale)
 
 
 def _as_exact_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -189,19 +210,11 @@ class CurvatureOperator:
         if self.exact is not None:
             object.__setattr__(self, "exact", _as_exact_rows(self.exact))
         m = np.array(self.matrix, dtype=float)
-        if m.shape != (6, 6) or not np.all(np.isfinite(m)):
+        if m.shape != (6, 6):
             raise InvalidOperatorError("matrix must be a finite 6x6 array")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        scale = _operator_scale(m)
-        if float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
-            raise InvalidOperatorError("matrix is not symmetric (tolerance 1e-12)")
-        bianchi = m[0, 3] + m[1, 4] + m[2, 5]
-        if abs(float(bianchi)) > BIANCHI_TOL * scale:
-            raise InvalidOperatorError(
-                "first Bianchi identity fails: <Re12,e34>+<Re13,e42>+<Re14,e23> = "
-                f"{float(bianchi):.3e}"
-            )
+        scale = _check_matrix(m)
         if self.exact is not None:
             n, _ = self._exact_numerators
             if any(n[i][j] != n[j][i] for i in range(6) for j in range(i)):
@@ -213,16 +226,7 @@ class CurvatureOperator:
             if drift > 1e-12 * scale:
                 raise InvalidOperatorError("float and exact matrices disagree")
         if self.lambda_einstein is not None:
-            lam = self.lambda_einstein
-            if not math.isfinite(lam):
-                raise InvalidOperatorError(f"Einstein constant must be finite, got {lam}")
-            _, _, cross, s = self._blocks
-            defect = _einstein_defect(cross, s, lam, scale)
-            if defect > EINSTEIN_TOL:
-                raise NotEinsteinError(
-                    f"flagged Einstein with lambda={lam} but |Rc - lambda g| = "
-                    f"{defect * scale:.3e}"
-                )
+            _check_einstein(*self._blocks[2:], self.lambda_einstein, scale)
 
     @classmethod
     def from_exact(cls, rows, lambda_einstein: float | None = None) -> "CurvatureOperator":
@@ -246,49 +250,6 @@ class CurvatureOperator:
         return _decompose(self)
 
 
-def _check_operator_stack(m: np.ndarray, lambda_einstein):
-    """CurvatureOperator(m[k], lambda_einstein)'s checks on each k of a (n, 6, 6) stack.
-
-    Same tolerances and error classes as the constructor; an error names the
-    first failing operator and its value.  Returns (R+, R-, C, S, scale), S
-    and scale as (n,) arrays.
-    """
-    if m.ndim != 3 or m.shape[1:] != (6, 6):
-        raise InvalidOperatorError("matrices must be a (n, 6, 6) stack")
-    _reject_first(
-        ~np.isfinite(m).all(axis=(1, 2)),
-        InvalidOperatorError,
-        lambda k: "matrix must be a finite 6x6 array",
-    )
-    scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
-    asym = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
-    _reject_first(
-        asym > SYMMETRY_TOL * scale,
-        InvalidOperatorError,
-        lambda k: f"matrix is not symmetric (tolerance 1e-12): |m - m^T| = {asym[k]:.3e}",
-    )
-    bianchi = m[:, 0, 3] + m[:, 1, 4] + m[:, 2, 5]
-    _reject_first(
-        np.abs(bianchi) > BIANCHI_TOL * scale,
-        InvalidOperatorError,
-        lambda k: "first Bianchi identity fails: <Re12,e34>+<Re13,e42>+<Re14,e23> = "
-        f"{bianchi[k]:.3e}",
-    )
-    rp, rm, cross, s = _float_blocks(m)
-    lam = lambda_einstein
-    if lam is not None:
-        if not math.isfinite(lam):
-            raise InvalidOperatorError(f"Einstein constant must be finite, got {lam}")
-        defect = _einstein_defects(cross, s, lam, scale)
-        _reject_first(
-            defect > EINSTEIN_TOL,
-            NotEinsteinError,
-            lambda k: f"flagged Einstein with lambda={lam} but |Rc - lambda g| = "
-            f"{defect[k] * scale[k]:.3e}",
-        )
-    return rp, rm, cross, s, scale
-
-
 @dataclass(frozen=True, eq=False)
 class WeylSpectrum:
     """Ascending eigenvalue triple of a (half-)Weyl part; sums to zero.
@@ -305,11 +266,7 @@ class WeylSpectrum:
         ev = tuple(self.eigenvalues)
         if len(ev) != 3:
             raise InvalidOperatorError("a Weyl spectrum has exactly three eigenvalues")
-        scale = max(1.0, float(scale), max(abs(float(x)) for x in ev))
-        if not (ev[0] <= ev[1] <= ev[2]):
-            raise InvalidOperatorError("Weyl spectrum must be ascending")
-        if abs(float(ev[0] + ev[1] + ev[2])) > 1e-12 * scale:
-            raise InvalidOperatorError("Weyl spectrum must be trace-free (tolerance 1e-12)")
+        _check_weyl(ev, scale)
         object.__setattr__(self, "eigenvalues", ev)
 
     def norm_sq(self):
@@ -321,20 +278,21 @@ class WeylSpectrum:
         return a * b * c
 
 
-def _check_weyl_stack(ev: np.ndarray, scale: np.ndarray) -> None:
-    """WeylSpectrum(ev[k], scale[k])'s checks on each row of a (n, 3) stack; scale >= 1."""
-    scale = np.maximum(scale, np.abs(ev).max(axis=1))
-    _reject_first(
-        ~((ev[:, 0] <= ev[:, 1]) & (ev[:, 1] <= ev[:, 2])),
-        InvalidOperatorError,
-        lambda k: f"Weyl spectrum must be ascending, got {tuple(ev[k].tolist())}",
-    )
-    trace = ev[:, 0] + ev[:, 1] + ev[:, 2]
-    _reject_first(
-        np.abs(trace) > 1e-12 * scale,
-        InvalidOperatorError,
-        lambda k: f"Weyl spectrum must be trace-free (tolerance 1e-12), trace {trace[k]:.3e}",
-    )
+def _check_weyl(w, scale) -> None:
+    """Ascending and trace-free to 1e-12 x max(1, scale, max |w|).
+
+    w is one triple of numbers, or three (n,) arrays and an (n,) scale for a
+    stack.  Exact entries compare exactly, and NaN is never ascending.
+    """
+    w0, w1, w2 = w
+    message = "Weyl spectrum must be ascending, got ({}, {}, {})".format
+    _require((w0 <= w1) & (w1 <= w2), InvalidOperatorError, message, *w)
+    # an ascending triple's largest |w| is -w0 or w2, and t <= c max(x, y) iff t <= c x or c y
+    trace = np.float64(w0 + w1 + w2)
+    t = abs(trace)
+    ok = (t <= 1e-12) | (t <= 1e-12 * scale) | (t <= -1e-12 * w0) | (t <= 1e-12 * w2)
+    message = "Weyl spectrum must be trace-free (tolerance 1e-12), trace {:.3e}".format
+    _require(ok, InvalidOperatorError, message, trace)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,11 +325,11 @@ class DualityDecomposition:
         """Frobenius norm of the duality cross block; zero iff Einstein."""
         return float(np.sqrt(np.sum(self.cross_block * self.cross_block)))
 
-    @property
+    @cached_property
     def is_einstein(self) -> bool:
-        """|E| <= 1e-9 * scale, the check of a flagged operator at lambda = S/4."""
+        """|E| <= 1e-9 * scale, the check of a flagged operator at lambda = S/4; computed once."""
         s = float(self.s)
-        return _einstein_defect(self.cross_block, s, s / 4.0, self.scale) <= EINSTEIN_TOL
+        return bool(_einstein_defect(self.cross_block, s, s / 4.0, self.scale) <= EINSTEIN_TOL)
 
     @cached_property
     def _berger_data(self):
@@ -393,7 +351,6 @@ def duality_decompose(op: CurvatureOperator) -> DualityDecomposition:
 
 
 def _decompose(op: CurvatureOperator) -> DualityDecomposition:
-    m = op.matrix
     rp, rm, cross, s = op._blocks
     for block in (rp, rm, cross):
         block.setflags(write=False)  # every caller of the decomposition shares them
@@ -421,7 +378,7 @@ def _decompose(op: CurvatureOperator) -> DualityDecomposition:
     if wp is None:
         wp = tuple(np.linalg.eigvalsh(rp) - float(s) / 12.0)
         wm = tuple(np.linalg.eigvalsh(rm) - float(s) / 12.0)
-    scale = _operator_scale(m)
+    scale = float(_operator_scale(op.matrix))
     return DualityDecomposition(
         s, WeylSpectrum(wp, scale), WeylSpectrum(wm, scale), e2, rp, rm, cross, scale
     )
@@ -430,19 +387,24 @@ def _decompose(op: CurvatureOperator) -> DualityDecomposition:
 def decompose_stack(m: np.ndarray, lambda_einstein) -> tuple:
     """duality_decompose of each operator of a (n, 6, 6) float stack.
 
-    Runs on each m[k] every check that CurvatureOperator(m[k], lambda_einstein)
-    and then duality_decompose run, with the same tolerances and error
-    classes.  Returns (s, w_plus, w_minus, is_einstein): (n,) scalar
-    curvatures, (n, 3) ascending Weyl spectra from one batched eigvalsh per
-    duality half, and the (n,) verdicts of DualityDecomposition.is_einstein.
-    Each operator's s and spectra are bit for bit the scalar path's.
+    Runs on the whole stack the rules CurvatureOperator(m[k], lambda_einstein)
+    and duality_decompose run on one operator; an error names the first failing
+    k.  Returns (s, w_plus, w_minus, is_einstein): (n,) scalar curvatures,
+    (n, 3) ascending Weyl spectra from one batched eigvalsh per duality half,
+    and the (n,) verdicts of DualityDecomposition.is_einstein.  Each
+    operator's s and spectra are bit for bit the scalar path's.
     """
-    rp, rm, cross, s, scale = _check_operator_stack(m, lambda_einstein)
+    if m.ndim != 3 or m.shape[1:] != (6, 6):
+        raise InvalidOperatorError("matrices must be a (n, 6, 6) stack")
+    scale = _check_matrix(m)
+    rp, rm, cross, s = _float_blocks(m)
+    if lambda_einstein is not None:
+        _check_einstein(cross, s, lambda_einstein, scale)
     wp = np.linalg.eigvalsh(rp) - s[:, None] / 12.0
     wm = np.linalg.eigvalsh(rm) - s[:, None] / 12.0
-    _check_weyl_stack(wp, scale)
-    _check_weyl_stack(wm, scale)
-    return s, wp, wm, _einstein_defects(cross, s, s / 4.0, scale) <= EINSTEIN_TOL
+    for w in (wp, wm):
+        _check_weyl(w.T, scale)
+    return s, wp, wm, _einstein_defect(cross, s, s / 4.0, scale) <= EINSTEIN_TOL
 
 
 # -- model spaces -------------------------------------------------------------

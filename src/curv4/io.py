@@ -28,11 +28,21 @@ OPERATOR_FORMAT = "curv4-op-v1"
 BERGER_FORMAT = "curv4-berger-v1"
 
 
-def _number(value, error, name):
+def _number(value, error, name) -> float:
+    """A JSON number as a float: json.load gives an int or a float, and a bool is neither."""
+    if type(value) not in (int, float):
+        raise error(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
-    except (ValueError, TypeError) as exc:
-        raise error(f"{name} must be a number, got {value!r}") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise error(f"{name} must be a number in the float range") from exc
+
+
+def _list(value, error, name) -> list:
+    """A JSON list; a string is not one, so it is never read one character at a time."""
+    if not isinstance(value, list):
+        raise error(f"{name} must be a list, got {value!r}")
+    return value
 
 
 def _parse_exact(value, error):
@@ -69,16 +79,18 @@ def operator_from_json(doc: dict) -> CurvatureOperator:
     lam = doc.get("einstein_lambda")
     if lam is not None:
         lam = _number(lam, InvalidOperatorError, "einstein_lambda")
+    error = InvalidOperatorError
     if "exact" in doc:
-        try:
-            rows = [[_parse_exact(x, InvalidOperatorError) for x in row] for row in doc["exact"]]
-        except TypeError as exc:
-            raise InvalidOperatorError("exact must be a 6x6 array of 'p/q' strings") from exc
+        rows = [_list(row, error, "an exact row") for row in _list(doc["exact"], error, "exact")]
+        rows = [[_parse_exact(x, error) for x in row] for row in rows]
         return CurvatureOperator.from_exact(rows, lambda_einstein=lam)
+    rows = [_list(row, error, "a matrix row") for row in _list(doc.get("matrix"), error, "matrix")]
+    if not {type(x) for row in rows for x in row} <= {int, float}:
+        raise error("matrix entries must be numbers")
     try:
-        matrix = np.asarray(doc["matrix"], dtype=float)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidOperatorError("matrix must be a 6x6 array of numbers") from exc
+        matrix = np.asarray(rows, dtype=float)
+    except (ValueError, OverflowError) as exc:  # ragged rows, or an integer beyond the float range
+        raise error("matrix must be a 6x6 array of numbers") from exc
     return CurvatureOperator(matrix, lambda_einstein=lam)
 
 
@@ -112,21 +124,19 @@ def berger_from_json(doc: dict) -> BergerData:
     if "a_exact" in doc or "b_exact" in doc:
         if not ("a_exact" in doc and "b_exact" in doc):
             raise InvalidBergerError("a_exact and b_exact must come together")
-        try:
-            a = tuple(_parse_exact(x, InvalidBergerError) for x in doc["a_exact"])
-            b = tuple(_parse_exact(x, InvalidBergerError) for x in doc["b_exact"])
-        except TypeError as exc:
-            raise InvalidBergerError("a_exact and b_exact must be lists") from exc
+        a, b = (
+            tuple(_parse_exact(x, InvalidBergerError) for x in _list(doc[k], InvalidBergerError, k))
+            for k in ("a_exact", "b_exact")
+        )
         if "lambda_exact" in doc:
             lam = _parse_exact(doc["lambda_exact"], InvalidBergerError)
         else:
             lam = a[0] + a[1] + a[2]
         return BergerData(a, b, lam)
-    try:
-        a = tuple(float(x) for x in doc["a"])
-        b = tuple(float(x) for x in doc["b"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidBergerError("a and b must be numeric triples") from exc
+    a, b = (
+        tuple(_number(x, InvalidBergerError, k) for x in _list(doc.get(k), InvalidBergerError, k))
+        for k in ("a", "b")
+    )
     lam = _number(doc.get("lambda", sum(a)), InvalidBergerError, "lambda")
     return BergerData(a, b, lam)
 

@@ -156,6 +156,34 @@ def test_document_path_builds_the_blocks_and_the_decomposition_once(monkeypatch,
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_document_path_tests_is_einstein_once(monkeypatch, exact):
+    # one is_einstein verdict per decomposition, read by berger_data,
+    # reconstruct_frame and classify; the other two defects are the lambda
+    # checks of the two flagged operators reconstruct_frame builds
+    cp2 = model_space("cp2")
+    sample = berger_to_operator(sample_berger_data(1, seed=3)[0])
+    rotated = conjugate_operator(sample, haar_rotations(1, 4)[0])
+    if exact:
+        op = CurvatureOperator.from_exact(cp2.exact, cp2.lambda_einstein)
+    else:
+        op = CurvatureOperator(rotated.matrix, rotated.lambda_einstein)
+    defects, einstein_defect = [], bivector._einstein_defect
+
+    def count(*args):
+        defects.append(args)
+        return einstein_defect(*args)
+
+    monkeypatch.setattr(bivector, "_einstein_defect", count)
+    berger_data(op)
+    reconstruct_frame(op)
+    classify(op)
+    d = duality_decompose(op)
+    assert len(defects) == 3
+    assert sum(args[0] is d.cross_block for args in defects) == 1
+    assert d.is_einstein is True and len(defects) == 3
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_document_path_builds_the_normal_form_data_once(monkeypatch, exact):
     # berger_data keeps its result on the decomposition; classify normalises
     # a float constant S/4 once, and exact cp2 is already at constant 1
@@ -349,6 +377,12 @@ def test_frame_functional_re_solves_a_double_top_eigenvalue():
             assert abs(_frame_functional_at(op, rep.argument) - rep.extremum) <= 1e-14
 
 
+def _halves(m):
+    """frame_functional_min's halves of the duality blocks of m, at the scale of m."""
+    plus, minus, cross = (x / 2.0 for x in bivector._duality_blocks(m))
+    return (*np.linalg.eigh(plus), cross, (minus + minus.T) / 2.0)
+
+
 def _full_inner_matrices(q, halves):
     """The whole (3, 3, n) stack of <R(e1^f_j), e1^f_k>, built as one array."""
     alpha, p, cross, minus = halves
@@ -369,7 +403,7 @@ def test_frame_functional_inner_matrices_match_the_wedge_definition():
     for _ in range(24):
         m = rng.standard_normal((6, 6))
         m = m + m.T
-        halves = berger._duality_halves(m)
+        halves = _halves(m)
         assert np.abs(halves[2]).max() > 0.1
         q = rng.standard_normal((4, 9))
         q /= np.linalg.norm(q, axis=0)
@@ -505,20 +539,28 @@ def _infinite(m):
 
 
 @pytest.mark.parametrize(
-    "spoil, lam",
-    [(_asymmetric, 1.0), (_bianchi, 1.0), (_cross, 1.0), (_cross, None), (_infinite, 1.0)],
+    "spoil, lam, rule",
+    [
+        (_asymmetric, 1.0, "matrix is not symmetric (tolerance 1e-12): |m - m^T| = 1.000e-06"),
+        (_bianchi, 1.0, "first Bianchi identity fails: "),
+        (_cross, 1.0, "flagged Einstein with lambda=1.0 but "),
+        (_cross, None, "operator has a nonzero duality cross block"),
+        (_infinite, 1.0, "matrix must be a finite 6x6 array"),
+    ],
     ids=["asymmetric", "bianchi", "not-einstein", "unflagged-not-einstein", "infinite"],
 )
-def test_one_bad_operator_in_a_stack_raises_the_scalar_error(spoil, lam):
+def test_one_bad_operator_in_a_stack_raises_the_scalar_error(spoil, lam, rule):
+    # the error names the rule that failed, and the stack's is the scalar one
+    # with the failing operator's index
     m = conjugate_matrices(model_space("cp2").matrix, haar_rotations(12, 1))
     spoil(m[7])
     with pytest.raises(Curv4Error) as scalar:
         berger_data(CurvatureOperator(m[7], lam))
     with pytest.raises(Curv4Error) as stack:
         berger_data_stack(m, lam)
+    assert str(scalar.value).startswith(rule)
     assert stack.type is scalar.type
-    assert str(stack.value).startswith("operator 7 of the stack: ")
-    assert str(scalar.value) in str(stack.value)
+    assert str(stack.value) == "operator 7 of the stack: " + str(scalar.value)
     berger_data_stack(np.delete(m, 7, axis=0), lam)
 
 
@@ -582,44 +624,69 @@ def test_stack_rejects_a_frame_that_is_not_orthogonal():
     conjugate_matrices(op.matrix, np.delete(frames, 3, axis=0))
 
 
-@pytest.mark.parametrize("bad", [(0.5, -1.0, 0.5), (-1.0, 0.0, 1.0 + 1e-9)])
+@pytest.mark.parametrize("bad", [(0.5, -1.0, 0.5), (-1.0, 0.0, 1.0 + 1e-9), (-1.0, np.nan, 1.0)])
 def test_weyl_stack_checks_mirror_weyl_spectrum(bad):
-    # eigvalsh sorts and the Bianchi check zeroes the trace first, so these
-    # checks are reached only directly
-    with pytest.raises(InvalidOperatorError):
+    # eigvalsh sorts and the Bianchi check zeroes the trace first, so a stack
+    # reaches these rules only directly; the stack error is the scalar one
+    # with the failing operator's index
+    with pytest.raises(InvalidOperatorError) as scalar:
         WeylSpectrum(bad)
     ev = np.array([(-1.0, 0.0, 1.0), bad])
-    with pytest.raises(InvalidOperatorError, match="operator 1 of the stack"):
-        bivector._check_weyl_stack(ev, np.ones(2))
-    bivector._check_weyl_stack(ev[:1], np.ones(1))
+    with pytest.raises(InvalidOperatorError) as stack:
+        bivector._check_weyl(ev.T, np.ones(2))
+    assert str(stack.value) == "operator 1 of the stack: " + str(scalar.value)
+    bivector._check_weyl(ev[:1].T, np.ones(1))
+
+
+def test_weyl_errors_name_the_offending_values():
+    for bad, message in (
+        ((0.5, -1.0, 0.5), "must be ascending, got (0.5, -1.0, 0.5)"),
+        ((-1.0, np.nan, 1.0), "must be ascending, got (-1.0, nan, 1.0)"),
+        ((-1.0, 0.0, 1.0 + 1e-9), "must be trace-free (tolerance 1e-12), trace 1.000e-09"),
+    ):
+        with pytest.raises(InvalidOperatorError) as got:
+            WeylSpectrum(bad)
+        assert str(got.value) == "Weyl spectrum " + message
+
+
+def test_exact_weyl_spectra_compare_exactly():
+    third = Fraction(1, 3)
+    assert WeylSpectrum((-2 * third, third, third)).eigenvalues[0] == -2 * third
+    with pytest.raises(InvalidOperatorError, match=r"got \(1/3, -2/3, 1/3\)"):
+        WeylSpectrum((third, -2 * third, third))
+    tiny = Fraction(1, 10**30)  # below every float tolerance, yet not ascending
+    with pytest.raises(InvalidOperatorError, match="ascending"):
+        WeylSpectrum((-2 * third, third + tiny, third - tiny))
 
 
 @pytest.mark.parametrize(
-    "a, b, lam",
+    "a, b, lam, message",
     [
-        ((0.5, 0.2, 0.3), (0.0, 0.0, 0.0), 1.0),
-        ((0.2, 0.3, 0.4), (0.0, 0.0, 0.0), 1.0),
-        ((0.0, 0.2, 0.8), (0.01, 0.0, 0.0), 1.0),
-        ((1 / 3, 1 / 3, 1 / 3), (-0.1, 0.0, 0.1), 1.0),
-        ((0.0, 0.5, 0.5), (0.0, 0.2, -0.2), 1.0),
-        ((0.0, np.nan, 1.0), (0.0, 0.0, 0.0), 1.0),
+        ((0.5, 0.2, 0.3), (0.0, 0.0, 0.0), 1.0, berger._NOT_ASCENDING),
+        ((0.2, 0.3, 0.4), (0.0, 0.0, 0.0), 1.0, berger._SUM_A),
+        ((0.0, 0.2, 0.8), (0.01, 0.0, 0.0), 1.0, berger._SUM_B),
+        ((0.0, 0.2, 0.8), (-0.25, 0.25, 0.0), 1.0, berger._DOMINANCE[0]),
+        ((1 / 3, 1 / 3, 1 / 3), (-0.1, 0.0, 0.1), 1.0, berger._DOMINANCE[1]),
+        ((0.0, 0.5, 0.5), (0.0, 0.2, -0.2), 1.0, berger._DOMINANCE[2]),
+        ((0.0, np.nan, 1.0), (0.0, 0.0, 0.0), 1.0, berger._NOT_FINITE),
+        ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), np.inf, berger._NOT_FINITE),
     ],
-    ids=["descending", "sum-a", "sum-b", "b3-b1", "b3-b2", "nan"],
+    ids=["descending", "sum-a", "sum-b", "b2-b1", "b3-b1", "b3-b2", "nan", "inf"],
 )
-def test_berger_stack_checks_mirror_berger_data(a, b, lam):
-    # a stack from duality spectra always satisfies these, so the checks are
-    # reached only directly; the error lists what BergerData lists
+def test_berger_stack_checks_mirror_berger_data(a, b, lam, message):
+    # a stack from duality spectra always satisfies these, so the rules are
+    # reached only directly; the error lists what BergerData lists, with the
+    # failing operator's index
     with pytest.raises(InvalidBergerError) as scalar:
         BergerData(a, b, lam)
+    assert message in str(scalar.value).split("; ")
     good = berger_data(model_space("cp2"))
     stack = BergerStack(
-        np.array([good.a, a], dtype=float).T,
-        np.array([good.b, b], dtype=float).T,
-        np.array([float(good.lambda_einstein), lam]),
+        np.array([good.a, a, good.a], dtype=float).T,
+        np.array([good.b, b, good.b], dtype=float).T,
+        np.array([float(good.lambda_einstein), lam, 1.0]),
     )
     with pytest.raises(InvalidBergerError) as got:
-        berger._check_berger_stack(stack)
+        berger._check_berger(*stack)
     assert str(got.value) == f"operator 1 of the stack: {scalar.value}"
-    berger._check_berger_stack(
-        BergerStack(stack.a[:, :1], stack.b[:, :1], stack.lambda_einstein[:1])
-    )
+    berger._check_berger(*(x[..., ::2] for x in stack))

@@ -418,6 +418,36 @@ def test_cli_rejects_malformed_numbers(tmp_path, capsys, doc):
     assert "curv4:" in capsys.readouterr().err
 
 
+_DIAGONAL_ROWS = ["200000", "020000", "002000", "000200", "000020", "000002"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"format": BERGER_FORMAT, "a": "012", "b": [0, 0, 0], "lambda": 3},
+        dict(_FLOAT_DATA, a_exact="012", b_exact="000"),
+        dict(_FLOAT_DATA, **{"lambda": True}),
+        dict(_FLOAT_DATA, a=[0.2, 0.3, True]),
+        dict(operator_to_json(model_space("sphere")), exact=_DIAGONAL_ROWS, einstein_lambda=6),
+        dict(operator_to_json(model_space("sphere")), einstein_lambda=True),
+        {"format": OPERATOR_FORMAT, "matrix": _DIAGONAL_ROWS, "einstein_lambda": 6},
+        {"format": OPERATOR_FORMAT, "matrix": [[str(float(x)) for x in row] for row in np.eye(6)]},
+    ],
+    ids=[
+        "a-string", "a-exact-string", "lambda-true", "a-entry-true", "exact-row-strings",
+        "einstein-lambda-true", "matrix-row-strings", "matrix-entry-strings",
+    ],
+)
+@pytest.mark.parametrize("command", [["decompose"], ["berger", "--frame"], ["classify"]])
+def test_cli_rejects_strings_and_booleans_for_lists_and_numbers(tmp_path, capsys, doc, command):
+    # a string was read one character per entry ("012" as (0, 1, 2)) and
+    # true as 1.0, so these loaded and exited 0
+    path = write_doc(tmp_path, "doc.json", doc)
+    assert main([command[0], "--in", path, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "curv4:" in err and "Traceback" not in err
+
+
 def _with_entry(rows, value):
     rows = [list(row) for row in rows]
     rows[0][0] = value
@@ -436,8 +466,13 @@ _EXACT_DATA = {"format": BERGER_FORMAT, "a": [0.0, 0.0, 1.0], "b": [0.0, 0.0, 0.
         (dict(_SPHERE_DOC, exact=_with_entry(_SPHERE_DOC["exact"], _HUGE)), "float range"),
         (dict(_EXACT_DATA, a_exact=["1e400", "0", "1"], b_exact=["0", "0", "0"]), "exponents"),
         (dict(_EXACT_DATA, a_exact=["-" + _HUGE, "0", "1"], b_exact=["0", "0", "0"]), "finite"),
+        (dict(_FLOAT_DATA, **{"lambda": 10**400}), "float range"),
+        ({"format": OPERATOR_FORMAT, "matrix": [[10**400] * 6] * 6}, "6x6 array of numbers"),
     ],
-    ids=["op-exponent", "op-huge", "berger-exponent", "berger-huge"],
+    ids=[
+        "op-exponent", "op-huge", "berger-exponent", "berger-huge",
+        "lambda-huge-int", "matrix-huge-int",
+    ],
 )
 @pytest.mark.parametrize("command", [["decompose"], ["berger"], ["classify"]])
 def test_cli_rejects_exact_entries_beyond_the_float_range(tmp_path, capsys, doc, message, command):
