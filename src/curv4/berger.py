@@ -24,8 +24,9 @@ import numpy as np
 from .bivector import (
     CurvatureOperator,
     DualityDecomposition,
+    _exact_floats,
     _require,
-    conjugate_operator,
+    conjugate_matrices,
     decompose_stack,
     duality_decompose,
     normal_form_rows,
@@ -177,6 +178,16 @@ def berger_data_stack(m: np.ndarray, lambda_einstein) -> BergerStack:
     return BergerStack(np.array(a), np.array(b), s / 4)
 
 
+def _normal_form_matrix(d: BergerData) -> np.ndarray:
+    """The float 6x6 of berger_to_operator(d), built without an operator."""
+    if all(isinstance(x, (int, Fraction)) for x in (*d.a, *d.b)):
+        return _exact_floats(normal_form_rows(d.a, d.b))  # as CurvatureOperator.from_exact rounds
+    a = [float(x) for x in d.a]
+    b = [float(x) for x in d.b]
+    shift = (b[0] + b[1] + b[2]) / 3.0  # recenter float noise so Bianchi holds exactly
+    return np.array(normal_form_rows(a, [x - shift for x in b]), dtype=float)
+
+
 def berger_to_operator(d: BergerData) -> CurvatureOperator:
     """Build the block-diagonal normal-form operator [[A, B], [B, A]].
 
@@ -186,10 +197,7 @@ def berger_to_operator(d: BergerData) -> CurvatureOperator:
     lam = float(d.lambda_einstein)
     if all(isinstance(x, (int, Fraction)) for x in (*d.a, *d.b)):
         return CurvatureOperator.from_exact(normal_form_rows(d.a, d.b), lambda_einstein=lam)
-    a = [float(x) for x in d.a]
-    b = [float(x) for x in d.b]
-    shift = (b[0] + b[1] + b[2]) / 3.0  # recenter float noise so Bianchi holds exactly
-    return CurvatureOperator(normal_form_rows(a, [x - shift for x in b]), lambda_einstein=lam)
+    return CurvatureOperator(_normal_form_matrix(d), lambda_einstein=lam)
 
 
 # -- adapted frames -------------------------------------------------------------
@@ -222,8 +230,8 @@ class Frame:
 class FrameReconstruction:
     """An adapted frame together with the normal form it realizes.
 
-    residual is the max-norm mismatch between the operator conjugated into the
-    frame and the normal-form operator rebuilt from `data`; the reconstruction
+    residual is the max-norm mismatch between the operator's matrix conjugated
+    into the frame and the normal-form matrix of `data`; the reconstruction
     rejects anything above 1e-8 (relative).
     """
 
@@ -252,9 +260,9 @@ def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
     p, q = rho_inverse(up), rho_inverse(um.T)
     frame = Frame(quaternion_rotation(p, q), degenerate=degenerate)
 
-    target = berger_to_operator(data)
-    got = conjugate_operator(op, frame.matrix)
-    residual = float(np.abs(got.matrix - target.matrix).max())
+    # S, Bianchi and |Rc - lambda g| are invariant under the checked frame: check only the residual
+    got = conjugate_matrices(op.matrix, frame.matrix)
+    residual = float(np.abs(got - _normal_form_matrix(data)).max())
     if residual > 1e-8 * d.scale:
         raise InvalidOperatorError(
             f"frame reconstruction failed to reach normal form (residual {residual:.3e})"

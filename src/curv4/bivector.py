@@ -195,7 +195,8 @@ def _exact_floats(rows) -> np.ndarray:
 class CurvatureOperator:
     """Symmetric algebraic curvature operator on Lambda^2(R^4).
 
-    matrix          -- 6x6 float matrix in the fixed bivector basis
+    matrix          -- 6x6 float matrix in the fixed bivector basis; None with
+                       `exact` for the correctly rounded floats of the mirror
     lambda_einstein -- Einstein constant when the operator is flagged Einstein
                        (|Rc - lambda g| <= 1e-9 times max(1, max |entry|));
                        None when unflagged
@@ -207,9 +208,10 @@ class CurvatureOperator:
     exact: tuple[tuple[Fraction, ...], ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        derived = self.matrix is None and self.exact is not None  # from_exact
         if self.exact is not None:
             object.__setattr__(self, "exact", _as_exact_rows(self.exact))
-        m = np.array(self.matrix, dtype=float)
+        m = np.array(_exact_floats(self.exact) if derived else self.matrix, dtype=float)
         if m.shape != (6, 6):
             raise InvalidOperatorError("matrix must be a finite 6x6 array")
         m.setflags(write=False)
@@ -221,17 +223,17 @@ class CurvatureOperator:
                 raise InvalidOperatorError("exact matrix is not symmetric")
             if n[0][3] + n[1][4] + n[2][5] != 0:
                 raise InvalidOperatorError("exact matrix violates the first Bianchi identity")
-            with np.errstate(over="ignore"):
-                drift = np.abs(_exact_floats(self.exact) - m).max()
-            if drift > 1e-12 * scale:
-                raise InvalidOperatorError("float and exact matrices disagree")
+            if not derived:
+                with np.errstate(over="ignore"):
+                    drift = np.abs(_exact_floats(self.exact) - m).max()
+                if drift > 1e-12 * scale:
+                    raise InvalidOperatorError("float and exact matrices disagree")
         if self.lambda_einstein is not None:
             _check_einstein(*self._blocks[2:], self.lambda_einstein, scale)
 
     @classmethod
     def from_exact(cls, rows, lambda_einstein: float | None = None) -> "CurvatureOperator":
-        ex = _as_exact_rows(rows)
-        return cls(_exact_floats(ex), lambda_einstein, ex)
+        return cls(None, lambda_einstein, rows)
 
     @cached_property
     def _exact_numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -653,16 +655,17 @@ def rho_inverse(r) -> np.ndarray:
     q is its row of largest diagonal entry 4 q_k^2, normalised, so no small
     component is ever divided by.
     """
-    r = np.asarray(r, dtype=float)
-    t = np.trace(r)
-    d, a, s = 1.0 + 2.0 * np.diag(r) - t, r - r.T, r + r.T
-    k = np.array([
-        [1.0 + t, a[2, 1], a[0, 2], a[1, 0]],
-        [a[2, 1], d[0], s[0, 1], s[0, 2]],
-        [a[0, 2], s[0, 1], d[1], s[1, 2]],
-        [a[1, 0], s[0, 2], s[1, 2], d[2]],
-    ])
-    row = k[int(np.argmax(np.diag(k)))]
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(r, dtype=float).tolist()
+    t = r00 + r11 + r22
+    a0, a1, a2 = r21 - r12, r02 - r20, r10 - r01
+    s01, s02, s12 = r01 + r10, r02 + r20, r12 + r21
+    k = (
+        (1.0 + t, a0, a1, a2),
+        (a0, 1.0 + 2.0 * r00 - t, s01, s02),
+        (a1, s01, 1.0 + 2.0 * r11 - t, s12),
+        (a2, s02, s12, 1.0 + 2.0 * r22 - t),
+    )
+    row = np.array(k[max(range(4), key=lambda i: k[i][i])])  # the first largest
     return row / math.sqrt(float(row @ row))
 
 

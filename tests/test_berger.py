@@ -115,8 +115,8 @@ def test_normalized_returns_data_already_at_einstein_constant_one():
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_document_path_builds_the_blocks_and_the_decomposition_once(monkeypatch, exact):
-    # berger, berger --frame, classify and decompose on one operator; the
-    # operators reconstruct_frame builds on the way are never decomposed
+    # berger, berger --frame, classify and decompose on one operator:
+    # reconstruct_frame compares plain matrices, so it builds no blocks
     cp2 = model_space("cp2")
     sample = berger_to_operator(sample_berger_data(1, seed=3)[0])
     rotated = conjugate_operator(sample, haar_rotations(1, 4)[0])
@@ -148,7 +148,7 @@ def test_document_path_builds_the_blocks_and_the_decomposition_once(monkeypatch,
     classify(op)
     d = duality_decompose(op)
     assert duality_decompose(op) is d
-    assert sum(m is op.matrix for m in built) == 1
+    assert len(built) == 1 and built[0] is op.matrix
     assert decomposed == [op]
     # exact diagonal blocks need no eigensolver
     want = [] if exact else [d.r_plus_block, d.r_minus_block]
@@ -158,8 +158,7 @@ def test_document_path_builds_the_blocks_and_the_decomposition_once(monkeypatch,
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_document_path_tests_is_einstein_once(monkeypatch, exact):
     # one is_einstein verdict per decomposition, read by berger_data,
-    # reconstruct_frame and classify; the other two defects are the lambda
-    # checks of the two flagged operators reconstruct_frame builds
+    # reconstruct_frame and classify, and no other Einstein defect
     cp2 = model_space("cp2")
     sample = berger_to_operator(sample_berger_data(1, seed=3)[0])
     rotated = conjugate_operator(sample, haar_rotations(1, 4)[0])
@@ -178,9 +177,8 @@ def test_document_path_tests_is_einstein_once(monkeypatch, exact):
     reconstruct_frame(op)
     classify(op)
     d = duality_decompose(op)
-    assert len(defects) == 3
-    assert sum(args[0] is d.cross_block for args in defects) == 1
-    assert d.is_einstein is True and len(defects) == 3
+    assert len(defects) == 1 and defects[0][0] is d.cross_block
+    assert d.is_einstein is True and len(defects) == 1
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -303,6 +301,42 @@ def test_reconstruct_degenerate_sphere():
     assert rec.frame.degenerate  # fully repeated eigenvalues: frame not unique
     assert rec.residual <= 1e-10
     assert all(float(x) == pytest.approx(1.0 / 3.0) for x in rec.data.a)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_reconstruct_frame_builds_no_operator(monkeypatch, exact):
+    sample = berger_to_operator(sample_berger_data(1, seed=3)[0])
+    op = model_space("cp2") if exact else conjugate_operator(sample, haar_rotations(1, 4)[0])
+    built = []
+    post_init = CurvatureOperator.__post_init__
+
+    def count(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CurvatureOperator, "__post_init__", count)
+    rec = reconstruct_frame(op)
+    assert built == [] and rec.residual <= 1e-10 * duality_decompose(op).scale
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_reconstruct_frame_rejects_a_frame_off_normal_form(monkeypatch, exact):
+    # the residual is the one check of the derived matrix: a wrong lift must
+    # fail it; (1 + i + j + k)/2 permutes the axes, which moves cp2's blocks
+    sample = berger_to_operator(sample_berger_data(1, seed=3)[0])
+    op = model_space("cp2") if exact else conjugate_operator(sample, haar_rotations(1, 4)[0])
+    monkeypatch.setattr(berger, "rho_inverse", lambda r: np.full(4, 0.5))
+    with pytest.raises(InvalidOperatorError, match="failed to reach normal form"):
+        reconstruct_frame(op)
+
+
+def test_reconstruct_frame_rejects_a_non_einstein_operator():
+    # flagged, the constructor refuses it; unflagged, berger_data does
+    m = np.diag([0.5, 1 / 3, 1 / 3, 0.2, 1 / 3, 1 / 3])
+    with pytest.raises(NotEinsteinError, match="flagged Einstein"):
+        CurvatureOperator(m, 1.0)
+    with pytest.raises(NotEinsteinError, match="nonzero duality cross block"):
+        reconstruct_frame(CurvatureOperator(m))
 
 
 def test_frame_functional_bound_and_models():

@@ -27,12 +27,15 @@ from curv4 import (
     wedge_coordinates,
     weyl_scalars,
 )
+from curv4 import bivector
 from curv4.bivector import (
     EINSTEIN_TOL,
+    MODEL_BLOCKS,
     _einstein_defect,
     _plane_of,
     haar_rotations,
     induced_bivector_rotation,
+    normal_form_rows,
     quaternion_rotation,
     rho,
     rho_inverse,
@@ -246,6 +249,21 @@ def test_exact_entries_beyond_the_float_range_are_invalid():
         CurvatureOperator(np.zeros((6, 6)), None, rows)
 
 
+def test_from_exact_converts_its_rows_once(monkeypatch):
+    calls, as_exact_rows = [], bivector._as_exact_rows
+
+    def count(rows):
+        calls.append(rows)
+        return as_exact_rows(rows)
+
+    monkeypatch.setattr(bivector, "_as_exact_rows", count)
+    op = CurvatureOperator.from_exact(normal_form_rows(*MODEL_BLOCKS["cp2"]), 1.0)
+    assert len(calls) == 1
+    assert type(op.exact) is tuple and all(type(row) is tuple for row in op.exact)
+    assert all(type(x) is Fraction for row in op.exact for x in row)
+    assert op.exact == model_space("cp2").exact
+
+
 def test_exact_mirror_keeps_its_fractions():
     op = model_space("cp2")
     again = CurvatureOperator.from_exact(op.exact)
@@ -421,16 +439,49 @@ def test_induced_rotation_matches_the_pairwise_wedges():
         assert np.array_equal(induced_bivector_rotation(f), np.stack(cols, axis=1))
 
 
+def _rho_inverse_reference(r):
+    """rho_inverse on numpy temporaries: the 4x4 of 4 q_a q_b, then its first largest row."""
+    r = np.asarray(r, dtype=float)
+    t = np.trace(r)
+    d, a, s = 1.0 + 2.0 * np.diag(r) - t, r - r.T, r + r.T
+    k = np.array([
+        [1.0 + t, a[2, 1], a[0, 2], a[1, 0]],
+        [a[2, 1], d[0], s[0, 1], s[0, 2]],
+        [a[0, 2], s[0, 1], d[1], s[1, 2]],
+        [a[1, 0], s[0, 2], s[1, 2], d[2]],
+    ])
+    i = int(np.argmax(np.diag(k)))
+    return k[i] / math.sqrt(float(k[i] @ k[i])), i
+
+
 def test_rho_inverse_lifts_every_rotation():
     # random quaternions, and the half turns and the identity, where some
-    # components vanish and Shepperd's choice of row matters
+    # components vanish and Shepperd's choice of row matters; the axis
+    # permutations tie all four rows, where the first is taken
     rng = np.random.default_rng(13)
     special = [np.eye(4)[i] for i in range(4)] + [np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)]
+    special += [np.full(4, 0.5), np.array([0.5, -0.5, 0.5, -0.5])]
     for p in [*_unit_quaternions(rng, 200).T, *special, *(-x for x in special)]:
         got = rho_inverse(rho(p))
         assert min(np.abs(got - p).max(), np.abs(got + p).max()) <= 1e-14, p
+        assert np.array_equal(got, _rho_inverse_reference(rho(p))[0]), p
         r = rho(p)
         assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-14
+
+
+def test_rho_inverse_matches_the_array_reference_bit_for_bit():
+    # a third of the draws are near half turns, where 1 + t = 4 w^2 is near 0
+    rng = np.random.default_rng(17)
+    q = _unit_quaternions(rng, 21000)
+    q[0, ::3] *= 10.0 ** rng.uniform(-12.0, -1.0, 7000)
+    q /= np.linalg.norm(q, axis=0)
+    r = np.moveaxis(rho(q), -1, 0)
+    rows = [0, 0, 0, 0]
+    for x in r:
+        want, i = _rho_inverse_reference(x)
+        assert np.array_equal(rho_inverse(x), want), x
+        rows[i] += 1
+    assert min(rows) >= 1000, rows
 
 
 def test_haar_rotations_continue_one_stream_in_blocks():
