@@ -39,12 +39,7 @@ from .bivector import (
 from .classify import (
     CertificateRow,
     ClassificationVerdict,
-    PinchWeylReport,
-    check_condition_a,
-    check_condition_b,
-    check_weyl_sum,
     classify,
-    pinch_to_weyl_gap,
     wpm_discriminant,
     wpm_discriminant_oracle,
 )
@@ -62,7 +57,6 @@ from .estimates import (
     SharpConstant,
     a2a1_gap,
     hamilton_gap,
-    hamilton_holds,
     kdiff_lower,
     kupper_lower,
     lemma_algebraic2_min,

@@ -31,7 +31,7 @@ from .estimates import (
     kupper_lower,
     sharp_constants,
 )
-from .surd import QuadraticSurd, coerce, sqrt
+from .surd import coerce, sqrt
 
 _SHARP = sharp_constants()["constants"]
 COND_A_MAX_SEC = _SHARP["sec_upper_threshold"].value  # (14 - sqrt19)/12
@@ -49,8 +49,8 @@ class CertificateRow:
     name: str
     holds: bool
     lhs: float
-    rhs: float
     relation: str
+    rhs: float
     note: str = ""
 
     def __str__(self):
@@ -61,80 +61,8 @@ class CertificateRow:
 def _row(name, lhs, relation, rhs, note="") -> CertificateRow:
     # Python compares int, Fraction and float exactly, and QuadraticSurd
     # compares against a float as the rational it stores
-    if relation == "<=":
-        holds = lhs <= rhs
-    elif relation == ">=":
-        holds = lhs >= rhs
-    else:
-        raise DomainError(f"unsupported relation {relation!r}")
-    return CertificateRow(name, holds, float(lhs), float(rhs), relation, note)
-
-
-def check_condition_a(data: BergerData) -> CertificateRow:
-    """Condition (a): the largest sectional curvature stays below (14 - sqrt19)/12."""
-    d = data.normalized()
-    return _row(
-        "condition_a", d.a[2], "<=", COND_A_MAX_SEC, "max sectional curvature cap"
-    )
-
-
-def check_condition_b(data: BergerData) -> tuple[CertificateRow, CertificateRow]:
-    """Condition (b): 2 a2 + a1 >= (sqrt19 - 3)/4 and a3 - a2 <= (7 - sqrt19)/4."""
-    d = data.normalized()
-    return (
-        _row(
-            "condition_b_sum",
-            2 * d.a[1] + d.a[0],
-            ">=",
-            COND_B_SUM_MIN,
-            "weighted frame curvature floor",
-        ),
-        _row(
-            "condition_b_diff",
-            d.a[2] - d.a[1],
-            "<=",
-            COND_B_DIFF_MAX,
-            "sectional spread cap",
-        ),
-    )
-
-
-def _weyl_sum(data: BergerData) -> float:
-    """|W+| + |W-| of normalized data (spectra a_i +- b_i - 1/3)."""
-    d = data.normalized()
-    wp = sum((float(a) + float(b) - 1.0 / 3.0) ** 2 for a, b in zip(d.a, d.b))
-    wm = sum((float(a) - float(b) - 1.0 / 3.0) ** 2 for a, b in zip(d.a, d.b))
-    return math.sqrt(wp) + math.sqrt(wm)
-
-
-@dataclass(frozen=True)
-class PinchWeylReport:
-    """Closed-form bound 4 (a3 - a1)/sqrt6 on |W+| + |W-| from the sectional data.
-
-    On normalized data (a1 + a2 + a3 = 1) it equals (2 - 6 a1 + 2 (a3 - a2))/sqrt6.
-    `bound_exact` is present for exact data.
-    """
-
-    bound: float
-    weyl_sum: float
-    margin: float
-    holds: bool
-    bound_exact: QuadraticSurd | None = None
-
-
-def pinch_to_weyl_gap(data: BergerData) -> PinchWeylReport:
-    """Bound |W+| + |W-| by the sectional gap and verify against the spectra."""
-    d = data.normalized()
-    six, a1, _, a3, *_ = coerce(6, *d.a, *d.b, d.lambda_einstein)
-    numerator = 4 * (a3 - a1)
-    try:
-        bound = numerator / sqrt(six)
-    except ExactnessError:  # numerator irrational in a field without sqrt6
-        bound = float(numerator) / math.sqrt(6.0)
-    bound_exact = None if isinstance(bound, float) else bound
-    ws = _weyl_sum(d)
-    margin = float(bound) - ws
-    return PinchWeylReport(float(bound), ws, margin, margin >= -1e-9, bound_exact)
+    holds = lhs <= rhs if relation == "<=" else lhs >= rhs
+    return CertificateRow(name, holds, float(lhs), relation, float(rhs), note)
 
 
 # -- the Weitzenboeck discriminant ------------------------------------------------
@@ -167,17 +95,6 @@ def wpm_discriminant_oracle(resolution: int = 400) -> GridReport:
     return GridReport(value, (float(t[i]), float(t[j])), resolution, 0.0)
 
 
-def check_weyl_sum(data: BergerData) -> CertificateRow:
-    """|W+| + |W-| <= sqrt6/2, the hypothesis of the elliptic argument."""
-    return _row(
-        "weyl_sum_small",
-        _weyl_sum(data),
-        "<=",
-        WEYL_SUM_MAX,
-        "elliptic rigidity regime",
-    )
-
-
 # -- the full verdict --------------------------------------------------------------
 
 
@@ -205,27 +122,21 @@ class ClassificationVerdict:
         raise KeyError(name)
 
 
-def _matches_model(d: BergerData, model: str, tol: float = 1e-9) -> bool:
-    ma, mb = MODEL_BLOCKS[model]
-    da = [float(x) for x in d.a]
-    ma = [float(x) for x in ma]
-    if any(abs(x - y) > tol for x, y in zip(da, ma)):
-        return False
-    db = [float(x) for x in d.b]
-    mb = [float(x) for x in mb]
-    same = all(abs(x - y) <= tol for x, y in zip(db, mb))
-    flipped = all(abs(x + y) <= tol for x, y in zip(db, mb))
-    return same or flipped
+# the model normal forms in floats, for matching data against them
+_MODEL_FLOATS = {
+    name: (tuple(map(float, a)), tuple(map(float, b))) for name, (a, b) in MODEL_BLOCKS.items()
+}
 
 
 def classify(source) -> ClassificationVerdict:
     """Evaluate every pointwise rigidity condition on an operator or its data.
 
     Accepts a CurvatureOperator or BergerData; the data is rescaled to
-    Einstein constant 1 first (positive constant required).  Threshold
-    comparisons are exact; derived rows double-check the closed-form minimum
-    bounds against the actual data, and are skipped (with the reason kept in
-    `skipped`) where the data lies outside a closed form's domain.
+    Einstein constant 1 first (positive constant required), once, and every
+    row reads that datum.  Threshold comparisons are exact; derived rows
+    double-check the closed-form minimum bounds against the actual data, and
+    are skipped (with the reason kept in `skipped`) where the data lies
+    outside a closed form's domain.
     """
     if isinstance(source, CurvatureOperator):
         data = berger_data(source)
@@ -235,6 +146,11 @@ def classify(source) -> ClassificationVerdict:
         raise DomainError("classify expects a CurvatureOperator or BergerData")
     d = data.normalized()
     a1, a2, a3 = d.a
+    fa, fb = [float(x) for x in d.a], [float(x) for x in d.b]
+    # |W+| + |W-| from the spectra a_i +- b_i - 1/3
+    wp = sum((x + y - 1.0 / 3.0) ** 2 for x, y in zip(fa, fb))
+    wm = sum((x - y - 1.0 / 3.0) ** 2 for x, y in zip(fa, fb))
+    weyl_sum = math.sqrt(wp) + math.sqrt(wm)
 
     rows = [
         _row(
@@ -244,8 +160,9 @@ def classify(source) -> ClassificationVerdict:
             -Fraction(1, 10**12),
             "pointwise quadratic inequality (float slack 1e-12)",
         ),
-        check_condition_a(d),
-        *check_condition_b(d),
+        _row("condition_a", a3, "<=", COND_A_MAX_SEC, "max sectional curvature cap"),
+        _row("condition_b_sum", 2 * a2 + a1, ">=", COND_B_SUM_MIN, "weighted frame curvature floor"),
+        _row("condition_b_diff", a3 - a2, "<=", COND_B_DIFF_MAX, "sectional spread cap"),
         _row("nonneg_sec_upper", a3, "<=", NONNEG_SEC_MAX, "forces K >= 0 when it holds"),
         _row(
             "nonneg_sec_diff",
@@ -254,7 +171,7 @@ def classify(source) -> ClassificationVerdict:
             NONNEG_DIFF_MAX,
             "forces K >= 0 when it holds",
         ),
-        check_weyl_sum(d),
+        _row("weyl_sum_small", weyl_sum, "<=", WEYL_SUM_MAX, "elliptic rigidity regime"),
     ]
     skipped = []
     if float(a3) <= 1.0 + 1e-12:
@@ -289,19 +206,35 @@ def classify(source) -> ClassificationVerdict:
         skipped.append(
             ("derived_min_sec_diff", "a3 - a2 >= 2 lies outside the domain [0, 2) of kdiff_lower")
         )
-    rep = pinch_to_weyl_gap(d)
+    # the closed-form bound 4 (a3 - a1)/sqrt6 on |W+| + |W-|, exact where the
+    # data's field holds sqrt6 (on normalized data it equals
+    # (2 - 6 a1 + 2 (a3 - a2))/sqrt6)
+    six, e1, _, e3, *_ = coerce(6, *d.a, *d.b, d.lambda_einstein)
+    numerator = 4 * (e3 - e1)
+    try:
+        bound = float(numerator / sqrt(six))
+    except ExactnessError:  # numerator irrational in a field without sqrt6
+        bound = float(numerator) / math.sqrt(6.0)
     rows.append(
         CertificateRow(
             "pinch_weyl_upper",
-            rep.holds,
-            rep.weyl_sum,
-            rep.bound,
+            bound - weyl_sum >= -1e-9,
+            weyl_sum,
             "<=",
+            bound,
             "Weyl sum against its sectional bound",
         )
     )
 
-    matches = tuple(name for name in MODEL_BLOCKS if _matches_model(d, name))
+    matches = tuple(
+        name
+        for name, (ma, mb) in _MODEL_FLOATS.items()
+        if all(abs(x - y) <= 1e-9 for x, y in zip(fa, ma))
+        and (
+            all(abs(x - y) <= 1e-9 for x, y in zip(fb, mb))
+            or all(abs(x + y) <= 1e-9 for x, y in zip(fb, mb))
+        )
+    )
     by_name = {r.name: r for r in rows}
     cond_a = by_name["condition_a"].holds
     cond_b = by_name["condition_b_sum"].holds and by_name["condition_b_diff"].holds

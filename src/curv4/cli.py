@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -388,17 +388,7 @@ def _cmd_classify(args) -> int:
         "candidates": list(verdict.candidates),
         "normalized_a": [float(x) for x in verdict.data.a],
         "normalized_b": [float(x) for x in verdict.data.b],
-        "rows": [
-            {
-                "name": r.name,
-                "holds": r.holds,
-                "lhs": r.lhs,
-                "relation": r.relation,
-                "rhs": r.rhs,
-                "note": r.note,
-            }
-            for r in verdict.rows
-        ],
+        "rows": [asdict(r) for r in verdict.rows],
         "skipped": [{"name": name, "reason": reason} for name, reason in verdict.skipped],
     }
 

@@ -119,12 +119,8 @@ def hamilton_gap(d):
     return a1 - (a1 * a1 + b1 * b1 + 2 * (a2 * a3 + b2 * b3))
 
 
+# boundary slack of the inequality on float data
 HAMILTON_PREDICATE_TOL = 1e-12
-
-
-def hamilton_holds(d) -> bool:
-    """The inequality itself, with boundary slack 1e-12 for float data."""
-    return float(hamilton_gap(d)) >= -HAMILTON_PREDICATE_TOL
 
 
 def hamilton_box_bound(a1, a2, a3, bb1, bb2):

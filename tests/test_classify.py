@@ -10,21 +10,18 @@ from curv4 import (
     QuadraticSurd,
     berger_data,
     berger_to_operator,
-    check_condition_a,
-    check_condition_b,
-    check_weyl_sum,
     classify,
+    conjugate_operator,
     duality_decompose,
     frame_functional_min,
-    hamilton_holds,
     kupper_lower,
     model_space,
-    pinch_to_weyl_gap,
     sample_berger_data,
+    sharp_constants,
     wpm_discriminant,
     wpm_discriminant_oracle,
 )
-from curv4.bivector import MODEL_BLOCKS
+from curv4.bivector import MODEL_BLOCKS, haar_rotations
 from curv4.errors import DomainError
 
 S19 = QuadraticSurd(0, 1, 19, 1)
@@ -79,6 +76,29 @@ def test_verdict_inconclusive():
         classify(42)
 
 
+@pytest.mark.parametrize("kind", ["rotated", "float-lambda-2", "exact"])
+def test_classify_normalizes_once(monkeypatch, kind):
+    # every row reads the one normalized datum
+    if kind == "rotated":
+        sample = berger_to_operator(sample_berger_data(1, seed=3)[0])
+        source = conjugate_operator(sample, haar_rotations(1, 4)[0])
+    elif kind == "float-lambda-2":
+        ma, mb = MODEL_BLOCKS["cp2"]
+        source = BergerData(tuple(2.0 * x for x in ma), tuple(2.0 * x for x in mb), 2.0)
+    else:
+        source = RIGID_POINT
+    calls, normalized = [], BergerData.normalized
+
+    def count(self):
+        calls.append(self)
+        return normalized(self)
+
+    monkeypatch.setattr(BergerData, "normalized", count)
+    v = classify(source)
+    assert len(calls) == 1
+    assert v.data.lambda_einstein == 1
+
+
 def test_verdict_outside_closed_form_domains():
     # spread a3 - a2 >= 2: kdiff_lower has no value there, and a3 > 1 puts
     # kupper_lower out of reach too; both rows are skipped with a reason
@@ -115,13 +135,13 @@ def test_row_str_marks():
 def test_condition_a_threshold_is_sharp():
     below = BergerData(a=(0.05, 0.15, 0.80), b=(0.0, 0.0, 0.0))
     above = BergerData(a=(0.045, 0.145, 0.81), b=(0.0, 0.0, 0.0))
-    assert check_condition_a(below).holds
-    assert not check_condition_a(above).holds
-    s, d = check_condition_b(below)
-    assert s.holds  # 2 a2 + a1 = 0.35 just clears (sqrt19 - 3)/4
-    assert d.holds
-    s, _ = check_condition_b(BergerData(a=(0.04, 0.14, 0.82), b=(0.0,) * 3))
-    assert not s.holds  # 0.32 lands under the floor
+    v = classify(below)
+    assert v.row("condition_a").holds
+    assert not classify(above).row("condition_a").holds
+    assert v.row("condition_b_sum").holds  # 2 a2 + a1 = 0.35 just clears (sqrt19 - 3)/4
+    assert v.row("condition_b_diff").holds
+    v = classify(BergerData(a=(0.04, 0.14, 0.82), b=(0.0,) * 3))
+    assert not v.row("condition_b_sum").holds  # 0.32 lands under the floor
 
 
 def test_condition_a_monotone_in_a3():
@@ -130,7 +150,7 @@ def test_condition_a_monotone_in_a3():
     for k in range(40, 0, -1):
         a3 = 0.6 + 0.4 * k / 40.0
         a1 = (1.0 - a3) / 2.0
-        row = check_condition_a(BergerData(a=(a1, a1, a3), b=(0.0, 0.0, 0.0)))
+        row = classify(BergerData(a=(a1, a1, a3), b=(0.0, 0.0, 0.0))).row("condition_a")
         if held:
             assert row.holds
         held = row.holds
@@ -143,21 +163,22 @@ def test_pinch_modes_agree_when_normalized():
     # no second row
     for data in sample_berger_data(50, seed=21):
         a1, a2, a3 = (float(x) for x in data.normalized().a)
-        rep = pinch_to_weyl_gap(data)
-        assert rep.bound == pytest.approx(4.0 * (a3 - a1) / math.sqrt(6.0), abs=1e-12)
-        assert rep.bound == pytest.approx((2 - 6 * a1 + 2 * (a3 - a2)) / math.sqrt(6.0), abs=1e-12)
-        assert rep.holds  # bound is a proved upper bound
+        row = classify(data).row("pinch_weyl_upper")
+        assert row.rhs == pytest.approx(4.0 * (a3 - a1) / math.sqrt(6.0), abs=1e-12)
+        assert row.rhs == pytest.approx((2 - 6 * a1 + 2 * (a3 - a2)) / math.sqrt(6.0), abs=1e-12)
+        assert row.holds  # bound is a proved upper bound
 
 
 def test_pinch_bound_exact_at_theorem_endpoint():
     a1 = kupper_lower(BETA)
     endpoint = BergerData(a=(a1, 1 - BETA - a1, BETA), b=(Fraction(0),) * 3)
-    rep = pinch_to_weyl_gap(endpoint)
-    assert rep.bound_exact == SQRT32  # the ℚ(√19) algebra collapses
+    row = classify(endpoint).row("pinch_weyl_upper")
+    assert row.rhs == float(SQRT32)  # the ℚ(√19) algebra collapses
+    assert sharp_constants()["identities"]["upper_pipeline_endpoint"] is True
     # the other form's numerator is 3 as well: 3/sqrt6 = sqrt6/2
     e1, e2, e3 = endpoint.a
     assert 4 * (e3 - e1) == 2 - 6 * e1 + 2 * (e3 - e2) == 3
-    assert rep.holds
+    assert row.holds
 
 
 def test_pipeline_soundness_sampled():
@@ -167,9 +188,9 @@ def test_pipeline_soundness_sampled():
         a1, a3 = float(data.a[0]), float(data.a[2])
         if a3 <= float(BETA) and a1 >= float(kupper_lower(max(a3, 1 / 3))):
             hits += 1
-            rep = pinch_to_weyl_gap(data)
-            assert rep.bound <= float(SQRT32) + 1e-12
-            assert rep.weyl_sum <= float(SQRT32) + 1e-9
+            row = classify(data).row("pinch_weyl_upper")
+            assert row.rhs <= float(SQRT32) + 1e-12
+            assert row.lhs <= float(SQRT32) + 1e-9
     assert hits > 0
 
 
@@ -193,26 +214,30 @@ def test_wpm_oracle_max_zero_on_axes():
 
 def test_wpm_hypothesis_on_models():
     for name, expected in (("sphere", True), ("cp2", True), ("s2xs2", False)):
-        assert check_weyl_sum(berger_data(duality_decompose(model_space(name)))).holds == expected
+        row = classify(berger_data(duality_decompose(model_space(name)))).row("weyl_sum_small")
+        assert row.holds == expected
 
 
 @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(2)])
 def test_weyl_sum_predicate_is_scale_free(lam):
-    # the hypothesis is stated at Einstein constant 1, so rescaling a model
-    # must not move it across sqrt6/2 (cp2 at lambda = 2 used to fail it)
+    # the hypotheses are stated at Einstein constant 1, so rescaling a model
+    # must not move any row across its threshold (cp2 at lambda = 2 used to
+    # fail the Weyl row)
     for name, (ma, mb) in MODEL_BLOCKS.items():
+        unit = [(r.name, r.holds) for r in classify(BergerData(ma, mb)).rows]
         for scale in (lam, float(lam)):
             data = BergerData(tuple(scale * x for x in ma), tuple(scale * x for x in mb), scale)
             op = berger_to_operator(data)
             expected = name != "s2xs2"
-            assert check_weyl_sum(berger_data(duality_decompose(op))).holds == expected, (name, scale)
-            assert check_weyl_sum(data).holds == expected, (name, scale)
-            assert check_weyl_sum(berger_data(op)).holds == expected, (name, scale)
+            for source in (berger_data(duality_decompose(op)), data, berger_data(op)):
+                v = classify(source)
+                assert v.row("weyl_sum_small").holds == expected, (name, scale)
+                assert [(r.name, r.holds) for r in v.rows] == unit, (name, scale)
 
 
 def test_weyl_sum_row_matches_decomposition():
     for name in ("sphere", "cp2", "s2xs2"):
-        row = check_weyl_sum(berger_data(model_space(name)))
+        row = classify(berger_data(model_space(name))).row("weyl_sum_small")
         d = duality_decompose(model_space(name))
         direct = math.sqrt(float(d.w_plus.norm_sq())) + math.sqrt(float(d.w_minus.norm_sq()))
         assert row.lhs == pytest.approx(direct, abs=1e-12)
@@ -260,15 +285,12 @@ def test_condition_rows_hold_on_hamilton_feasible_slice():
     # regime; random polytope points rarely satisfy it (the models are
     # extreme), so the models are checked explicitly alongside
     cases = [berger_data(model_space("sphere")), berger_data(model_space("cp2"))]
-    cases += [
-        d
-        for d in sample_berger_data(10000, seed=17)
-        if float(d.a[2]) <= 0.8 and hamilton_holds(d)
-    ]
-    assert len(cases) >= 2
-    for d in cases:
-        assert check_condition_a(d).holds
-        assert check_weyl_sum(d).holds
+    cases += [d for d in sample_berger_data(10000, seed=17) if float(d.a[2]) <= 0.8]
+    verdicts = [v for v in map(classify, cases) if v.row("hamilton").holds]
+    assert len(verdicts) >= 2
+    for v in verdicts:
+        assert v.row("condition_a").holds
+        assert v.row("weyl_sum_small").holds
 
 
 def _lattice_slab(denominator=60, stride=8):
