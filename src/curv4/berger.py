@@ -146,8 +146,20 @@ def berger_data(source) -> BergerData:
 
 
 def _berger_data_of(d: DualityDecomposition) -> BergerData:
-    """berger_data of an Einstein decomposition, which keeps the result."""
-    s, *spectra = coerce(d.s, *d.w_plus.eigenvalues, *d.w_minus.eigenvalues)
+    """berger_data of an Einstein decomposition, which keeps the result.
+
+    Exact values come from integer numerators over one denominator D, one
+    Fraction per output: with S and W the numerators of s and the spectra,
+    a = (6 (W+ + W-) + S)/(12 D), b = (W+ - W-)/(2 D) and lambda = S/(4 D).
+    """
+    values = (d.s, *d.w_plus.eigenvalues, *d.w_minus.eigenvalues)
+    if all(type(x) is Fraction for x in values):
+        den = math.lcm(*(x.denominator for x in values))
+        s, *w = (x.numerator * (den // x.denominator) for x in values)
+        a = tuple(Fraction(6 * (p + m) + s, 12 * den) for p, m in zip(w[:3], w[3:]))
+        b = tuple(Fraction(p - m, 2 * den) for p, m in zip(w[:3], w[3:]))
+        return BergerData(a, b, Fraction(s, 4 * den))
+    s, *spectra = coerce(*values)
     a, b = _normal_form_data(s, spectra[:3], spectra[3:])
     return BergerData(a, b, s / 4)
 

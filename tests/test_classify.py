@@ -1,9 +1,13 @@
 """Verdict logic, pinch-to-Weyl bounds, discriminant sign condition."""
 
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curv4 import (
     BergerData,
@@ -14,6 +18,7 @@ from curv4 import (
     conjugate_operator,
     duality_decompose,
     frame_functional_min,
+    hamilton_gap,
     kupper_lower,
     model_space,
     sample_berger_data,
@@ -21,6 +26,7 @@ from curv4 import (
     wpm_discriminant,
     wpm_discriminant_oracle,
 )
+from curv4 import surd
 from curv4.bivector import MODEL_BLOCKS, haar_rotations
 from curv4.errors import DomainError
 
@@ -35,6 +41,22 @@ RIGID_POINT = BergerData(
     a=(Fraction(7, 60), Fraction(7, 60), Fraction(23, 30)),
     b=(Fraction(-13, 60), Fraction(-13, 60), Fraction(13, 30)),
 )
+
+
+
+def _boundary_point(m: Fraction) -> BergerData:
+    """The point s = 1/(3 m^2 + 3), t = m s of the tight face a1 = a2 = s, b = (-t, -t, 2t).
+
+    The Hamilton gap there is 3 s^2 + 3 t^2 - s = 0 exactly; m = 1 is cp2, and
+    m >= 1 keeps the dominance constraint |b3 - b1| <= a3 - a1.
+    """
+    s = 1 / (3 * m * m + 3)
+    return BergerData((s, s, 1 - 2 * s), (-m * s, -m * s, 2 * m * s))
+
+
+BOUNDARY_FAMILY = [
+    _boundary_point(Fraction(m)) for m in ("1", "9/8", "5/4", "4/3", "11/8", "3/2")
+]
 
 CONDITION_ROWS = ("condition_a", "condition_b_sum", "condition_b_diff", "weyl_sum_small")
 
@@ -285,9 +307,11 @@ def test_condition_rows_hold_on_hamilton_feasible_slice():
     # regime; random polytope points rarely satisfy it (the models are
     # extreme), so the models are checked explicitly alongside
     cases = [berger_data(model_space("sphere")), berger_data(model_space("cp2"))]
+    assert all(hamilton_gap(d) == 0 and d.a[2] <= Fraction(4, 5) for d in BOUNDARY_FAMILY)
+    cases += BOUNDARY_FAMILY
     cases += [d for d in sample_berger_data(10000, seed=17) if float(d.a[2]) <= 0.8]
     verdicts = [v for v in map(classify, cases) if v.row("hamilton").holds]
-    assert len(verdicts) >= 2
+    assert len(verdicts) >= 2 + len(BOUNDARY_FAMILY)
     for v in verdicts:
         assert v.row("condition_a").holds
         assert v.row("weyl_sum_small").holds
@@ -330,3 +354,111 @@ def test_exact_and_float_classify_agree_on_a_rational_lattice():
         assert [(r.name, r.holds) for r in got.rows] == [(r.name, r.holds) for r in want.rows]
         verdicts.add(want.verdict)
     assert verdicts == {"model_data", "rigidity_regime", "inconclusive"}
+
+
+# -- exact rows against an independent reference ----------------------------------
+
+
+def _reference_margins(d: BergerData) -> dict:
+    """Each row's margin in mpmath at 80 digits, from the rationals of normalized data d.
+
+    The margin is lhs - rhs of a ">=" row and rhs - lhs of a "<=" row, so a
+    row holds iff its margin is >= 0.  The rows are the inequalities classify
+    states, slacks included: 1e-12 on the Hamilton gap, 1e-9 on the derived
+    floors and on the pinch bound.  The Weyl sum is exact here.
+    """
+    with mpmath.workdps(80):
+        a1, a2, a3, b1, b2, b3 = (mpmath.mpf(x.numerator) / x.denominator for x in (*d.a, *d.b))
+        s3, s6, s19 = (mpmath.sqrt(n) for n in (3, 6, 19))
+        third = mpmath.mpf(1) / 3
+        weyl = sum(
+            mpmath.sqrt(sum((x + sign * y - third) ** 2 for x, y in zip((a1, a2, a3), (b1, b2, b3))))
+            for sign in (1, -1)
+        )
+        margins = {
+            "hamilton": a1 - (a1 * a1 + b1 * b1 + 2 * (a2 * a3 + b2 * b3)) + mpmath.mpf(10) ** -12,
+            "condition_a": (14 - s19) / 12 - a3,
+            "condition_b_sum": 2 * a2 + a1 - (s19 - 3) / 4,
+            "condition_b_diff": (7 - s19) / 4 - (a3 - a2),
+            "nonneg_sec_upper": s3 / 2 - a3,
+            "nonneg_sec_diff": s3 - 1 - (a3 - a2),
+            "weyl_sum_small": s6 / 2 - weyl,
+            "pinch_weyl_upper": 4 * (a3 - a1) / s6 - weyl + mpmath.mpf(10) ** -9,
+        }
+        top = min(max(a3, third), 1)
+        floor = (15 - 8 * top - s3 * mpmath.sqrt(96 * top * top - 80 * top + 19)) / 28
+        margins["derived_min_sec"] = a1 - floor + mpmath.mpf(10) ** -9
+        spread = max(a3 - a2, 0)
+        floor = (3 - 2 * spread - mpmath.sqrt(1 + 8 * spread * spread - 4 * spread)) / 6
+        margins["derived_min_sec_diff"] = a1 - floor + mpmath.mpf(10) ** -9
+        return margins
+
+
+# rows whose lhs classify computes in floats even on exact data
+FLOAT_LHS_ROWS = ("weyl_sum_small", "pinch_weyl_upper")
+
+
+def _assert_rows_match_reference(v) -> None:
+    margins = _reference_margins(v.data)
+    for row in v.rows:
+        margin = margins[row.name]
+        # a float lhs may sit on the other side of a margin far below its rounding
+        if row.name not in FLOAT_LHS_ROWS or abs(margin) > 1e-12:
+            assert row.holds == (margin >= 0), (row, margin)
+
+
+@pytest.mark.parametrize("k", [14, 16, 30])
+def test_exact_classify_of_long_decimals_is_fast(k):
+    # x = 0.1025 + 7 10^-k; deciding the derived rows through a surd of the
+    # data means a square-free split of its radicand, not known to be easier than
+    # factoring it, so its cost grew with k far past this budget
+    x = Fraction(1025, 10**4) + Fraction(7, 10**k)
+    data = BergerData((x, x, 1 - 2 * x), (0, 0, 0))
+    start = time.perf_counter()
+    v = classify(data)
+    assert time.perf_counter() - start < 0.05
+    assert {"derived_min_sec", "derived_min_sec_diff"} <= {r.name for r in v.rows}
+    _assert_rows_match_reference(v)
+
+
+def test_exact_classify_of_rational_data_never_factors(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"classify factored {n}")
+
+    monkeypatch.setattr(surd, "_squarefree_split", refuse)
+    x = Fraction(1025, 10**4) + Fraction(7, 10**30)
+    cases = [BergerData((x, x, 1 - 2 * x), (0, 0, 0)), RIGID_POINT, model_space("cp2")]
+    cases += BOUNDARY_FAMILY + _lattice_slab(denominator=12)
+    for source in cases:
+        classify(source)
+
+
+def _ascending_triple(draw):
+    """An ascending triple summing to 1, from two rational gaps with denominators up to 10^20."""
+    g1, g2 = (
+        Fraction(draw(st.integers(0, q)), q) for q in (draw(st.integers(1, 10**20)) for _ in "gg")
+    )
+    x1 = (1 - 2 * g1 - g2) / 3
+    return x1, x1 + g1, x1 + g1 + g2
+
+
+@st.composite
+def exact_polytope_points(draw):
+    # a = (r+ + r-)/2, b = (r+ - r-)/2 is valid data iff r+ and r- are ascending
+    rp, rm = _ascending_triple(draw), _ascending_triple(draw)
+    return BergerData(
+        tuple((p + m) / 2 for p, m in zip(rp, rm)), tuple((p - m) / 2 for p, m in zip(rp, rm)), 1
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(exact_polytope_points())
+def test_exact_rows_match_reference_and_float_rows(data):
+    v = classify(data)
+    _assert_rows_match_reference(v)
+    # float classify of the rounded data agrees wherever a row's margin is wide
+    floats = classify(BergerData(tuple(map(float, data.a)), tuple(map(float, data.b)), 1.0))
+    margins = _reference_margins(v.data)
+    for row in floats.rows:
+        if abs(margins[row.name]) > 1e-8:
+            assert row.holds == v.row(row.name).holds, row
