@@ -2,9 +2,11 @@
 
 The sharp thresholds of the pinching estimates all live in real quadratic
 fields (Q(sqrt(19)), Q(sqrt(3)), Q(sqrt(6)), Q(sqrt(105))), so a single
-canonical-form class with integer components is enough to state and verify
-them with no rounding at all.  Arithmetic is closed as long as operands stay
-in one field (or one side is rational); anything else raises instead of
+class with integer components is enough to state and verify them with no
+rounding at all.  A radicand is kept as given, never factored: sqrt(12) stays
+sqrt(12).  Two radicands r1, r2 generate one field iff r1*r2 is a square,
+which one isqrt settles.  Arithmetic is closed as long as operands stay in
+one field (or one side is rational); anything else raises instead of
 silently degrading to floats.
 """
 
@@ -19,31 +21,7 @@ from .errors import ExactnessError
 Rational = int | Fraction
 
 
-def _squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = m*m*d with d square-free; returns (m, d).  Requires n >= 0.
-
-    Trial division by k stops once the unsplit part c is a square or c < k^3, when c has at
-    most two prime factors left: then only a prime square is not square-free.
-    """
-    if n < 0:
-        raise ValueError("radicand must be nonnegative")
-    m, d, c, k = 1, 1, n, 2
-    square = math.isqrt(c) ** 2 == c
-    while not square and k * k * k <= c:
-        if c % k == 0:
-            while c % (k * k) == 0:
-                c //= k * k
-                m *= k
-            if c % k == 0:
-                c //= k
-                d *= k
-            square = math.isqrt(c) ** 2 == c
-        k += 1
-    root = math.isqrt(c)
-    return (m * root, d) if root * root == c and c else (m, d * c)
-
-
-def _is_square(x: Fraction) -> bool:
+def _is_square(x: Rational) -> bool:
     if x < 0:
         return False
     return (
@@ -58,13 +36,17 @@ def _fraction_sqrt(x: Fraction) -> Fraction:
 
 @total_ordering
 class QuadraticSurd:
-    """Canonical exact representation of (p + q*sqrt(r)) / s.
+    """Exact representation of (p + q*sqrt(r)) / s.
 
-    Invariants: integers p, q, r, s with s > 0, r square-free, r = 0 iff
-    q = 0, and gcd(p, q, s) = 1.  Comparisons within one field are exact
-    integer arithmetic; distinct square-free radicands generate distinct
-    fields, whose values never coincide, so refined integer intervals for
-    sqrt(r) always separate them.
+    Invariants: integers p, q, r, s with s > 0, r = 0 iff q = 0, r otherwise
+    any non-square integer (a square radicand folds into p), and
+    gcd(p, q, s) = 1.  One value has many representations, sqrt(12) and
+    2*sqrt(3) say, so equality is decided by comparison, never by components,
+    and an irrational surd hashes the trace and norm of its minimal
+    polynomial, which every representation shares.  Radicands r1, r2 give
+    one field iff isqrt(r1*r2)^2 = r1*r2; comparisons within one field are
+    exact integer arithmetic, and irrationals in different fields never
+    coincide, so refined integer intervals for the roots always separate them.
     """
 
     __slots__ = ("p", "q", "r", "s", "_bracket")
@@ -74,24 +56,10 @@ class QuadraticSurd:
             raise ZeroDivisionError("surd denominator is zero")
         if r < 0:
             raise ValueError("radicand must be nonnegative")
-        # fold square parts of the radicand into q, then rational radicands into p
-        if q != 0 and r > 1:
-            m, d = _squarefree_split(r)
-            q, r = q * m, d
-        self._store(p, q, r, s)
-
-    @classmethod
-    def _of(cls, p: int, q: int, r: int, s: int) -> "QuadraticSurd":
-        """(p + q*sqrt(r))/s for s != 0 and r already 0, 1 or square-free: no split."""
-        out = object.__new__(cls)
-        out._store(p, q, r, s)
-        return out
-
-    def _store(self, p: int, q: int, r: int, s: int) -> None:
-        if r == 1:
-            p, q, r = p + q, 0, 0
-        if q == 0 or r == 0:
-            q, r = 0, 0
+        if q == 0:
+            r = 0
+        elif (root := math.isqrt(r)) * root == r:
+            p, q, r = p + q * root, 0, 0
         if s < 0:
             p, q, s = -p, -q, -s
         g = math.gcd(math.gcd(abs(p), abs(q)), s)
@@ -125,9 +93,8 @@ class QuadraticSurd:
         f = Fraction(x)
         if f < 0:
             raise ValueError("square root of negative rational")
-        # sqrt(n/d) = sqrt(n d)/d, and coprime n, d have coprime square-free parts
-        (mn, rn), (md, rd) = _squarefree_split(f.numerator), _squarefree_split(f.denominator)
-        return cls._of(0, mn * md, rn * rd, f.denominator)
+        # sqrt(n/d) = sqrt(n d)/d
+        return cls(0, 1, f.numerator * f.denominator, f.denominator)
 
     # -- basic queries -------------------------------------------------------
 
@@ -148,7 +115,11 @@ class QuadraticSurd:
         return Fraction(self.p, self.s)
 
     def __float__(self) -> float:
-        return (self.p + self.q * math.sqrt(self.r)) / self.s
+        try:
+            return (self.p + self.q * math.sqrt(self.r)) / self.s
+        except OverflowError:  # a component beyond the float range
+            lo, _, den = self._interval(64)
+            return lo / den  # int / int rounds correctly
 
     def __bool__(self) -> bool:
         return not (self.p == 0 and self.q == 0)
@@ -182,16 +153,19 @@ class QuadraticSurd:
             return QuadraticSurd.from_rational(x)
         return None
 
-    def _common_radicand(self, other: "QuadraticSurd") -> int:
-        if self.q == 0:
-            return other.r
-        if other.q == 0:
-            return self.r
-        if self.r == other.r:
-            return self.r
-        raise ExactnessError(
-            f"radicands {self.r} and {other.r} generate different fields"
-        )
+    def _aligned(self, o: "QuadraticSurd") -> tuple[int, "QuadraticSurd"]:
+        """A radicand r and o rewritten over it, so self and o are both (p + q*sqrt(r))/s.
+
+        Radicands r1 != r2 share a field iff r1*r2 = m^2, and then
+        sqrt(r2) = (m/r1) sqrt(r1); otherwise raises ExactnessError.
+        """
+        if self.q == 0 or o.q == 0 or self.r == o.r:
+            return self.r or o.r, o
+        r = self.r
+        m = math.isqrt(r * o.r)
+        if m * m != r * o.r:
+            raise ExactnessError(f"radicands {r} and {o.r} generate different fields")
+        return r, QuadraticSurd(o.p * r, o.q * m, r, o.s * r)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -199,8 +173,8 @@ class QuadraticSurd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        r = self._common_radicand(o)
-        return QuadraticSurd._of(
+        r, o = self._aligned(o)
+        return QuadraticSurd(
             self.p * o.s + o.p * self.s,
             self.q * o.s + o.q * self.s,
             r,
@@ -210,7 +184,7 @@ class QuadraticSurd:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticSurd._of(-self.p, -self.q, self.r, self.s)
+        return QuadraticSurd(-self.p, -self.q, self.r, self.s)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -228,8 +202,8 @@ class QuadraticSurd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        r = self._common_radicand(o)
-        return QuadraticSurd._of(
+        r, o = self._aligned(o)
+        return QuadraticSurd(
             self.p * o.p + self.q * o.q * r,
             self.p * o.q + self.q * o.p,
             r,
@@ -243,7 +217,7 @@ class QuadraticSurd:
         norm = self.p * self.p - self.q * self.q * self.r
         if norm == 0:
             raise ZeroDivisionError("division by zero surd")
-        return QuadraticSurd._of(self.s * self.p, -self.s * self.q, self.r, norm)
+        return QuadraticSurd(self.s * self.p, -self.s * self.q, self.r, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -275,7 +249,7 @@ class QuadraticSurd:
     # -- exact sign and comparison --------------------------------------------
 
     def _sign(self) -> int:
-        """Exact sign of the value (s > 0 by canonical form)."""
+        """Exact sign of the value (s > 0 by the invariants)."""
         p, q, r = self.p, self.q, self.r
         if q == 0:
             return (p > 0) - (p < 0)
@@ -288,7 +262,7 @@ class QuadraticSurd:
         # opposite signs: compare p^2 against q^2 r
         lhs, rhs = p * p, q * q * r
         if lhs == rhs:
-            return 0  # unreachable for square-free r > 1, kept for safety
+            return 0  # unreachable for non-square r, kept for safety
         if p > 0:
             return 1 if lhs > rhs else -1
         return -1 if lhs > rhs else 1
@@ -304,18 +278,19 @@ class QuadraticSurd:
         o = self._coerce(Fraction(other) if isinstance(other, float) else other)
         if o is None:
             raise TypeError(f"cannot compare QuadraticSurd with {type(other)!r}")
-        if self.q == 0 or o.q == 0 or self.r == o.r:
+        if self.q == 0 or o.q == 0 or _is_square(self.r * o.r):
             return (self - o)._sign()
-        # distinct square-free radicands: values can never be equal, so
-        # interval refinement always separates them
-        for bits in (64, 128, 256, 512, 1024):
+        # different fields: the values never coincide, so refining the
+        # intervals always separates them
+        bits = 64
+        while True:
             lo1, hi1, den1 = self._interval(bits)
             lo2, hi2, den2 = o._interval(bits)
             if hi1 * den2 < lo2 * den1:
                 return -1
             if hi2 * den1 < lo1 * den2:
                 return 1
-        raise ExactnessError(f"cannot separate {self!r} and {other!r}")
+            bits *= 2
 
     def _side(self, x) -> int:
         """1 if x > self, -1 if x < self, when the float bracket decides it; else 0.
@@ -347,12 +322,7 @@ class QuadraticSurd:
     def __eq__(self, other):
         if not isinstance(other, (QuadraticSurd, float, int, Fraction)):
             return NotImplemented
-        if self._side(other):
-            return False
-        try:
-            return self._compare(other) == 0
-        except ExactnessError:
-            return False
+        return not self._side(other) and self._compare(other) == 0
 
     def __lt__(self, other):
         if side := self._side(other):
@@ -362,7 +332,9 @@ class QuadraticSurd:
     def __hash__(self):
         if self.q == 0:
             return hash(Fraction(self.p, self.s))
-        return hash((self.p, self.q, self.r, self.s))
+        # the minimal polynomial x^2 - 2 (p/s) x + (p^2 - q^2 r)/s^2 is one per value
+        p, q, r, s = self.p, self.q, self.r, self.s
+        return hash((Fraction(p, s), Fraction(p * p - q * q * r, s * s)))
 
     # -- exact square root (denesting) ----------------------------------------
 

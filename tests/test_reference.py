@@ -4,7 +4,7 @@ The model table against normal-form extraction from the model operators,
 each generic closed form on exact input against the same form on float
 input, the Haar sampler against the defining properties of SO(4), and the
 sharp constants' decimals against mpmath at 50 digits, and surd square
-roots against sympy's denesting.
+roots against sympy's.
 """
 
 import random
@@ -33,7 +33,6 @@ from curv4 import (
     model_space,
     sharp_constants,
 )
-from curv4 import surd
 from curv4.bivector import (
     BASIS_PAIRS,
     EINSTEIN_TOL,
@@ -45,7 +44,7 @@ from curv4.bivector import (
 )
 from curv4.errors import ExactnessError
 from curv4.surd import QuadraticSurd
-from test_classify import RIGID_POINT, _lattice_slab
+from test_classify import RIGID_POINT, _assert_rows_match_reference, _lattice_slab
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -228,21 +227,12 @@ def test_surd_sqrt_denests_exactly_when_sympy_does(r):
     assert outcomes["denests"] >= 9 and outcomes["raises"] >= 6, outcomes
 
 
-# -- square-free splits ------------------------------------------------------------
+# -- square roots of integers ------------------------------------------------------
 
 
-def _sympy_split(n):
-    """(m, d) with n = m^2 d and d square-free, from sympy's factorisation."""
-    m, d = 1, 1
-    for prime, power in sympy.factorint(n).items():
-        m *= prime ** (power // 2)
-        d *= prime ** (power % 2)
-    return (m, d) if n else (1, 0)
-
-
-def test_squarefree_split_agrees_with_sympy():
-    # the trial division stops at the cube root of the unsplit part, so prime
-    # squares and products of two large primes are where it could go wrong
+def test_sqrt_rational_agrees_with_sympy():
+    # prime squares, products of large primes and square factors: the cases a
+    # square-free split of the radicand would have had to factor
     rng = random.Random(41)
     primes = [2, 3, 7, 101, 10007, 1000003]
     cases = list(range(200)) + [rng.randrange(1, 10**12) for _ in range(300)]
@@ -250,30 +240,44 @@ def test_squarefree_split_agrees_with_sympy():
     cases += [p * p * q * q * q for p in primes[:5] for q in primes[:5]]
     cases += [999999937**2, 2 * 999999937**2]
     for n in cases:
-        assert surd._squarefree_split(n) == _sympy_split(n), n
+        root = QuadraticSurd.sqrt_rational(n)
+        assert root * root == n, n
+        error = sympy.Rational(root.decimal(50)) - sympy.sqrt(n)
+        assert -sympy.Rational(1, 10**50) < error.evalf(90) <= 0, n
 
 
-def _resplit_everything(monkeypatch):
-    """Make every surd, arithmetic results included, split its radicand again, with sympy."""
-    monkeypatch.setattr(surd, "_squarefree_split", _sympy_split)
-    monkeypatch.setattr(
-        QuadraticSurd, "_of", classmethod(lambda cls, p, q, r, s: cls(p, q, r, s))
-    )
+@pytest.mark.parametrize("k", [14, 30, 100])
+def test_exact_closed_forms_of_long_decimals_are_fast(k):
+    # x = 0.1025 + 7 10^-k: the radicands carry 10^2k, which a square-free
+    # split of each would have had to factor
+    x = Fraction(1025, 10**4) + Fraction(7, 10**k)
+    with mpmath.workdps(80):
+        mx = mpmath.mpf(x.numerator) / x.denominator
+        s3 = mpmath.sqrt(3)
+        t = 1 - 2 * mx
+        cases = [
+            (kupper_lower, 1 - 2 * x, (15 - 8 * t - s3 * mpmath.sqrt(96 * t * t - 80 * t + 19)) / 28),
+            (kdiff_lower, x, (3 - 2 * mx - mpmath.sqrt(1 + 8 * mx * mx - 4 * mx)) / 6),
+            (a2a1_gap, x, 1 - 3 * mx - mpmath.sqrt(3 + 18 * mx * mx - 15 * mx) / 2),
+        ]
+        for form, arg, want in cases:
+            start = time.perf_counter()
+            got = form(arg)
+            assert time.perf_counter() - start < 0.05, form.__name__
+            assert isinstance(got, QuadraticSurd), form.__name__
+            assert abs(float(got) - want) <= 1e-15, form.__name__
 
 
-def test_classify_with_a_large_prime_denominator_is_fast_and_unchanged(monkeypatch):
+def test_classify_with_a_large_prime_denominator_is_fast_and_unchanged():
     # a2 = 3/10 + 1/P puts the prime P squared into the radicands of the
-    # derived rows; splitting every arithmetic result again took about 19 s
+    # derived rows, where a square-free split would have to find it
     big = 1000003
     a1, a2 = Fraction(1, 10), Fraction(3, 10) + Fraction(1, big)
     data = BergerData((a1, a2, 1 - a1 - a2), (0, 0, 0))
     start = time.perf_counter()
     got = classify(data)
     assert time.perf_counter() - start < 1.0
-    _resplit_everything(monkeypatch)
-    want = classify(data)
-    assert (got.verdict, got.candidates, got.skipped) == (want.verdict, want.candidates, want.skipped)
-    assert got.rows == want.rows
+    _assert_rows_match_reference(got)
     assert {r.name for r in got.rows} >= {"derived_min_sec", "derived_min_sec_diff"}
 
 

@@ -33,8 +33,10 @@ def surds(radicand):
 
 
 def test_canonical_form():
-    # square factors fold out of the radicand, r = 1 folds into the rational part
+    # radicands stay as given, square ones fold into the rational part
     assert QuadraticSurd(0, 1, 12, 2) == QuadraticSurd(0, 1, 3, 1)
+    assert QuadraticSurd(0, 1, 12, 2).r == 12
+    assert QuadraticSurd(3, 2, 49, 1) == 17 and QuadraticSurd(3, 2, 49, 1).r == 0
     assert QuadraticSurd(1, 5, 1, 2) == Fraction(3)
     assert QuadraticSurd(2, 0, 19, 4) == Fraction(1, 2)
     # negative denominators normalize away
@@ -79,6 +81,58 @@ def test_cross_field_comparison():
     assert (14 - QuadraticSurd(0, 1, 19, 1)) / 12 > (2 - s3) / 6
     with pytest.raises(ExactnessError):
         s2 + s3  # sqrt2 and sqrt3 generate different fields
+
+
+@st.composite
+def rescaled_pairs(draw):
+    """(x, y) with y == x: x over a radicand r of RADICANDS, y over m^2 r, 2 <= m <= 7."""
+    r, m = draw(st.sampled_from(RADICANDS)), draw(st.integers(2, 7))
+    a, b = draw(rationals), draw(rationals)
+    return QuadraticSurd.from_fractions(a, b, r), QuadraticSurd.from_fractions(a, b / m, m * m * r)
+
+
+@given(rescaled_pairs(), rescaled_pairs(), rationals)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_non_square_free_radicands_agree_with_square_free_ones(xy, zw, c):
+    # y and w keep m^2 r as given, and still behave as x and z do
+    (x, y), (z, w) = xy, zw
+    assert y.q == 0 or y.r > x.r
+    assert x == y and y == x and hash(x) == hash(y)
+    assert not (x < y or y < x)
+    assert (y < c) == (x < c) and (y + c) == (x + c) and hash(y * c) == hash(x * c)
+    assert (w < y) == (z < x) and (w == y) == (z == x)
+    if math.isqrt(x.r * z.r) ** 2 == x.r * z.r:  # one field
+        assert y + w == x + z and y * w == x * z and hash(y - w) == hash(x - z)
+        if z != 0:
+            assert y / w == x / z
+    else:
+        with pytest.raises(ExactnessError):
+            y + w
+    if y >= 0:
+        assert (y * y).sqrt() == y and hash((y * y).sqrt()) == hash(x)
+        try:
+            want = x.sqrt()
+        except ExactnessError:
+            with pytest.raises(ExactnessError):
+                y.sqrt()
+        else:
+            assert y.sqrt() == want
+
+
+def test_sqrt_of_a_non_square_free_integer_keeps_its_radicand():
+    s3, s12 = QuadraticSurd.sqrt_rational(3), QuadraticSurd.sqrt_rational(12)
+    assert s12.expression() == "sqrt(12)"
+    assert s12 + s3 == 3 * s3
+    assert s12 / s3 == 2 and s12 * s3 == 6
+    assert hash(s12) == hash(2 * s3)
+
+
+def test_float_of_components_beyond_the_float_range():
+    # the component formula overflows; the 2^-64 integer enclosure does not
+    assert float(QuadraticSurd(0, 1, 2, 1) * Fraction(1, 10**400)) == 0.0
+    assert float(QuadraticSurd(0, 10**400, 2, 10**400 + 1)) == math.sqrt(2)
+    tiny = QuadraticSurd.sqrt_rational(Fraction(2, 10**401))  # sqrt(20) 10^-201
+    assert math.isclose(float(tiny), math.sqrt(20) * 1e-201, rel_tol=1e-15)
 
 
 def test_rational_surds_hash_like_fractions():
