@@ -24,7 +24,6 @@ from .bivector import (
     DualityDecomposition,
     SectionalExtrema,
     TangentPlane,
-    WeylScalars,
     WeylSpectrum,
     conjugate_operator,
     duality_decompose,
@@ -34,7 +33,6 @@ from .bivector import (
     sectional,
     static_weitzenbock_residual,
     wedge_coordinates,
-    weyl_scalars,
 )
 from .classify import (
     CertificateRow,

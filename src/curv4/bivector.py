@@ -589,31 +589,6 @@ def extremize_sectional(op: CurvatureOperator) -> SectionalExtrema:
 # -- scalar invariants of Weyl spectra ------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylScalars:
-    """Norm, squared norm, determinant, and the sharp determinant bound check."""
-
-    norm_sq: object
-    norm: float
-    det: object
-    det_bound_holds: bool
-
-
-def weyl_scalars(w: WeylSpectrum) -> WeylScalars:
-    """Scalar invariants of a trace-free spectrum.
-
-    Also checks 36 det(W) <= 2 sqrt6 |W|^3, which holds for every trace-free
-    triple with equality exactly on spectra proportional to (-1, -1, 2).
-    """
-    nsq = w.norm_sq()
-    det = w.det()
-    norm = math.sqrt(float(nsq))
-    lhs = 36.0 * float(det)
-    rhs = 2.0 * math.sqrt(6.0) * norm**3
-    ok = lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
-    return WeylScalars(nsq, norm, det, ok)
-
-
 def static_weitzenbock_residual(s, w: WeylSpectrum):
     """Zeroth-order term S|W|^2 - 36 det W of the Weyl Laplacian identity.
 

@@ -140,8 +140,8 @@ def wpm_discriminant_oracle(resolution: int = 400) -> GridReport:
     top = float(WEYL_SUM_MAX)
     t = np.linspace(0.0, top, resolution + 1)
 
-    def evaluate(lo, hi):
-        wp = t[lo:hi, None]
+    def evaluate(idx):
+        wp = t[idx, None]
         return wpm_discriminant(wp, t), wp + t <= top + 1e-15
 
     value, (i, j) = grid_extremum(evaluate, resolution + 1, resolution + 1)

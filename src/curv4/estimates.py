@@ -27,8 +27,8 @@ class GridReport:
     """Outcome of one brute-force oracle run against a closed-form bound.
 
     extremum  -- best value found on the grid (max or min per `sense`)
-    argument  -- grid point achieving it (ties: first in scan order, across
-                 slab boundaries too; see grid_extremum)
+    argument  -- grid point achieving it (ties: first in row-major order,
+                 whatever order rows were visited in; see grid_extremum)
     resolution-- grid subdivisions per axis (or sample count for samplers)
     bound     -- the closed-form value under test
     sense     -- "max": extremum must stay <= bound; "min": >= bound
@@ -70,37 +70,49 @@ def _infeasible(resolution, bound, sense) -> GridReport:
 SLAB_POINTS = 1 << 13
 
 
-def grid_extremum(
-    evaluate, rows: int, row_points: int, sense: str = "max", best_first: bool = False
-):
+def grid_extremum(evaluate, rows: int, row_points: int, sense: str = "max", bound=None):
     """Best feasible point of a grid scanned in slabs of whole rows.
 
-    evaluate(lo, hi) returns (values, feasible) on grid rows lo..hi-1: arrays
-    that broadcast to one shape whose first axis is the row.  Each row holds
-    `row_points` points, and a slab takes as many rows as fit in SLAB_POINTS.
-    Returns (value, index) of the largest (sense "max") or smallest ("min")
-    feasible value, ties going to the first point in row-major order across
-    slabs, or None when no point is feasible.
+    evaluate(idx) returns (values, feasible) on the grid rows of the ascending
+    int array idx: arrays that broadcast to one shape whose first axis runs
+    over idx.  Each row holds `row_points` points, and a slab takes as many
+    rows as fit in SLAB_POINTS.  Returns (value, index) of the largest (sense
+    "max") or smallest ("min") feasible value, ties going to the first point
+    in row-major order whatever order the slabs were visited in, or None when
+    no point is feasible.
 
-    best_first declares that each row's values are constant and that rows come
-    ordered best first, so no later slab can win: the scan stops after the
-    first slab holding a feasible point.
+    bound[i], when given, is an optimistic bound on every value of row i (at
+    least each value for "max", at most each for "min").  Rows are then
+    visited best bound first (a stable sort), and a row is dropped unevaluated
+    when its bound is worse than the incumbent, or equal to it with the row
+    after the incumbent's.  Without a bound rows are scanned in order.
     """
+    better = np.greater if sense == "max" else np.less
     pick, worst = (np.argmax, -np.inf) if sense == "max" else (np.argmin, np.inf)
     step = max(1, SLAB_POINTS // row_points)
+    if bound is None:
+        order = np.arange(rows)
+    else:
+        order = np.argsort(-bound if sense == "max" else bound, kind="stable")
     best = None
     for lo in range(0, rows, step):
-        values, feasible = evaluate(lo, min(lo + step, rows))
+        idx = np.sort(order[lo : lo + step])
+        if bound is not None and best is not None:
+            b = bound[idx]
+            idx = idx[better(b, best[0]) | ((b == best[0]) & (idx < best[1][0]))]
+            if not len(idx):
+                # later slabs hold only worse bounds, or ties further on
+                break
+        values, feasible = evaluate(idx)
         masked = np.where(feasible, values, worst)
         flat = int(pick(masked))
         if not np.broadcast_to(feasible, masked.shape).flat[flat]:
             continue
         value = float(masked.flat[flat])
-        if best is None or (value > best[0] if sense == "max" else value < best[0]):
-            row, *rest = np.unravel_index(flat, masked.shape)
-            best = (value, (lo + int(row), *map(int, rest)))
-        if best_first:
-            break
+        row, *rest = np.unravel_index(flat, masked.shape)
+        point = (int(idx[row]), *map(int, rest))
+        if best is None or better(value, best[0]) or (value == best[0] and point < best[1]):
+            best = (value, point)
     return best
 
 
@@ -186,16 +198,22 @@ def lemma_k3k1_oracle(alpha: float, delta: float, resolution: int = 400) -> Grid
     p, qlo, qhi = p[ok], qlo[ok], qhi[ok]
     t = np.linspace(0.0, 1.0, resolution + 1)
 
-    def evaluate(lo, hi):
-        pp = p[lo:hi, None]
-        q = qlo[lo:hi, None] + t * (qhi - qlo)[lo:hi, None]
+    def weyl_sum(idx, t):
+        pp = p[idx, None]
+        q = qlo[idx, None] + t * (qhi - qlo)[idx, None]
         m = alpha1 - pp
         n = delta - q
         wp = np.sqrt(3.0 * pp * pp + q * q) / math.sqrt(2.0)
         wm = np.sqrt(3.0 * m * m + n * n) / math.sqrt(2.0)
-        return wp + wm, True
+        return wp + wm
 
-    value, (i, j) = grid_extremum(evaluate, len(p), resolution + 1)
+    # q is affine in t along a row, so the sum of norms is convex there and
+    # peaks at an end column; the margin covers the rounding of the scan
+    ends = weyl_sum(np.arange(len(p)), t[[0, -1]]).max(axis=1)
+    row_bound = ends + 1e-12 * max(1.0, alpha1, delta)
+    value, (i, j) = grid_extremum(
+        lambda idx: (weyl_sum(idx, t), True), len(p), resolution + 1, "max", row_bound
+    )
     arg = (float(p[i]), float(qlo[i] + t[j] * (qhi[i] - qlo[i])))
     return GridReport(value, arg, resolution, bound)
 
@@ -237,12 +255,17 @@ def lemma_algebraic2_oracle(a: float, b: float, resolution: int = 400) -> GridRe
         m = np.linspace(mlo, mhi, resolution + 1)
         n = np.linspace(nlo, nhi, resolution + 1)
 
-        def evaluate(lo, hi):
-            x = (m[lo:hi, None] + n) / 3.0
-            y = (m[lo:hi, None] - 2.0 * n) / 3.0
+        def form(idx, n):
+            x = (m[idx, None] + n) / 3.0
+            y = (m[idx, None] - 2.0 * n) / 3.0
             return 4.0 * x * y + x * x + y * y, x * y <= eps
 
-        found = grid_extremum(evaluate, resolution + 1, resolution + 1, "min")
+        # along a row the form is (2m^2 - 2mn - n^2)/3, concave in n, so no
+        # value lies below the smaller end value; feasibility only removes points
+        ends = form(np.arange(resolution + 1), n[[0, -1]])[0].min(axis=1)
+        found = grid_extremum(
+            lambda idx: form(idx, n), resolution + 1, resolution + 1, "min", ends - 4.0 * eps
+        )
         if found is None:
             return None
         value, (i, j) = found
@@ -326,12 +349,12 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     (free a, b1, b2) with the b-box adapted to each sectional triple; a-rows
     that are unsorted, or whose whole b-box fails the inequality by more than
     1e-9 (hamilton_box_bound), are skipped without being scanned.  The
-    objective is constant along an a-row, so the rest are scanned best first
-    (ties in row order) and the scan stops at the first row holding a
-    feasible point, whose first feasible (b1, b2) a full scan would also pick.
-    The kernel's rows are the (a-row, b1) lines of r + 1 points, in that
-    order, so a slab never needs a whole (r + 1)^2 a-row and memory stays
-    flat whatever the resolution:
+    objective is constant along an a-row, so it is the a-row's exact bound
+    in grid_extremum: a-rows are visited best first and the scan ends at the
+    first one holding a feasible point, since no later a-row can beat or tie
+    it.  Visiting an a-row finds its first feasible (b1, b2) through the same
+    kernel, in slabs of b1 lines, so no slab holds a whole (r + 1)^2 a-row and
+    memory stays flat whatever the resolution:
 
       kupper: fix a3 = param, minimize a1   (bound: kupper_lower)
       kdiff:  fix a3 - a2 = param, minimize a1   (bound: kdiff_lower)
@@ -376,36 +399,39 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     # data, so no skipped row holds a point that passes the float test
     order = (a1 <= a2 + 1e-12) & (a2 <= a3 + 1e-12)
     rows = np.flatnonzero(order & (hamilton_box_bound(a1, a2, a3, bb1, bb2) >= -1e-9))
-    # a stable sort keeps equal objectives in row order
-    key = objective[rows] if sense == "min" else -objective[rows]
-    rows = rows[np.argsort(key, kind="stable")]
     t = np.linspace(-1.0, 1.0, r + 1)
     tol = 1e-12
+    firsts = {}
 
-    def evaluate(lo, hi):
-        # kernel row `line` is b1 = bb1 t[line % (r + 1)] on a-row rows[line // (r + 1)]
-        line = np.arange(lo, hi)
-        a_rows = rows[line // (r + 1)]
+    def first_feasible(i):
+        def lines(j):
+            # kernel row j is the line b1 = bb1 t[j] of the a-row
+            b1 = bb1[i] * t[j, None]
+            b2 = bb2[i] * t
+            b3 = -b1 - b2
+            feas = (
+                (np.abs(b2 - b1) <= s1[i] + tol)
+                & (np.abs(b3 - b1) <= s2[i] + tol)
+                & (np.abs(b3 - b2) <= s3[i] + tol)
+            )
+            gap = a1[i] - (a1[i] ** 2 + b1 * b1 + 2.0 * (a2[i] * a3[i]) + 2.0 * b2 * b3)
+            return objective[i], feas & (gap >= -HAMILTON_PREDICATE_TOL)
 
-        def row(x):
-            return x[a_rows, None]
+        # a constant bound ends the scan at the first slab holding a feasible point
+        found = grid_extremum(lines, r + 1, r + 1, sense, np.full(r + 1, objective[i]))
+        return None if found is None else found[1]
 
-        b1 = row(bb1) * t[line % (r + 1), None]
-        b2 = row(bb2) * t
-        b3 = -b1 - b2
-        feas = (
-            (np.abs(b2 - b1) <= row(s1) + tol)
-            & (np.abs(b3 - b1) <= row(s2) + tol)
-            & (np.abs(b3 - b2) <= row(s3) + tol)
-        )
-        gap = row(a1) - (row(a1) ** 2 + b1 * b1 + 2.0 * row(a2 * a3) + 2.0 * b2 * b3)
-        return row(objective), feas & (gap >= -HAMILTON_PREDICATE_TOL)
+    def evaluate(idx):
+        # kernel row k is a-row rows[k], feasible when its (b1, b2) grid is;
+        # firsts keeps the first feasible (b1, b2) index pair of each, or None
+        firsts.update((k, first_feasible(rows[k])) for k in idx.tolist())
+        return objective[rows[idx], None], np.array([[firsts[k] is not None] for k in idx.tolist()])
 
-    found = grid_extremum(evaluate, len(rows) * (r + 1), r + 1, sense, best_first=True)
+    found = grid_extremum(evaluate, len(rows), (r + 1) ** 2, sense, objective[rows])
     if found is None:
         return _infeasible(r, bound, sense)
-    value, (line, k) = found
-    i, j = int(rows[line // (r + 1)]), line % (r + 1)
+    value, (row, _) = found
+    i, (j, k) = int(rows[row]), firsts[row]
     b1, b2 = float(bb1[i] * t[j]), float(bb2[i] * t[k])
     arg = ((float(a1[i]), float(a2[i]), float(a3[i])), (b1, b2, -b1 - b2))
     return GridReport(value, arg, r, bound, sense)

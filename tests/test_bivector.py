@@ -25,7 +25,6 @@ from curv4 import (
     sectional,
     static_weitzenbock_residual,
     wedge_coordinates,
-    weyl_scalars,
 )
 from curv4 import bivector
 from curv4.bivector import (
@@ -513,15 +512,24 @@ trace_free_triples = st.builds(
 )
 
 
+def weyl_det_bound(w):
+    """|W| of a trace-free spectrum, and whether 36 det(W) <= 2 sqrt6 |W|^3 holds.
+
+    The inequality holds for every trace-free triple, with equality exactly on
+    spectra proportional to (-1, -1, 2).
+    """
+    norm = math.sqrt(float(w.norm_sq()))
+    rhs = 2.0 * math.sqrt(6.0) * norm**3
+    return norm, 36.0 * float(w.det()) <= rhs + 1e-9 * max(1.0, abs(rhs))
+
+
 @given(trace_free_triples)
 @settings(max_examples=80, deadline=None)
 def test_determinant_inequality(triple):
     w = WeylSpectrum(tuple(triple))
-    sc = weyl_scalars(w)
-    assert sc.det_bound_holds
-    assert 36.0 * float(w.det()) <= 2.0 * math.sqrt(6.0) * sc.norm**3 + 1e-9 * max(
-        1.0, sc.norm**3
-    )
+    norm, holds = weyl_det_bound(w)
+    assert holds
+    assert 36.0 * float(w.det()) <= 2.0 * math.sqrt(6.0) * norm**3 + 1e-9 * max(1.0, norm**3)
 
 
 def test_determinant_equality_case():

@@ -245,15 +245,24 @@ def test_slab_size_does_not_change_any_result(monkeypatch):
 def test_grid_extremum_ties_and_empty_grid(monkeypatch):
     values = np.array([[1.0, 3.0], [3.0, 0.0], [3.0, 3.0]])
     feasible = np.array([[True, False], [True, True], [True, True]])
+    seen = []
 
-    def evaluate(lo, hi):
-        return values[lo:hi], feasible[lo:hi]
+    def evaluate(idx):
+        seen.append(idx.tolist())
+        return values[idx], feasible[idx]
 
     for slab in (estimates.SLAB_POINTS, 1):
         monkeypatch.setattr(estimates, "SLAB_POINTS", slab)
         assert estimates.grid_extremum(evaluate, 3, 2, "max") == (3.0, (1, 0))
         assert estimates.grid_extremum(evaluate, 3, 2, "min") == (0.0, (1, 1))
-        assert estimates.grid_extremum(lambda lo, hi: (values[lo:hi], False), 3, 2) is None
+        assert estimates.grid_extremum(lambda idx: (values[idx], False), 3, 2) is None
+        # row 2 is visited first and reaches 3; row 1, visited after it but
+        # earlier in row-major order, ties and wins; row 0's bound ties the
+        # incumbent before row 1, so it is evaluated, but it only reaches 1
+        seen.clear()
+        bound = np.array([3.0, 4.0, 5.0])
+        assert estimates.grid_extremum(evaluate, 3, 2, "max", bound) == (3.0, (1, 0))
+        assert seen == ([[0, 1, 2]] if slab > 1 else [[2], [1], [0]])
 
 
 def test_polytope_oracle_memory_is_bounded():
@@ -268,10 +277,15 @@ def test_polytope_oracle_memory_is_bounded():
     assert peak <= 50e6
 
 
-@pytest.mark.parametrize("lemma, param", [("kupper", 2.0 / 3.0), ("kdiff", 0.5), ("a2a1", 1.0 / 6.0)])
+@pytest.mark.parametrize(
+    "lemma, param",
+    [("kupper", 2.0 / 3.0), ("kdiff", 0.5), ("a2a1", 1.0 / 6.0), ("kupper", 1.0 / 3.0)],
+)
 def test_polytope_oracle_memory_is_flat_in_the_grid(lemma, param):
     # slabs of whole (r + 1)^2 a-rows traced 34.6 MB at r = 1200 and grew as
-    # r^2; slabs of (a-row, b1) lines stay near 0.4 MB
+    # r^2; slabs of (a-row, b1) lines stay near 0.4 MB.  At kupper 1/3 every
+    # a-row survives the row filter, so a bound per (a-row, b1) line would
+    # take 1,201^2 floats (11.5 MB)
     tracemalloc.start()
     try:
         report = pointwise_bound_oracle(lemma, param, resolution=1200)
@@ -367,50 +381,90 @@ def test_pruned_oracle_equals_full_grid_scan(r):
 
 
 def test_grid_extremum_best_first_stops_at_the_first_feasible_slab(monkeypatch):
-    # rows 0 and 1 tie; row 1 has the earlier feasible column, row 0 still wins
+    # constant rows are their own bound; rows 0 and 1 tie, row 1 has the
+    # earlier feasible column, row 0 still wins and row 1 is never evaluated
     values = np.array([[1.0], [1.0], [2.0]])
     feasible = np.array([[False, True], [True, True], [True, True]])
     seen = []
 
-    def evaluate(lo, hi):
-        seen.append(lo)
-        return values[lo:hi], feasible[lo:hi]
+    def evaluate(idx):
+        seen.append(idx.tolist())
+        return values[idx], feasible[idx]
 
-    def nowhere(lo, hi):
-        return values[lo:hi], False
+    def nowhere(idx):
+        return values[idx], False
 
     for slab in (estimates.SLAB_POINTS, 1):
         monkeypatch.setattr(estimates, "SLAB_POINTS", slab)
         seen.clear()
-        assert estimates.grid_extremum(evaluate, 3, 2, "min", best_first=True) == (1.0, (0, 1))
-        assert seen == [0]
-        assert estimates.grid_extremum(nowhere, 3, 2, "min", best_first=True) is None
+        assert estimates.grid_extremum(evaluate, 3, 2, "min", values[:, 0]) == (1.0, (0, 1))
+        assert seen == ([[0, 1, 2]] if slab > 1 else [[0]])
+        assert estimates.grid_extremum(nowhere, 3, 2, "min", values[:, 0]) is None
+
+
+def _scans_of(monkeypatch, calls):
+    """Run `calls`, recording each grid_extremum call's arguments and evaluated rows.
+
+    Returns (scans, results): one dict per kernel call, with the call's
+    evaluate, rows, row_points, sense and bound and the set of rows it
+    evaluated, and the calls' own results.
+    """
+    scans = []
+    kernel = estimates.grid_extremum
+
+    def recording(evaluate, rows, row_points, sense="max", bound=None):
+        scan = dict(evaluate=evaluate, rows=rows, row_points=row_points, sense=sense, bound=bound)
+        scan["evaluated"] = evaluated = set()
+        scans.append(scan)
+
+        def spy(idx):
+            evaluated.update(idx.tolist())
+            return evaluate(idx)
+
+        return kernel(spy, rows, row_points, sense, bound)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimates, "grid_extremum", recording)
+        results = [call() for call in calls]
+    return scans, results
+
+
+def _battery_calls(lemmas):
+    return [
+        lambda lemma=lemma, params=params: cli.run_verification(lemma, **params)
+        for lemma, params in cli._BATTERY
+        if lemma in lemmas
+    ]
 
 
 def test_battery_polytope_checks_stop_at_the_first_feasible_row(monkeypatch):
-    # rows come best objective first, so the 15 polytope checks of the battery
-    # evaluate 42 of their 1,815 a-rows (455 survive the row bound); the
-    # kernel sees each a-row as r + 1 lines of fixed b1
-    evaluated = []
-    kernel = estimates.grid_extremum
-
-    def counting(evaluate, rows, row_points, *args, **kwargs):
-        a_rows = set()
-
-        def spy(lo, hi):
-            a_rows.update(line // row_points for line in range(lo, hi))
-            return evaluate(lo, hi)
-
-        found = kernel(spy, rows, row_points, *args, **kwargs)
-        evaluated.append(len(a_rows))
-        return found
-
+    # a-rows come best objective first, so the 15 polytope checks of the
+    # battery evaluate 42 of their 1,815 a-rows (455 survive the row bound);
+    # each evaluated a-row is scanned as r + 1 lines of fixed b1
     monkeypatch.setattr(estimates, "SLAB_POINTS", 1)
-    monkeypatch.setattr(estimates, "grid_extremum", counting)
-    lemmas = [(lemma, params) for lemma, params in cli._BATTERY if lemma in POINTWISE_LEMMAS]
-    reports = [cli.run_verification(lemma, **params) for lemma, params in lemmas]
+    scans, reports = _scans_of(monkeypatch, _battery_calls(POINTWISE_LEMMAS))
     assert len(reports) == 15 and all(r["pass"] for r in reports)
-    assert sum(evaluated) == 42
+    r = cli._LEMMAS["kupper"].grid
+    a_rows = [s for s in scans if s["row_points"] == (r + 1) ** 2]
+    lines = [s for s in scans if s["row_points"] == r + 1]
+    assert len(a_rows) == 15 and sum(len(s["evaluated"]) for s in a_rows) == 42
+    assert len(lines) == 42
+
+
+def test_battery_grid_scans_evaluate_few_rows(monkeypatch):
+    # each algebraic2 scan (a coarse grid, then its refinements) and the two
+    # k3k1 checks away from the sharp ones evaluate at most 20 of 401 rows;
+    # at (5/6, 1) and (2/3, 0) every row's end value reaches the maximum
+    scans, reports = _scans_of(monkeypatch, _battery_calls(("k3k1", "algebraic2")))
+    assert all(r["pass"] for r in reports)
+    assert [r["params"] for r in reports[2:4]] == [
+        {"alpha": 1.0, "delta": 0.5},
+        {"alpha": 0.9, "delta": 0.4},
+    ]
+    counts = [len(s["evaluated"]) for s in scans]
+    assert len(counts) == 4 + 4 * (1 + estimates.ALGEBRAIC2_REFINEMENTS)
+    assert counts[:2] == [401, 401]
+    assert max(counts[2:]) <= 20
 
 
 @pytest.mark.parametrize("r", [8, 24, 40])
@@ -443,6 +497,165 @@ def test_hamilton_box_bound_is_the_least_upper_bound():
         m = min(bb1, bb2)
         corner = SimpleNamespace(a=(a1, a2, a3), b=(m, bb2, -m - bb2))
         assert hamilton_gap(corner) == pytest.approx(bound, abs=1e-12)
+
+
+# ------------------------------------------- the k3k1 and algebraic2 row bounds
+
+
+def _reference_k3k1(alpha, delta, r):
+    """(extremum, argument, feasible) of the k3k1 oracle's grid, every row scanned."""
+    alpha1 = 2.0 * alpha - 4.0 / 3.0
+    if alpha1 < 0.0:
+        return repr(math.nan), (), False
+    p = np.linspace(0.0, alpha1, r + 1)
+    qlo = np.maximum(0.0, delta - 3.0 * (alpha1 - p))
+    qhi = np.minimum(delta, 3.0 * p)
+    ok = qlo <= qhi
+    if not np.any(ok):
+        return repr(math.nan), (), False
+    p, qlo, qhi = p[ok], qlo[ok], qhi[ok]
+    t = np.linspace(0.0, 1.0, r + 1)
+    pp = p[:, None]
+    q = qlo[:, None] + t * (qhi - qlo)[:, None]
+    m, n = alpha1 - pp, delta - q
+    values = np.sqrt(3.0 * pp * pp + q * q) / math.sqrt(2.0) + np.sqrt(
+        3.0 * m * m + n * n
+    ) / math.sqrt(2.0)
+    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+    arg = (float(p[i]), float(qlo[i] + t[j] * (qhi[i] - qlo[i])))
+    return repr(float(values[i, j])), arg, True
+
+
+def _reference_algebraic2(a, b, r):
+    """(extremum, argument, feasible) of the algebraic2 oracle, every row of each grid scanned."""
+    eps = 1e-12 * max(1.0, a * a, b * b)
+
+    def scan(mlo, mhi, nlo, nhi):
+        m = np.linspace(mlo, mhi, r + 1)
+        n = np.linspace(nlo, nhi, r + 1)
+        x = (m[:, None] + n) / 3.0
+        y = (m[:, None] - 2.0 * n) / 3.0
+        feasible = x * y <= eps
+        values = np.where(feasible, 4.0 * x * y + x * x + y * y, np.inf)
+        i, j = np.unravel_index(int(np.argmin(values)), values.shape)
+        if not feasible[i, j]:
+            return None
+        return float(values[i, j]), float(m[i]), float(n[j])
+
+    best, mstar, nstar = scan(-a, a, -b, b) or (0.0, 0.0, 0.0)
+    cell_m, cell_n = 2.0 * a / r, 2.0 * b / r
+    for _ in range(estimates.ALGEBRAIC2_REFINEMENTS):
+        half_m, half_n = 3.0 * cell_m, 3.0 * cell_n
+        window = scan(
+            max(-a, mstar - half_m), min(a, mstar + half_m),
+            max(-b, nstar - half_n), min(b, nstar + half_n),
+        )
+        if window is not None and window[0] < best:
+            best, mstar, nstar = window
+        cell_m, cell_n = 2.0 * half_m / r, 2.0 * half_n / r
+    return repr(best), ((mstar + nstar) / 3.0, (mstar - 2.0 * nstar) / 3.0), True
+
+
+def _grid_scan_cases():
+    """(oracle, reference, x, y, r): battery, criteria 3 and 4, seeded random points."""
+    k3k1 = (lemma_k3k1_oracle, _reference_k3k1)
+    algebraic2 = (lemma_algebraic2_oracle, _reference_algebraic2)
+    lemmas = {"k3k1": k3k1, "algebraic2": algebraic2}
+    cases = [
+        (*lemmas[lemma], params["alpha"], params["delta"], 400)
+        for lemma, params in cli._BATTERY
+        if lemma in lemmas
+    ]
+    # criterion 3: its sharp check (5/6, 1) at r = 400 is a battery check;
+    # then the 50 x 50 sweep at r = 120
+    cases += [
+        (*k3k1, float(alpha), float(delta), 120)
+        for alpha in np.linspace(0.5, 1.2, 50)
+        for delta in np.linspace(0.0, 1.6, 50)
+    ]
+    # criterion 4: the 20 x 20 sweep at r = 400
+    cases += [
+        (*algebraic2, float(a), float(b), 400)
+        for a in np.linspace(0.0, 2.0, 20)
+        for b in np.linspace(0.0, 2.0, 20)
+    ]
+    rng = np.random.default_rng(18)
+    for r, count in ((8, 40), (40, 40), (400, 8)):
+        alphas, deltas = rng.uniform(0.5, 1.3, count), rng.uniform(0.0, 1.8, count)
+        cases += [(*k3k1, x, y, r) for x, y in zip(alphas, deltas)]
+        a, b = rng.uniform(0.0, 2.5, count), rng.uniform(0.0, 2.5, count)
+        cases += [(*algebraic2, x, y, r) for x, y in zip(a, b)]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def grid_scan_references():
+    cases = _grid_scan_cases()
+    return [(oracle, x, y, r, reference(x, y, r)) for oracle, reference, x, y, r in cases]
+
+
+@pytest.mark.parametrize("slab", ["default", 1])
+def test_pruned_grid_scans_equal_full_grid_scans(monkeypatch, grid_scan_references, slab):
+    # the references scan every row of every grid, with no row bound, so the
+    # pruned kernel must pick the same point bit for bit
+    if slab != "default":
+        monkeypatch.setattr(estimates, "SLAB_POINTS", slab)
+    for oracle, x, y, r, expected in grid_scan_references:
+        report = oracle(x, y, resolution=r)
+        got = (repr(report.extremum), report.argument, report.feasible)
+        assert got == expected, (oracle.__name__, x, y, r)
+
+
+def _bound_failures(values, bound, sense):
+    """Rows where `bound` is not an optimistic bound on every value of the row."""
+    if sense == "max":
+        return np.flatnonzero(np.any(values > bound[:, None], axis=1))
+    return np.flatnonzero(np.any(values < bound[:, None], axis=1))
+
+
+def _full_grid_scans(monkeypatch):
+    """Every row of every k3k1 and algebraic2 kernel call, with its row bound.
+
+    Covers the battery and seeded random parameters at r in {8, 40}; yields
+    (name, values, bound, sense) with values the full rows x points grid,
+    infeasible points included.
+    """
+    rng = np.random.default_rng(7)
+    calls = _battery_calls(("k3k1", "algebraic2"))
+    for r in (8, 40):
+        for x, y in zip(rng.uniform(0.5, 1.3, 20), rng.uniform(0.0, 1.8, 20)):
+            calls.append(lambda x=x, y=y, r=r: lemma_k3k1_oracle(x, y, resolution=r))
+        for x, y in zip(rng.uniform(0.0, 2.5, 20), rng.uniform(0.0, 2.5, 20)):
+            calls.append(lambda x=x, y=y, r=r: lemma_algebraic2_oracle(x, y, resolution=r))
+    scans, _ = _scans_of(monkeypatch, calls)
+    for s in scans:
+        values, _ = s["evaluate"](np.arange(s["rows"]))
+        values = np.broadcast_to(values, (s["rows"], s["row_points"]))
+        yield ("k3k1" if s["sense"] == "max" else "algebraic2"), values, s["bound"], s["sense"]
+
+
+def test_row_bounds_hold_on_every_point_of_their_rows(monkeypatch):
+    scans = list(_full_grid_scans(monkeypatch))
+    assert {name for name, *_ in scans} == {"k3k1", "algebraic2"}
+    for name, values, bound, sense in scans:
+        assert bound.shape == (len(values),)
+        assert len(_bound_failures(values, bound, sense)) == 0, name
+
+
+def test_row_bound_check_catches_wrong_bounds(monkeypatch):
+    # mutants of the oracles' bounds, with the same margin: one end column
+    # only, and the other end value, as if the concavity ran the other way
+    failures = {}
+    for name, values, bound, sense in _full_grid_scans(monkeypatch):
+        ends = values[:, [0, -1]]
+        best, other = (ends.max(axis=1), ends.min(axis=1))
+        if sense == "min":
+            best, other = other, best
+        margin = bound - best
+        for mutant, wrong in (("one end", ends[:, 0]), ("flipped", other)):
+            found = _bound_failures(values, wrong + margin, sense)
+            failures[name, mutant] = failures.get((name, mutant), 0) + len(found)
+    assert len(failures) == 4 and all(failures.values()), failures
 
 
 # ---------------------------------------------------------------- constants
