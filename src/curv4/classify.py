@@ -108,10 +108,9 @@ def _floor_row(name, a1, arg, t, note) -> CertificateRow:
 
 
 def _weyl_bound(p, t) -> float:
-    """The float of (p/t)/sqrt6 as QuadraticSurd rounds it; float(p/t)/sqrt6 outside Q(sqrt6)."""
+    """The float of (p/t)/sqrt6 = p sqrt6/(6t) as a surd; float(p/t)/sqrt6 outside Q(sqrt6)."""
     if isinstance(p, int):
-        g = math.gcd(p, 6 * t)  # the surd's lowest terms (p/g) sqrt6 / (6t/g)
-        return p // g * math.sqrt(6.0) / (6 * t // g)
+        return float(QuadraticSurd(0, p, 6, 6 * t))
     try:
         return float(p / t / _SQRT6)
     except ExactnessError:  # p irrational in a field without sqrt6

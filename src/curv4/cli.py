@@ -195,9 +195,16 @@ def run_verification(lemma: str, alpha=None, delta=None, grid=None, seed: int = 
         name: default if given[source] is None else given[source]
         for name, source, default in row.params
     }
+    # finite parameters can still overflow floats, and inf or NaN gives no verdict
     start = time.perf_counter()
-    report = row.oracle(grid, **params)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            report = row.oracle(grid, **params)
+    except (FloatingPointError, OverflowError) as exc:
+        raise DomainError(f"lemma {lemma} leaves the float range at {params}: {exc}") from None
     elapsed = (time.perf_counter() - start) * 1000.0
+    if not math.isfinite(report.bound):
+        raise DomainError(f"lemma {lemma} has bound {report.bound} at {params}")
     doc = {
         "lemma": lemma,
         "params": params,
@@ -427,18 +434,11 @@ def _snap_alpha(x: float):
 def _cmd_chi_tau(args) -> int:
     alpha, label = _snap_alpha(args.alpha)
     report = admissible_types(alpha)
-    cap = report.cap
-    if hasattr(cap, "expression"):
-        cap_exact = cap.expression()
-    elif isinstance(cap, Fraction):
-        cap_exact = str(cap)
-    else:
-        cap_exact = None
     doc = {
         "alpha": float(report.alpha),
         "alpha_exact": label,
-        "cap": float(cap),
-        "cap_exact": cap_exact,
+        "cap": float(report.cap),
+        "cap_exact": None if isinstance(report.cap, float) else str(report.cap),
         "pairs": [list(p) for p in report.pairs],
         "degenerate": report.degenerate,
     }
@@ -550,10 +550,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"curv4: {exc}", file=sys.stderr)
-        return 2
-    except Curv4Error as exc:
+    except (OSError, Curv4Error) as exc:
         print(f"curv4: {exc}", file=sys.stderr)
         return 2
 

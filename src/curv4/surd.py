@@ -7,7 +7,9 @@ rounding at all.  A radicand is kept as given, never factored: sqrt(12) stays
 sqrt(12).  Two radicands r1, r2 generate one field iff r1*r2 is a square,
 which one isqrt settles.  Arithmetic is closed as long as operands stay in
 one field (or one side is rational); anything else raises instead of
-silently degrading to floats.
+silently degrading to floats.  Every order question (sign, comparison across
+fields, the floor behind a decimal) is settled one way: integer enclosures
+of the value, refined by doubling their precision until they decide.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ class QuadraticSurd:
     2*sqrt(3) say, so equality is decided by comparison, never by components,
     and an irrational surd hashes the trace and norm of its minimal
     polynomial, which every representation shares.  Radicands r1, r2 give
-    one field iff isqrt(r1*r2)^2 = r1*r2; comparisons within one field are
-    exact integer arithmetic, and irrationals in different fields never
-    coincide, so refined integer intervals for the roots always separate them.
+    one field iff isqrt(r1*r2)^2 = r1*r2.  Within one field a comparison is
+    the sign of the difference; every sign, cross-field comparison and
+    decimal floor is settled by _refine on integer enclosures of the values.
     """
 
     __slots__ = ("p", "q", "r", "s", "_bracket")
@@ -102,13 +104,6 @@ class QuadraticSurd:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    def rational_part(self) -> Fraction:
-        return Fraction(self.p, self.s)
-
-    def surd_part(self) -> Fraction:
-        """Coefficient of sqrt(r)."""
-        return Fraction(self.q, self.s)
-
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ExactnessError(f"{self!r} is irrational")
@@ -127,9 +122,6 @@ class QuadraticSurd:
     def __repr__(self) -> str:
         return f"QuadraticSurd({self.p}, {self.q}, {self.r}, {self.s})"
 
-    def __str__(self) -> str:
-        return self.expression()
-
     def expression(self) -> str:
         """Human-readable exact form, e.g. '(14 - sqrt(19))/12'."""
         if self.q == 0:
@@ -142,6 +134,8 @@ class QuadraticSurd:
         if self.s == 1:
             return num
         return f"({num})/{self.s}"
+
+    __str__ = expression
 
     # -- coercion ------------------------------------------------------------
 
@@ -234,38 +228,7 @@ class QuadraticSurd:
     def __abs__(self):
         return -self if self._sign() < 0 else self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = QuadraticSurd(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- exact sign and comparison --------------------------------------------
-
-    def _sign(self) -> int:
-        """Exact sign of the value (s > 0 by the invariants)."""
-        p, q, r = self.p, self.q, self.r
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 against q^2 r
-        lhs, rhs = p * p, q * q * r
-        if lhs == rhs:
-            return 0  # unreachable for non-square r, kept for safety
-        if p > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
 
     def _interval(self, bits: int) -> tuple[int, int, int]:
         """Integers lo, hi, den > 0 with lo/den <= value <= hi/den, sqrt(r) bounded to 2^-bits."""
@@ -274,23 +237,24 @@ class QuadraticSurd:
         lo, hi = (base, base + self.q) if self.q >= 0 else (base + self.q, base)
         return lo, hi, self.s << bits
 
+    def _sign(self) -> int:
+        """Exact sign: the side of 0 that the value's enclosure moves to."""
+        if self.q == 0:
+            return (self.p > 0) - (self.p < 0)
+        return _refine(lambda lo, hi, den: 1 if lo >= 0 else -1 if hi <= 0 else None, self)
+
     def _compare(self, other) -> int:
         o = self._coerce(Fraction(other) if isinstance(other, float) else other)
         if o is None:
             raise TypeError(f"cannot compare QuadraticSurd with {type(other)!r}")
         if self.q == 0 or o.q == 0 or _is_square(self.r * o.r):
             return (self - o)._sign()
-        # different fields: the values never coincide, so refining the
-        # intervals always separates them
-        bits = 64
-        while True:
-            lo1, hi1, den1 = self._interval(bits)
-            lo2, hi2, den2 = o._interval(bits)
-            if hi1 * den2 < lo2 * den1:
-                return -1
-            if hi2 * den1 < lo1 * den2:
-                return 1
-            bits *= 2
+
+        # different fields: the values never coincide, so the enclosures separate
+        def separated(lo1, hi1, den1, lo2, hi2, den2):
+            return -1 if hi1 * den2 < lo2 * den1 else 1 if hi2 * den1 < lo1 * den2 else None
+
+        return _refine(separated, self, o)
 
     def _side(self, x) -> int:
         """1 if x > self, -1 if x < self, when the float bracket decides it; else 0.
@@ -368,30 +332,17 @@ class QuadraticSurd:
     # -- decimal output --------------------------------------------------------
 
     def _floor_scaled(self, digits: int) -> int:
-        """Exact floor(value * 10^digits)."""
+        """Exact floor(value * 10^digits): the floor both ends of the enclosure share."""
         scale = 10**digits
-        a = self.p * scale
-        b = self.q * scale
-        if b == 0:
-            return a // self.s
-        t = b * b * self.r
-        u = math.isqrt(t) if b > 0 else -math.isqrt(t) - 1
-        # numerator a + b*sqrt(r) lies in the open interval (a+u, a+u+1)
-        n0 = (a + u) // self.s
-        if (a + u + 1) <= (n0 + 1) * self.s:
-            return n0
-        # the interval straddles the multiple (n0+1)*s: settle exactly
-        m = (n0 + 1) * self.s - a  # compare b*sqrt(r) against integer m
-        bigger = (t > m * m) if (b > 0 and m >= 0) else (b > 0 or (t < m * m and m < 0))
-        return n0 + 1 if bigger else n0
+
+        def shared_floor(lo, hi, den):
+            return n if (n := lo * scale // den) == hi * scale // den else None
+
+        return _refine(shared_floor, self)
 
     def decimal(self, digits: int = 15) -> str:
         """Decimal expansion truncated toward -infinity to `digits` places."""
-        n = self._floor_scaled(digits)
-        sign = "-" if n < 0 else ""
-        n = abs(n)
-        whole, frac = divmod(n, 10**digits)
-        return f"{sign}{whole}.{frac:0{digits}d}"
+        return self.enclosure(digits)[0]
 
     def enclosure(self, digits: int = 15) -> tuple[str, str]:
         """Decimal strings lo <= value <= hi, one last-place unit apart."""
@@ -404,6 +355,19 @@ class QuadraticSurd:
             return f"{sign}{whole}.{frac:0{digits}d}"
 
         return fmt(n), fmt(n + 1)
+
+
+def _refine(decide, *xs: QuadraticSurd):
+    """decide's first answer other than None as the enclosures of xs narrow.
+
+    decide gets lo, hi, den of each x._interval(bits), for bits = 64, 128, 256, ...
+    An irrational lies strictly inside its shrinking enclosure and is never 0, an
+    integer after scaling, or equal to an irrational of another field, so each use ends.
+    """
+    bits = 64
+    while (answer := decide(*(n for x in xs for n in x._interval(bits)))) is None:
+        bits *= 2
+    return answer
 
 
 EXACT_TYPES = (int, Fraction, QuadraticSurd)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .bivector import CurvatureOperator, duality_decompose
 from .errors import DomainError
-from .surd import QuadraticSurd, coerce
+from .surd import coerce
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,12 @@ def admissible_types(alpha) -> TopologyReport:
         raise DomainError("pinching level alpha must lie in [0, 1/3]")
     (alpha,) = coerce(alpha)
     cap = 3 * euler_upper_per_vol(alpha, 1 - 2 * alpha)
-    cap_repr = cap.expression() if isinstance(cap, QuadraticSurd) else str(cap)
     trail = [
         "chi >= 2: positive Einstein constant forces first Betti number 0",
         "chi = tau (mod 2): intersection-form parity",
         "4 chi > 15 |tau|: strict signature bound",
         f"chi <= {CHI_HARD_CAP}: hard cap (the volume cap never reaches 10)",
-        f"chi < {cap_repr}: strict volume cap 3 C(alpha) at alpha = {float(alpha):.6g}",
+        f"chi < {cap!s}: strict volume cap 3 C(alpha) at alpha = {float(alpha):.6g}",
     ]
     pairs = []
     for chi in range(2, CHI_HARD_CAP + 1):

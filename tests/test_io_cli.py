@@ -301,6 +301,42 @@ def test_cli_rejects_a_negative_seed(argv, monkeypatch, capsys):
     assert "seed must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["k3k1", "--alpha", "1e308"],
+        ["algebraic2", "--alpha", "1e200", "--delta", "1e200"],
+        ["algebraic2", "--alpha", "1e200"],
+        ["k3k1", "--alpha", "1e200", "--delta", "1e200"],
+    ],
+    ids=lambda params: " ".join(params),
+)
+def test_cli_verify_refuses_a_verdict_when_floats_overflow(params, capsys):
+    # finite parameters whose float arithmetic overflows gave bound=inf or an
+    # oracle of NaN, and then a PASS (exit 0) or a FAIL (exit 1)
+    assert main(["verify", "--lemma", *params, "--grid", str(MIN_GRID)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.startswith("curv4: lemma ")
+
+
+def test_run_verification_rejects_a_non_finite_bound(monkeypatch):
+    def oracle(grid, **params):
+        return cli.GridReport(0.0, (0.0, 0.0), grid, math.inf)
+
+    row = dataclasses.replace(cli._LEMMAS["k3k1"], oracle=oracle)
+    monkeypatch.setitem(cli._LEMMAS, "k3k1", row)
+    with pytest.raises(DomainError, match="bound inf"):
+        run_verification("k3k1", alpha=0.5, delta=0.5)
+
+
+@pytest.mark.parametrize("command", ["classify", "berger", "decompose"])
+def test_cli_directory_input_exits_2(command, tmp_path, capsys):
+    # IsADirectoryError is an OSError, not a FileNotFoundError: it used to
+    # escape main as a traceback with exit 1
+    assert main([command, "--in", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("curv4: ")
+
+
 def test_cli_infeasible_params_still_verify(capsys):
     # mid-window parameters have empty constraint sets: the bound holds
     # vacuously and the report says so instead of failing

@@ -45,6 +45,7 @@ from curv4.bivector import (
 from curv4.errors import ExactnessError
 from curv4.surd import QuadraticSurd
 from test_classify import RIGID_POINT, _assert_rows_match_reference, _lattice_slab
+from test_surd import BRACKET_SURDS
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -244,6 +245,105 @@ def test_sqrt_rational_agrees_with_sympy():
         assert root * root == n, n
         error = sympy.Rational(root.decimal(50)) - sympy.sqrt(n)
         assert -sympy.Rational(1, 10**50) < error.evalf(90) <= 0, n
+
+
+# -- sign, order and decimals of surds ---------------------------------------------
+
+# square-free radicands, then 4, 9 and 100 times some of them
+ORDER_RADICANDS = (2, 3, 6, 19, 105, 12, 76, 171, 420, 1900)
+
+
+def _sympy_value(x):
+    if isinstance(x, Fraction):
+        return sympy.Rational(x.numerator, x.denominator)
+    return (sympy.Integer(x.p) + x.q * sympy.sqrt(x.r)) / x.s
+
+
+def _sympy_sign(e):
+    sign = sympy.sign(e)
+    assert sign.is_Integer, e  # sympy decided it
+    return int(sign)
+
+
+def _convergents(t, count):
+    """The first continued-fraction convergents of t, from sympy's periodic expansion."""
+    *head, period = sympy.continued_fraction_periodic(t.p, t.s, t.r, t.q)
+    terms = (head + period * count)[:count]
+    return [Fraction(int(c.p), int(c.q)) for c in sympy.continued_fraction_convergents(terms)]
+
+
+def _near_rationals(t):
+    """Rationals within 10^-60 of t: its floor at 10^-70, and that +- 10^-65."""
+    near = Fraction(int(sympy.floor(_sympy_value(t) * 10**70)), 10**70)
+    return [near, near - Fraction(1, 10**65), near + Fraction(1, 10**65)]
+
+
+def _random_surd(rng, digits, r=None):
+    p, q = (rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(0, digits)) for _ in range(2))
+    r = rng.choice(ORDER_RADICANDS) if r is None else r
+    return QuadraticSurd(p, q, r, rng.randrange(1, 10 ** rng.randint(1, digits)))
+
+
+# components of 10^400: values near 1 - sqrt2, sqrt19 - 1/2 and 3 - sqrt420/10,
+# sqrt2 10^-400, and one just above the integer 10^400
+HUGE_SURDS = [
+    QuadraticSurd(10**400 + 1, -(10**400), 2, 10**400 - 3),
+    QuadraticSurd(-(10**400) - 7, 10**400 + 11, 76, 2 * 10**400 + 1),
+    QuadraticSurd(3 * 10**400, -(10**399) - 1, 420, 10**400 - 1),
+    QuadraticSurd(0, 1, 2, 10**400),
+    QuadraticSurd(10**400, 1, 105, 1),
+]
+
+
+def test_surd_sign_and_decimals_agree_with_sympy():
+    # _sign, decimal(d) and enclosure(d) for d = 0..40 against sympy's exact
+    # signs of the value and of value 10^40 - n and n + 1 - value 10^40, for
+    # n = _floor_scaled(40).  sympy.floor is no reference: on the random surd
+    # (-429364731169925 + 175287417485598 sqrt6)/350574834971196, about
+    # -3.3e-30, it puts floor(value 10^40) 7 too low.
+    rng = random.Random(71)
+    thresholds = BRACKET_SURDS[:6]
+    cases = [_random_surd(rng, 30) for _ in range(40)] + HUGE_SURDS + thresholds
+    for t in thresholds:  # t - c is tiny: 10^-70 or less for the near rationals
+        cases += [t - c for c in _convergents(t, 30)[-3:] + _near_rationals(t)]
+    cases += [-x for x in cases[::3]]
+    for x in cases:
+        value = _sympy_value(x)
+        assert x._sign() == _sympy_sign(value), x
+        top, scaled = x._floor_scaled(40), value * 10**40
+        assert _sympy_sign(scaled - top) >= 0 and _sympy_sign(top + 1 - scaled) > 0, x
+        for d in range(41):
+            n = top // 10 ** (40 - d)  # floor(value 10^d)
+            lo, hi = x.enclosure(d)
+            assert x.decimal(d) == lo, (x, d)
+            assert (Fraction(lo) * 10**d, Fraction(hi) * 10**d) == (n, n + 1), (x, d)
+
+
+def test_surd_comparisons_agree_with_sympy():
+    # <, > and == on pairs whose difference sympy signs exactly: a threshold
+    # against its convergents and rationals within 10^-60, random pairs in one
+    # field and across fields, equal values over different radicands, and
+    # sqrt2 against a sqrt3-surd within 10^-50 of it
+    rng = random.Random(73)
+    pairs = []
+    for t in BRACKET_SURDS[:6]:
+        pairs += [(t, c) for c in _convergents(t, 30) + _near_rationals(t)]
+    for _ in range(60):
+        x = _random_surd(rng, 20)
+        pairs.append((x, _random_surd(rng, 20, x.r if rng.random() < 0.5 else None)))
+    pairs += [(x, -y) for x, y in pairs[::5]]
+    pairs += [
+        (QuadraticSurd(1, 1, 3, 2), QuadraticSurd(2, 1, 12, 4)),
+        (QuadraticSurd(0, 10, 19, 3), QuadraticSurd(0, 1, 1900, 3)),
+    ]
+    pairs += [(h, g) for h in HUGE_SURDS for g in HUGE_SURDS]
+    s2_minus_s3 = int(sympy.floor((sympy.sqrt(2) - sympy.sqrt(3)) * 10**50))
+    pairs.append((QuadraticSurd(0, 1, 2), QuadraticSurd(s2_minus_s3, 10**50, 3, 10**50)))
+    for x, y in pairs:
+        want = _sympy_sign(_sympy_value(x) - _sympy_value(y))
+        assert ((x < y), (x > y), (x == y), (y < x), (y == x)) == (
+            want < 0, want > 0, want == 0, want > 0, want == 0
+        ), (x, y)
 
 
 @pytest.mark.parametrize("k", [14, 30, 100])
