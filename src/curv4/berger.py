@@ -203,7 +203,7 @@ def _normal_form_matrix(d: BergerData) -> np.ndarray:
 def berger_to_operator(d: BergerData) -> CurvatureOperator:
     """Build the block-diagonal normal-form operator [[A, B], [B, A]].
 
-    Exact data yields an operator with an exact mirror, so a round trip
+    Exact data yields an operator built from exact rows, so a round trip
     through `berger_data` reproduces the input without drift.
     """
     lam = float(d.lambda_einstein)

@@ -14,8 +14,9 @@ Scalar curvature is normalized so that the unit-Einstein round sphere
 (Rc = g, constant sectional curvature 1/3) has S = 4; equivalently
 S = 2 * trace(matrix).
 
-Operators built from rational data carry an optional exact mirror of the
-matrix (nested Fractions, worked on as integers over one denominator).
+Operators built from rational data (`CurvatureOperator.from_exact`) keep the
+exact rows (nested Fractions, worked on as integers over one denominator),
+and their float matrix is the correctly rounded floats of those rows.
 Decompositions stay exact whenever the duality blocks are diagonal over the
 rationals, which covers the model spaces and every normal-form operator.
 """
@@ -195,12 +196,13 @@ def _exact_floats(rows) -> np.ndarray:
 class CurvatureOperator:
     """Symmetric algebraic curvature operator on Lambda^2(R^4).
 
-    matrix          -- 6x6 float matrix in the fixed bivector basis; None with
-                       `exact` for the correctly rounded floats of the mirror
+    matrix          -- 6x6 float matrix in the fixed bivector basis; None when
+                       `exact` is given, which sets it to the correctly
+                       rounded floats of the exact rows (giving both raises)
     lambda_einstein -- Einstein constant when the operator is flagged Einstein
                        (|Rc - lambda g| <= 1e-9 times max(1, max |entry|));
                        None when unflagged
-    exact           -- optional exact rational mirror of `matrix`
+    exact           -- optional exact rational rows, the source of `matrix`
     """
 
     matrix: np.ndarray
@@ -208,10 +210,11 @@ class CurvatureOperator:
     exact: tuple[tuple[Fraction, ...], ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        derived = self.matrix is None and self.exact is not None  # from_exact
         if self.exact is not None:
+            if self.matrix is not None:
+                raise InvalidOperatorError("give the float matrix or the exact rows, not both")
             object.__setattr__(self, "exact", _as_exact_rows(self.exact))
-        m = np.array(_exact_floats(self.exact) if derived else self.matrix, dtype=float)
+        m = np.array(self.matrix if self.exact is None else _exact_floats(self.exact), dtype=float)
         if m.shape != (6, 6):
             raise InvalidOperatorError("matrix must be a finite 6x6 array")
         m.setflags(write=False)
@@ -223,11 +226,6 @@ class CurvatureOperator:
                 raise InvalidOperatorError("exact matrix is not symmetric")
             if n[0][3] + n[1][4] + n[2][5] != 0:
                 raise InvalidOperatorError("exact matrix violates the first Bianchi identity")
-            if not derived:
-                with np.errstate(over="ignore"):
-                    drift = np.abs(_exact_floats(self.exact) - m).max()
-                if drift > 1e-12 * scale:
-                    raise InvalidOperatorError("float and exact matrices disagree")
         if self.lambda_einstein is not None:
             _check_einstein(*self._blocks[2:], self.lambda_einstein, scale)
 
@@ -237,7 +235,7 @@ class CurvatureOperator:
 
     @cached_property
     def _exact_numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The exact mirror as integer numerators N over D = lcm of its denominators."""
+        """The exact rows as integer numerators N over D = lcm of their denominators."""
         den = math.lcm(*(x.denominator for row in self.exact for x in row))
         rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self.exact)
         return rows, den
@@ -496,16 +494,11 @@ class SectionalExtrema:
     kmax_upper: float
 
 
-def _turn_e1_to(n: np.ndarray) -> np.ndarray:
-    """A unit quaternion q with rho(q) e1 = n, for a unit n in R^3.
-
-    The half-way quaternion (1 + n1, 0, -n3, n2) turns e1 onto n about
-    e1 x n.  It vanishes at n = -e1, so for n1 < 0 the half-way quaternion
-    of -n follows j, the half turn that takes e1 to -e1.
-    """
-    n1, n2, n3 = n
-    q = np.array([1.0 + n1, 0.0, -n3, n2] if n1 >= 0 else [-n3, n2, 1.0 - n1, 0.0])
-    return q / math.sqrt(float(q @ q))
+def _rotation_from(n: np.ndarray) -> np.ndarray:
+    """A rotation [n, u, n x u] of R^3 for a unit n, u = n x (the axis least aligned with n)."""
+    u = np.cross(n, np.eye(3)[int(np.argmin(np.abs(n)))])
+    u /= math.sqrt(float(u @ u))
+    return np.column_stack([n, u, np.cross(n, u)])
 
 
 def _plane_of(w: np.ndarray) -> TangentPlane:
@@ -513,17 +506,19 @@ def _plane_of(w: np.ndarray) -> TangentPlane:
 
     e1^e2 has halves (1, 0, 0)/sqrt2 in the w+ and w- coordinates, and
     x -> p x q turns them by rho(p) and rho(q)^T (see quaternion_rotation).
-    With rho(p) e1 and rho(q)^T e1 along the halves of w, the rotation
-    carries e1^e2 onto w, and its first two columns span the plane.  A unit
-    w is decomposable exactly when its halves have equal length (Pluecker).
+    rho_inverse lifts p from a rotation whose first column is the unit w+
+    half, and q from the transpose of one whose first column is the unit w-
+    half, so the rotation carries e1^e2 onto w and its first two columns
+    span the plane.  A unit w is decomposable exactly when its halves have
+    equal length (Pluecker).
     """
     plus = (w[:3] + w[3:]) / math.sqrt(2.0)
     minus = (w[:3] - w[3:]) / math.sqrt(2.0)
     n_plus, n_minus = math.sqrt(float(plus @ plus)), math.sqrt(float(minus @ minus))
     if abs(n_plus - n_minus) > 1e-8:
         raise InvalidOperatorError("bivector is not decomposable within 1e-8")
-    p = _turn_e1_to(plus / n_plus)
-    q = _turn_e1_to(minus / n_minus) * np.array([1.0, -1.0, -1.0, -1.0])
+    p = rho_inverse(_rotation_from(plus / n_plus))
+    q = rho_inverse(_rotation_from(minus / n_minus).T)
     f = quaternion_rotation(p, q)
     return TangentPlane(f[:, 0], f[:, 1])
 

@@ -143,7 +143,9 @@ def wpm_discriminant_oracle(resolution: int = 400) -> GridReport:
         wp = t[idx, None]
         return wpm_discriminant(wp, t), wp + t <= top + 1e-15
 
-    value, (i, j) = grid_extremum(evaluate, resolution + 1, resolution + 1)
+    # the only finite row bound would be the lemma under test, so none prunes
+    never = np.full(resolution + 1, np.inf)
+    value, (i, j) = grid_extremum(evaluate, resolution + 1, resolution + 1, "max", never)
     return GridReport(value, (float(t[i]), float(t[j])), resolution, 0.0)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ExactnessError
+from .errors import DomainError
 from .surd import QuadraticSurd, coerce, sqrt
 
 
@@ -70,7 +70,7 @@ def _infeasible(resolution, bound, sense) -> GridReport:
 SLAB_POINTS = 1 << 13
 
 
-def grid_extremum(evaluate, rows: int, row_points: int, sense: str = "max", bound=None):
+def grid_extremum(evaluate, rows: int, row_points: int, sense: str, bound):
     """Best feasible point of a grid scanned in slabs of whole rows.
 
     evaluate(idx) returns (values, feasible) on the grid rows of the ascending
@@ -81,23 +81,20 @@ def grid_extremum(evaluate, rows: int, row_points: int, sense: str = "max", boun
     in row-major order whatever order the slabs were visited in, or None when
     no point is feasible.
 
-    bound[i], when given, is an optimistic bound on every value of row i (at
-    least each value for "max", at most each for "min").  Rows are then
-    visited best bound first (a stable sort), and a row is dropped unevaluated
-    when its bound is worse than the incumbent, or equal to it with the row
-    after the incumbent's.  Without a bound rows are scanned in order.
+    bound[i] is an optimistic bound on every value of row i (at least each
+    value for "max", at most each for "min"; an infinite one never prunes).
+    Rows are visited best bound first (a stable sort), and a row is dropped
+    unevaluated when its bound is worse than the incumbent, or equal to it
+    with the row after the incumbent's.
     """
     better = np.greater if sense == "max" else np.less
     pick, worst = (np.argmax, -np.inf) if sense == "max" else (np.argmin, np.inf)
     step = max(1, SLAB_POINTS // row_points)
-    if bound is None:
-        order = np.arange(rows)
-    else:
-        order = np.argsort(-bound if sense == "max" else bound, kind="stable")
+    order = np.argsort(-bound if sense == "max" else bound, kind="stable")
     best = None
     for lo in range(0, rows, step):
         idx = np.sort(order[lo : lo + step])
-        if bound is not None and best is not None:
+        if best is not None:
             b = bound[idx]
             idx = idx[better(b, best[0]) | ((b == best[0]) & (idx < best[1][0]))]
             if not len(idx):
@@ -167,7 +164,7 @@ def lemma_k3k1_bounds(alpha, delta):
     """
     if not float(alpha) > 0:
         raise DomainError("alpha = a2 + a3 must be positive")
-    if float(delta) < 0:
+    if not float(delta) >= 0:
         raise DomainError("delta = 2(a3 - a2) must be nonnegative")
     three, a, d = coerce(3, alpha, delta)
     return (6 * a - 4 + d) / sqrt(2 * three), (12 * a * a - 16 * a + 16 / three + d * d) / 2
@@ -227,7 +224,7 @@ def lemma_algebraic2_min(a, b):
     Two branches: (2a^2 - 2ab - b^2)/3 when 2a < b, else -b^2/2.  Requires
     a, b >= 0.  Exact inputs give exact output.
     """
-    if float(a) < 0 or float(b) < 0:
+    if not (float(a) >= 0 and float(b) >= 0):
         raise DomainError("bounds a, b must be nonnegative")
     a, b = coerce(a, b)
     if 2 * a < b:
@@ -322,16 +319,13 @@ def a2a1_gap(delta):
     """Upper bound on x = a2 - a1 when a1 = delta and 4 a2 <= 1 + a1.
 
     x <= 1 - 3 delta - sqrt(3 + 18 delta^2 - 15 delta)/2 on 0 <= delta <= 1/3.
-    The radicand is 3(1 - 2 delta)(1 - 3 delta) scaled: its discriminant
-    identity 16 * radicand = 48 (1 - 2 delta)(1 - 3 delta) is checked on every
-    call and degenerates exactly at delta = 1/3.
+    The radicand is (1 - 2 delta)(1 - 3 delta) times 3, so it vanishes
+    exactly at delta = 1/3.
     """
     if not (0.0 <= float(delta) <= 1.0 / 3.0 + 1e-12):
         raise DomainError("delta must lie in [0, 1/3]")
     (d,) = coerce(delta)
     radicand = 3 + 18 * d * d - 15 * d
-    if abs(16 * radicand - 48 * (1 - 2 * d) * (1 - 3 * d)) > 1e-9:
-        raise ExactnessError("discriminant identity failed")  # pragma: no cover
     return 1 - 3 * d - sqrt(max(0 * radicand, radicand)) / 2
 
 
@@ -349,12 +343,13 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     (free a, b1, b2) with the b-box adapted to each sectional triple; a-rows
     that are unsorted, or whose whole b-box fails the inequality by more than
     1e-9 (hamilton_box_bound), are skipped without being scanned.  The
-    objective is constant along an a-row, so it is the a-row's exact bound
-    in grid_extremum: a-rows are visited best first and the scan ends at the
-    first one holding a feasible point, since no later a-row can beat or tie
-    it.  Visiting an a-row finds its first feasible (b1, b2) through the same
-    kernel, in slabs of b1 lines, so no slab holds a whole (r + 1)^2 a-row and
-    memory stays flat whatever the resolution:
+    objective is constant and exact along an a-row, so the a-rows are
+    visited best objective first (a stable sort) and the search returns the
+    first one holding a feasible point: no later a-row can beat or tie it.
+    One grid_extremum call over the a-row's lines of fixed b1, under its
+    constant objective as the bound, finds its first feasible (b1, b2); no
+    slab holds a whole (r + 1)^2 a-row, so memory stays flat whatever the
+    resolution:
 
       kupper: fix a3 = param, minimize a1   (bound: kupper_lower)
       kdiff:  fix a3 - a2 = param, minimize a1   (bound: kdiff_lower)
@@ -401,11 +396,11 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     rows = np.flatnonzero(order & (hamilton_box_bound(a1, a2, a3, bb1, bb2) >= -1e-9))
     t = np.linspace(-1.0, 1.0, r + 1)
     tol = 1e-12
-    firsts = {}
+    key = -objective if sense == "max" else objective
+    for i in rows[np.argsort(key[rows], kind="stable")].tolist():  # best objective first
 
-    def first_feasible(i):
         def lines(j):
-            # kernel row j is the line b1 = bb1 t[j] of the a-row
+            # kernel row j is the line b1 = bb1 t[j] of a-row i
             b1 = bb1[i] * t[j, None]
             b2 = bb2[i] * t
             b3 = -b1 - b2
@@ -419,22 +414,12 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
 
         # a constant bound ends the scan at the first slab holding a feasible point
         found = grid_extremum(lines, r + 1, r + 1, sense, np.full(r + 1, objective[i]))
-        return None if found is None else found[1]
-
-    def evaluate(idx):
-        # kernel row k is a-row rows[k], feasible when its (b1, b2) grid is;
-        # firsts keeps the first feasible (b1, b2) index pair of each, or None
-        firsts.update((k, first_feasible(rows[k])) for k in idx.tolist())
-        return objective[rows[idx], None], np.array([[firsts[k] is not None] for k in idx.tolist()])
-
-    found = grid_extremum(evaluate, len(rows), (r + 1) ** 2, sense, objective[rows])
-    if found is None:
-        return _infeasible(r, bound, sense)
-    value, (row, _) = found
-    i, (j, k) = int(rows[row]), firsts[row]
-    b1, b2 = float(bb1[i] * t[j]), float(bb2[i] * t[k])
-    arg = ((float(a1[i]), float(a2[i]), float(a3[i])), (b1, b2, -b1 - b2))
-    return GridReport(value, arg, r, bound, sense)
+        if found is not None:
+            value, (j, k) = found
+            b1, b2 = float(bb1[i] * t[j]), float(bb2[i] * t[k])
+            arg = ((float(a1[i]), float(a2[i]), float(a3[i])), (b1, b2, -b1 - b2))
+            return GridReport(value, arg, r, bound, sense)
+    return _infeasible(r, bound, sense)
 
 
 # -- the sharp constants ----------------------------------------------------------

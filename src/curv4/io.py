@@ -119,25 +119,21 @@ def berger_to_json(data: BergerData) -> dict:
 
 
 def berger_from_json(doc: dict) -> BergerData:
+    error = InvalidBergerError
     if not isinstance(doc, dict) or doc.get("format") != BERGER_FORMAT:
-        raise InvalidBergerError(f"expected a {BERGER_FORMAT} document")
+        raise error(f"expected a {BERGER_FORMAT} document")
+    # with no Einstein constant given, BergerData infers sum(a)
     if "a_exact" in doc or "b_exact" in doc:
         if not ("a_exact" in doc and "b_exact" in doc):
-            raise InvalidBergerError("a_exact and b_exact must come together")
+            raise error("a_exact and b_exact must come together")
         a, b = (
-            tuple(_parse_exact(x, InvalidBergerError) for x in _list(doc[k], InvalidBergerError, k))
+            tuple(_parse_exact(x, error) for x in _list(doc[k], error, k))
             for k in ("a_exact", "b_exact")
         )
-        if "lambda_exact" in doc:
-            lam = _parse_exact(doc["lambda_exact"], InvalidBergerError)
-        else:
-            lam = a[0] + a[1] + a[2]
+        lam = _parse_exact(doc["lambda_exact"], error) if "lambda_exact" in doc else None
         return BergerData(a, b, lam)
-    a, b = (
-        tuple(_number(x, InvalidBergerError, k) for x in _list(doc.get(k), InvalidBergerError, k))
-        for k in ("a", "b")
-    )
-    lam = _number(doc.get("lambda", sum(a)), InvalidBergerError, "lambda")
+    a, b = (tuple(_number(x, error, k) for x in _list(doc.get(k), error, k)) for k in ("a", "b"))
+    lam = _number(doc["lambda"], error, "lambda") if "lambda" in doc else None
     return BergerData(a, b, lam)
 
 

@@ -65,9 +65,9 @@ def euler_upper_per_vol(alpha, beta):
     alpha <= 1/3 <= beta (the extremal sectional curvatures always straddle
     1/3).  Exact inputs give exact output.
     """
-    if float(alpha) > float(beta) + 1e-12:
+    if not float(alpha) <= float(beta) + 1e-12:
         raise DomainError("need alpha <= beta")
-    if float(alpha) > 1.0 / 3.0 + 1e-12 or float(beta) < 1.0 / 3.0 - 1e-12:
+    if not (float(alpha) <= 1.0 / 3.0 + 1e-12 and float(beta) >= 1.0 / 3.0 - 1e-12):
         raise DomainError("sectional extrema must straddle 1/3")
     three, a, b = coerce(3, alpha, beta)
     return 8 * (b * b - (1 - a) * (a + b)) + 10 / three

@@ -216,7 +216,7 @@ def test_operator_validation():
 
 @pytest.mark.parametrize("build", ["constructor", "from_exact"])
 def test_exact_checks_catch_what_the_floats_cannot(build):
-    # a mirror off by 1e-15 passes every float check and the drift check
+    # exact rows off by 1e-15 round to floats that pass every float check
     cp2 = model_space("cp2")
     eps = Fraction(1, 10**15)
     asym = [list(row) for row in cp2.exact]
@@ -230,13 +230,12 @@ def test_exact_checks_catch_what_the_floats_cannot(build):
     ):
         with pytest.raises(InvalidOperatorError, match=f"^{message}$"):
             if build == "constructor":
-                CurvatureOperator(cp2.matrix, 1.0, rows)
+                CurvatureOperator(None, 1.0, rows)
             else:
                 CurvatureOperator.from_exact(rows, 1.0)
-    drifted = [list(row) for row in cp2.exact]
-    drifted[0][0] += Fraction(1, 10**9)
-    with pytest.raises(InvalidOperatorError, match="^float and exact matrices disagree$"):
-        CurvatureOperator(cp2.matrix, None, drifted)
+    # the exact rows are the one source of the float matrix
+    with pytest.raises(InvalidOperatorError, match="^give the float matrix or the exact rows"):
+        CurvatureOperator(cp2.matrix, None, cp2.exact)
 
 
 def test_exact_entries_beyond_the_float_range_are_invalid():
@@ -245,7 +244,7 @@ def test_exact_entries_beyond_the_float_range_are_invalid():
     with pytest.raises(InvalidOperatorError, match="overflows the float range"):
         CurvatureOperator.from_exact(rows)
     with pytest.raises(InvalidOperatorError, match="overflows the float range"):
-        CurvatureOperator(np.zeros((6, 6)), None, rows)
+        CurvatureOperator(None, None, rows)
 
 
 def test_from_exact_converts_its_rows_once(monkeypatch):
@@ -324,11 +323,11 @@ def test_tangent_plane_validation():
 
 
 def test_witness_plane_round_trip():
-    # -e12, e34 and -e34 each have a half along -e1, where the half-way
-    # quaternion (1 + n1, 0, -n3, n2) vanishes and the j branch runs
+    # the signed basis bivectors put each half on a coordinate axis, where two
+    # axes tie as least aligned and the lifted rotations are signed permutations
     rng = np.random.default_rng(2)
     sigmas = [wedge_coordinates(q[:, 0], q[:, 1]) for q in (haar_rotation(rng) for _ in range(25))]
-    sigmas += [sign * np.eye(6)[k] for sign in (1.0, -1.0) for k in (0, 3)]
+    sigmas += [sign * np.eye(6)[k] for sign in (1.0, -1.0) for k in range(6)]
     for sigma in sigmas:
         plane = _plane_of(sigma)
         np.testing.assert_allclose(plane.bivector(), sigma, atol=1e-14)

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,81 @@ BOUNDARY_FAMILY = [
 ]
 
 CONDITION_ROWS = ("condition_a", "condition_b_sum", "condition_b_diff", "weyl_sum_small")
+
+# the Hamilton-feasible slice a3 <= 0.8: points p = (a1, a2, a3, b1, b2, b3) at
+# Einstein constant 1 with hamilton_gap(p) >= 0 and SLICE_ROWS @ p <= SLICE_BOUNDS
+# (sorted a, the a3 cap, and +-(b_j - b_i) <= a_j - a_i)
+SLICE_A3_MAX = 0.8
+
+
+def _slice_rows():
+    rows = [([1, -1, 0, 0, 0, 0], 0.0), ([0, 1, -1, 0, 0, 0], 0.0)]
+    rows.append(([0, 0, 1, 0, 0, 0], SLICE_A3_MAX))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for sign in (1, -1):
+            c = [0] * 6
+            c[i], c[j], c[3 + i], c[3 + j] = 1, -1, -sign, sign
+            rows.append((c, 0.0))
+    return np.array([c for c, _ in rows], dtype=float), np.array([e for _, e in rows])
+
+
+SLICE_ROWS, SLICE_BOUNDS = _slice_rows()
+# strictly inside every row, with Hamilton slack 0.0327: RIGID_POINT moved
+# off its tight faces a1 = a2, b1 = b2 and |b3 - b1| = a3 - a1
+SLICE_START = (0.11, 0.125, 0.765, -0.2, -0.205, 0.405)
+
+
+def _slice_chord(p, d):
+    """The steps s with p + s d in the slice: at most two intervals (lo, hi).
+
+    The rows give one interval.  Along the line the Hamilton gap is the
+    quadratic g0 + g1 s + g2 s^2 with g0 >= 0; g2 takes either sign, so its
+    nonnegative set is one interval between the roots (g2 < 0), or all s
+    outside them (g2 > 0), or everything (no real roots).
+    """
+    cd, slack = SLICE_ROWS @ d, SLICE_BOUNDS - SLICE_ROWS @ p
+    lo = max((slack[cd < 0] / cd[cd < 0]).tolist(), default=-math.inf)
+    hi = min((slack[cd > 0] / cd[cd > 0]).tolist(), default=math.inf)
+    (a1, a2, a3, b1, b2, b3), (d1, d2, d3, e1, e2, e3) = p, d
+    g0 = a1 - (a1 * a1 + b1 * b1 + 2 * (a2 * a3 + b2 * b3))
+    g1 = d1 - 2 * (a1 * d1 + b1 * e1 + a2 * d3 + a3 * d2 + b2 * e3 + b3 * e2)
+    g2 = -(d1 * d1 + e1 * e1 + 2 * (d2 * d3 + e2 * e3))
+    disc = g1 * g1 - 4 * g2 * g0
+    if disc <= 0:
+        return [(lo, hi)]
+    q = -(g1 + math.copysign(math.sqrt(disc), g1)) / 2  # roots q/g2 and g0/q, no cancellation
+    r1, r2 = sorted((q / g2, g0 / q))
+    if g2 < 0:
+        return [(max(lo, r1), min(hi, r2))]
+    return [(u, v) for u, v in ((lo, min(hi, r1)), (max(lo, r2), hi)) if u < v]
+
+
+def hamilton_slice_points(count, seed):
+    """`count` seeded hit-and-run points of the Hamilton-feasible slice a3 <= 0.8.
+
+    Hit-and-run (Smith, Operations Research 32, 1984) from SLICE_START: each
+    step draws a direction d in the plane sum(a) = sum(b) = 0 and moves to a
+    uniform point of the chord through p along d (_slice_chord).  Every
+    fifth point is kept, as float BergerData at Einstein constant 1.
+    """
+    thin = 5
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count * thin, 4))
+    uniform = rng.uniform(size=count * thin)
+    p = np.array(SLICE_START)
+    points = []
+    for k, ((x1, x2, y1, y2), u) in enumerate(zip(g.tolist(), uniform.tolist())):
+        d = np.array([x1, x2, -x1 - x2, y1, y2, -y1 - y2])
+        pieces = _slice_chord(p, d)
+        t = u * sum(hi - lo for lo, hi in pieces)
+        lo, hi = pieces[0]
+        if t > hi - lo and len(pieces) == 2:
+            t -= hi - lo
+            lo, hi = pieces[1]
+        p = p + min(lo + t, hi) * d
+        if k % thin == thin - 1:
+            points.append(BergerData(tuple(p[:3].tolist()), tuple(p[3:].tolist())))
+    return points
 
 
 def test_verdict_models():
@@ -303,17 +379,26 @@ def test_frame_sampling_generic_frames_beat_adapted_ones():
 
 def test_condition_rows_hold_on_hamilton_feasible_slice():
     # the pointwise inequality plus a3 <= 0.8 puts data in the certified
-    # regime; random polytope points rarely satisfy it (the models are
-    # extreme), so the models are checked explicitly alongside
-    cases = [berger_data(model_space("sphere")), berger_data(model_space("cp2"))]
+    # regime: the models, the exact boundary family and 1,000 hit-and-run
+    # points of the slice, every one of them checked
     assert all(hamilton_gap(d) == 0 and d.a[2] <= Fraction(4, 5) for d in BOUNDARY_FAMILY)
-    cases += BOUNDARY_FAMILY
-    cases += [d for d in sample_berger_data(10000, seed=17) if float(d.a[2]) <= 0.8]
-    verdicts = [v for v in map(classify, cases) if v.row("hamilton").holds]
-    assert len(verdicts) >= 2 + len(BOUNDARY_FAMILY)
-    for v in verdicts:
+    sampled = hamilton_slice_points(1000, seed=17)
+    assert all(float(d.a[2]) <= SLICE_A3_MAX for d in sampled)
+    cases = [berger_data(model_space("sphere")), berger_data(model_space("cp2"))]
+    for v in map(classify, cases + BOUNDARY_FAMILY + sampled):
+        assert v.row("hamilton").holds
         assert v.row("condition_a").holds
         assert v.row("weyl_sum_small").holds
+
+
+def test_hamilton_slice_sampler_is_seeded_and_spread():
+    first = hamilton_slice_points(200, seed=3)
+    assert [(d.a, d.b) for d in first] == [(d.a, d.b) for d in hamilton_slice_points(200, seed=3)]
+    a = np.array([[float(x) for x in d.a] for d in first])
+    assert len({tuple(row) for row in a}) == 200
+    # the chain leaves its start and reaches both the a3 cap and a1 < a2
+    assert a[:, 2].max() > 0.79 and (a[:, 1] - a[:, 0]).max() > 0.03
+    assert all(hamilton_gap(d) >= 0 for d in first)
 
 
 def _lattice_slab(denominator=60, stride=8):

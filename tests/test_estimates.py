@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from curv4 import (
     QuadraticSurd,
     a2a1_gap,
+    admissible_types,
     berger_data,
+    euler_upper_per_vol,
     hamilton_gap,
     kdiff_lower,
     kupper_lower,
@@ -150,6 +152,34 @@ def test_threshold_domains():
             a2a1_gap(bad)
 
 
+NAN = math.nan
+NAN_CALLS = [
+    (lemma_algebraic2_min, (NAN, 1.0)),
+    (lemma_algebraic2_min, (1.0, NAN)),
+    (lemma_algebraic2_oracle, (NAN, 1.0)),
+    (lemma_algebraic2_oracle, (1.0, NAN)),
+    (lemma_k3k1_bounds, (1.0, NAN)),
+    (lemma_k3k1_bounds, (NAN, 0.5)),
+    (lemma_k3k1_oracle, (1.0, NAN)),
+    (euler_upper_per_vol, (NAN, 0.5)),
+    (euler_upper_per_vol, (0.2, NAN)),
+    (kupper_lower, (NAN,)),
+    (kdiff_lower, (NAN,)),
+    (a2a1_gap, (NAN,)),
+    (admissible_types, (NAN,)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args", NAN_CALLS, ids=[f"{call.__name__}{args}" for call, args in NAN_CALLS]
+)
+def test_nan_parameters_are_out_of_domain(call, args):
+    # every domain test reads `not (x >= lo)`, which NaN fails; a test
+    # written `x < lo` lets NaN through to a vacuous bound or a NaN result
+    with pytest.raises(DomainError):
+        call(*args)
+
+
 def test_threshold_monotone_decreasing():
     k_prev = None
     for i in range(1000):
@@ -251,11 +281,16 @@ def test_grid_extremum_ties_and_empty_grid(monkeypatch):
         seen.append(idx.tolist())
         return values[idx], feasible[idx]
 
+    # an infinite bound never prunes, so every row is evaluated in order
+    never = np.full(3, np.inf)
     for slab in (estimates.SLAB_POINTS, 1):
         monkeypatch.setattr(estimates, "SLAB_POINTS", slab)
-        assert estimates.grid_extremum(evaluate, 3, 2, "max") == (3.0, (1, 0))
-        assert estimates.grid_extremum(evaluate, 3, 2, "min") == (0.0, (1, 1))
-        assert estimates.grid_extremum(lambda idx: (values[idx], False), 3, 2) is None
+        seen.clear()
+        assert estimates.grid_extremum(evaluate, 3, 2, "max", never) == (3.0, (1, 0))
+        assert estimates.grid_extremum(evaluate, 3, 2, "min", -never) == (0.0, (1, 1))
+        assert seen == 2 * ([[0, 1, 2]] if slab > 1 else [[0], [1], [2]])
+        nowhere = estimates.grid_extremum(lambda idx: (values[idx], False), 3, 2, "max", never)
+        assert nowhere is None
         # row 2 is visited first and reaches 3; row 1, visited after it but
         # earlier in row-major order, ties and wins; row 0's bound ties the
         # incumbent before row 1, so it is evaluated, but it only reaches 1
@@ -412,7 +447,7 @@ def _scans_of(monkeypatch, calls):
     scans = []
     kernel = estimates.grid_extremum
 
-    def recording(evaluate, rows, row_points, sense="max", bound=None):
+    def recording(evaluate, rows, row_points, sense, bound):
         scan = dict(evaluate=evaluate, rows=rows, row_points=row_points, sense=sense, bound=bound)
         scan["evaluated"] = evaluated = set()
         scans.append(scan)
@@ -439,16 +474,14 @@ def _battery_calls(lemmas):
 
 def test_battery_polytope_checks_stop_at_the_first_feasible_row(monkeypatch):
     # a-rows come best objective first, so the 15 polytope checks of the
-    # battery evaluate 42 of their 1,815 a-rows (455 survive the row bound);
-    # each evaluated a-row is scanned as r + 1 lines of fixed b1
+    # battery visit 42 of their 1,815 a-rows (455 survive the row bound);
+    # each visited a-row is one kernel call over r + 1 lines of fixed b1
     monkeypatch.setattr(estimates, "SLAB_POINTS", 1)
     scans, reports = _scans_of(monkeypatch, _battery_calls(POINTWISE_LEMMAS))
     assert len(reports) == 15 and all(r["pass"] for r in reports)
     r = cli._LEMMAS["kupper"].grid
-    a_rows = [s for s in scans if s["row_points"] == (r + 1) ** 2]
-    lines = [s for s in scans if s["row_points"] == r + 1]
-    assert len(a_rows) == 15 and sum(len(s["evaluated"]) for s in a_rows) == 42
-    assert len(lines) == 42
+    assert len(scans) == 42
+    assert all(s["rows"] == s["row_points"] == r + 1 for s in scans)
 
 
 def test_battery_grid_scans_evaluate_few_rows(monkeypatch):
