@@ -83,7 +83,6 @@ from .topology import (
     euler_upper_per_vol,
     gbc_integrands,
     hitchin_thorpe,
-    hitchin_thorpe_slack,
 )
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ import numpy as np
 from .bivector import (
     CurvatureOperator,
     DualityDecomposition,
+    _check_frames,
     _exact_floats,
     _require,
     conjugate_matrices,
@@ -36,7 +37,7 @@ from .bivector import (
 )
 from .errors import DomainError, InvalidBergerError, InvalidOperatorError, NotEinsteinError
 from .estimates import SLAB_POINTS, GridReport
-from .surd import EXACT_TYPES, coerce
+from .surd import EXACT_TYPES, coerce, common_denominator
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +155,7 @@ def _berger_data_of(d: DualityDecomposition) -> BergerData:
     """
     values = (d.s, *d.w_plus.eigenvalues, *d.w_minus.eigenvalues)
     if all(type(x) is Fraction for x in values):
-        den = math.lcm(*(x.denominator for x in values))
-        s, *w = (x.numerator * (den // x.denominator) for x in values)
+        den, (s, *w) = common_denominator(values)
         a = tuple(Fraction(6 * (p + m) + s, 12 * den) for p, m in zip(w[:3], w[3:]))
         b = tuple(Fraction(p - m, 2 * den) for p, m in zip(w[:3], w[3:]))
         return BergerData(a, b, Fraction(s, 4 * den))
@@ -226,8 +226,7 @@ class Frame:
         q = np.array(self.matrix, dtype=float)
         if q.shape != (4, 4):
             raise InvalidOperatorError("frame matrix must be 4x4")
-        if float(np.abs(q.T @ q - np.eye(4)).max()) > 1e-9:
-            raise InvalidOperatorError("frame matrix must be orthogonal (tolerance 1e-9)")
+        _check_frames(q, 1e-9)
         if abs(float(np.linalg.det(q)) - 1.0) > 1e-9:
             raise InvalidOperatorError("frame must be positively oriented")
         q.setflags(write=False)

@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidOperatorError, NotEinsteinError, UnknownModelError
+from .surd import common_denominator
 
 # index pairs (1-based) of the fixed bivector basis, in order
 BASIS_PAIRS = ((1, 2), (1, 3), (1, 4), (3, 4), (4, 2), (2, 3))
@@ -236,9 +237,8 @@ class CurvatureOperator:
     @cached_property
     def _exact_numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The exact rows as integer numerators N over D = lcm of their denominators."""
-        den = math.lcm(*(x.denominator for row in self.exact for x in row))
-        rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self.exact)
-        return rows, den
+        den, n = common_denominator([x for row in self.exact for x in row])
+        return tuple(n[i : i + 6] for i in range(0, 36, 6)), den
 
     @cached_property
     def _blocks(self) -> tuple:
@@ -669,23 +669,28 @@ def haar_rotations(count: int, seed) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(m, -1, 0))
 
 
-def conjugate_matrices(m: np.ndarray, frames) -> np.ndarray:
-    """The 6x6 matrix m re-expressed in each orthonormal frame of a (..., 4, 4) stack.
-
-    Frame columns are e1..e4.  Raises InvalidOperatorError naming the first
-    frame that is not orthogonal to 1e-8.  A frame's matrix does not depend
-    on the stack it sits in.
-    """
-    q = np.asarray(frames, dtype=float)
+def _check_frames(q: np.ndarray, tol: float) -> None:
+    """Raise InvalidOperatorError naming the first 4x4 frame k of q failing |q^T q - I| <= tol."""
     if q.shape[-2:] != (4, 4):
         raise InvalidOperatorError("frame must be a 4x4 orthogonal matrix")
     defect = np.abs(q.swapaxes(-1, -2) @ q - np.eye(4)).max(axis=(-2, -1))
-    if np.any(defect > 1e-8):
-        k = int(np.argmax(defect > 1e-8))
+    ok = defect <= tol
+    if not ok.all():
+        k = int(np.argmin(ok))
         raise InvalidOperatorError(
             f"frame must be a 4x4 orthogonal matrix: frame {k} has "
             f"|q^T q - I| = {defect.flat[k]:.3e}"
         )
+
+
+def conjugate_matrices(m: np.ndarray, frames) -> np.ndarray:
+    """The 6x6 matrix m re-expressed in each orthonormal frame of a (..., 4, 4) stack.
+
+    Frame columns are e1..e4, orthogonal to 1e-8 (_check_frames).  A frame's
+    matrix does not depend on the stack it sits in.
+    """
+    q = np.asarray(frames, dtype=float)
+    _check_frames(q, 1e-8)
     l6 = induced_bivector_rotation(q)
     c = l6.swapaxes(-1, -2) @ m @ l6
     return (c + c.swapaxes(-1, -2)) / 2.0
@@ -693,7 +698,4 @@ def conjugate_matrices(m: np.ndarray, frames) -> np.ndarray:
 
 def conjugate_operator(op: CurvatureOperator, frame: np.ndarray) -> CurvatureOperator:
     """Re-express the operator in the orthonormal frame given by `frame` columns."""
-    q = np.asarray(frame, dtype=float)
-    if q.shape != (4, 4):
-        raise InvalidOperatorError("frame must be a 4x4 orthogonal matrix")
-    return CurvatureOperator(conjugate_matrices(op.matrix, q), op.lambda_einstein)
+    return CurvatureOperator(conjugate_matrices(op.matrix, frame), op.lambda_einstein)

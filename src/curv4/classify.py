@@ -7,8 +7,8 @@ on curvature data, with every threshold comparison decided exactly (on the
 threshold's float bracket where that is decisive; thresholds live in quadratic
 fields), and assembles a certificate of which implications fired.  Exact data
 is decided in integers over the normalized datum's common denominator, and no
-surd is built from it: each derived row is decided by squaring and prints the
-float closed form at the float of its argument as rhs.
+surd is built from it: each derived row reads its floor from the one table of
+the closed forms, estimates.floor_terms, and is decided there by squaring.
 
 A verdict never claims an isometry: pointwise data can only show that the
 hypotheses of a rigidity theorem hold, or that the data coincides with a
@@ -28,13 +28,13 @@ from .bivector import MODEL_BLOCKS, CurvatureOperator
 from .errors import DomainError, ExactnessError
 from .estimates import (
     GridReport,
+    floor_terms,
+    floor_value,
     grid_extremum,
     hamilton_gap,
-    kdiff_lower,
-    kupper_lower,
     sharp_constants,
 )
-from .surd import QuadraticSurd
+from .surd import QuadraticSurd, common_denominator
 
 _SHARP = sharp_constants()["constants"]
 COND_A_MAX_SEC = _SHARP["sec_upper_threshold"].value  # (14 - sqrt19)/12
@@ -69,42 +69,21 @@ def _row(name, lhs, relation, rhs, note="") -> CertificateRow:
     return CertificateRow(name, holds, float(lhs), relation, float(rhs), note)
 
 
-def _numerators(d: BergerData) -> tuple:
-    """(t, the six entries of exact data times t), with t a multiple of 3.
-
-    Rational data gives integers over t = 3 lcm(denominators); data holding a
-    QuadraticSurd gives its entries times 3 over t = 3, in their own field.
-    """
-    xs = (*d.a, *d.b)
-    if any(isinstance(x, QuadraticSurd) for x in xs):
-        return 3, tuple(3 * x for x in xs)
-    t = 3 * math.lcm(*(x.denominator for x in xs))
-    return t, tuple(x.numerator * (t // x.denominator) for x in xs)
-
-
-# the closed form of each derived row and its floor (c - sqrt(u))/k, with c and u
-# integer polynomials in the argument (coefficients lowest degree first)
-_FLOORS = {
-    "derived_min_sec": (kupper_lower, ((15, -8), (57, -240, 288), 28)),
-    "derived_min_sec_diff": (kdiff_lower, ((3, -2), (1, -4, 8), 6)),
-}
-
-
-def _floor_row(name, a1, arg, t, note) -> CertificateRow:
-    """The row a1 >= lower(arg) - 1e-9 of a derived floor (c - sqrt(u))/k.
+def _floor_row(name, lemma, a1, arg, t, note) -> CertificateRow:
+    """The row a1 >= floor(arg) - 1e-9 for a lemma of estimates.floor_terms.
 
     Float data (t None) compares a1 with the closed form at arg.  Exact data
-    passes a1 and arg as numerators over t: the row holds iff
-    x = c - k (a1 + 1e-9) <= 0 or u >= x^2, written over t 10^9, so rational
-    data is decided in integers, surd data in its own field, and no square
-    root is taken.  Its printed rhs is the float closed form at float(arg).
+    passes numerators a1, arg over t; with the table's floor (c - sqrt(m u))/(k t)
+    the row holds iff x = c - k (a1 + 1e-9 t) <= 0 or m u >= x^2, over 10^9, so
+    no root is taken.  The printed rhs is the float closed form at float(arg).
     """
-    lower, ((c0, c1), (u0, u1, u2), k) = _FLOORS[name]
     if t is None:
-        return _row(name, a1, ">=", lower(arg) - Fraction(1, 10**9), note)
-    x = (c0 * t + c1 * arg) * 10**9 - k * (a1 * 10**9 + t)
-    holds = x <= 0 or (u0 * t * t + u1 * t * arg + u2 * arg * arg) * 10**18 >= x * x
-    return CertificateRow(name, holds, float(a1 / t), ">=", lower(float(arg / t)) - 1e-9, note)
+        return _row(name, a1, ">=", floor_value(lemma, arg) - Fraction(1, 10**9), note)
+    c, m, u, k = floor_terms(lemma, arg, t)
+    x = c * 10**9 - k * (a1 * 10**9 + t)
+    holds = x <= 0 or m * u * 10**18 >= x * x
+    rhs = floor_value(lemma, float(arg / t)) - 1e-9
+    return CertificateRow(name, holds, float(a1 / t), ">=", rhs, note)
 
 
 def _weyl_bound(p, t) -> float:
@@ -207,8 +186,11 @@ def classify(source) -> ClassificationVerdict:
     wm = sum((x - y - 1.0 / 3.0) ** 2 for x, y in zip(fa, fb))
     weyl_sum = math.sqrt(wp) + math.sqrt(wm)
     if d.is_exact:
-        # every exact row reads numerators over t (see _numerators)
-        t, (n1, n2, n3, m1, m2, m3) = _numerators(d)
+        # exact rows read numerators over t = 3 lcm(denominators); surd data: 3 x over t = 3
+        xs = (*d.a, *d.b)
+        surds = any(isinstance(x, QuadraticSurd) for x in xs)
+        den, ns = (1, xs) if surds else common_denominator(xs)
+        t, (n1, n2, n3, m1, m2, m3) = 3 * den, (3 * n for n in ns)
         gap = t * n1 - (n1 * n1 + m1 * m1 + 2 * (n2 * n3 + m2 * m3))  # t^2 hamilton_gap
         gap_holds, gap = 10**12 * gap >= -t * t, gap / (t * t)
         top, spread = min(max(n3, t // 3), t), n3 - n2
@@ -236,14 +218,14 @@ def classify(source) -> ClassificationVerdict:
     if fa[2] <= 1.0 + 1e-12:
         # valid data may leave [1/3, 1] within its 1e-9 tolerance; top is a3 clamped there
         note = "closed-form floor from the max sectional curvature"
-        rows.append(_floor_row("derived_min_sec", n1, top, t, note))
+        rows.append(_floor_row("derived_min_sec", "kupper", n1, top, t, note))
     else:
         skipped.append(("derived_min_sec", "a3 > 1 lies outside the domain [1/3, 1] of kupper_lower"))
     if float(diff) < 0:
         spread = 0
     if float(diff) < 2.0:
         note = "closed-form floor from the sectional spread"
-        rows.append(_floor_row("derived_min_sec_diff", n1, spread, t, note))
+        rows.append(_floor_row("derived_min_sec_diff", "kdiff", n1, spread, t, note))
     else:
         skipped.append(
             ("derived_min_sec_diff", "a3 - a2 >= 2 lies outside the domain [0, 2) of kdiff_lower")

@@ -286,6 +286,31 @@ def lemma_algebraic2_oracle(a: float, b: float, resolution: int = 400) -> GridRe
 # -- lower bounds on the minimal sectional curvature ----------------------------
 
 
+def floor_terms(lemma: str, x, t=1) -> tuple:
+    """(c, m, u, k) with the lemma's bound (c - sqrt(m u))/(k t) at x/t, homogeneous in (x, t).
+
+    Integer numerators over t give integers.  The closed forms read the terms at
+    t = 1 in the order written here, which fixes every bit of their floats.
+    """
+    if lemma == "kupper":
+        return 15 * t - 8 * x, 3, 96 * x * x - 80 * t * x + 19 * t * t, 28
+    if lemma == "kdiff":
+        return 3 * t - 2 * x, 1, t * t + 8 * x * x - 4 * t * x, 6
+    return 2 * t - 6 * x, 1, 3 * t * t + 18 * x * x - 15 * t * x, 2  # a2a1
+
+
+def floor_value(lemma: str, x):
+    """The bound of floor_terms(lemma, x) with u clamped at 0, float or exact as x is.
+
+    The root is sqrt(m) sqrt(u) for floats and the exact sqrt(m u) otherwise.
+    """
+    (x,) = coerce(x)
+    c, m, u, k = floor_terms(lemma, x, 1)
+    u = u if u >= 0 else 0 * u
+    root = math.sqrt(m) * math.sqrt(u) if isinstance(u, float) else sqrt(m * u)
+    return (c - root) / k
+
+
 def kupper_lower(alpha):
     """Lower bound on a1 when the largest sectional curvature equals alpha <= 1.
 
@@ -295,11 +320,7 @@ def kupper_lower(alpha):
     """
     if not (1.0 / 3.0 - 1e-12 <= float(alpha) <= 1.0 + 1e-12):
         raise DomainError("alpha must lie in [1/3, 1]")
-    (a,) = coerce(alpha)
-    t = 96 * a * a - 80 * a + 19
-    # floats keep the two-root product; sqrt(3t) differs in the last bit
-    root = math.sqrt(3.0) * math.sqrt(t) if isinstance(t, float) else sqrt(3 * t)
-    return (15 - 8 * a - root) / 28
+    return floor_value("kupper", alpha)
 
 
 def kdiff_lower(alpha):
@@ -311,22 +332,19 @@ def kdiff_lower(alpha):
     """
     if not (0.0 <= float(alpha) < 2.0):
         raise DomainError("alpha must lie in [0, 2)")
-    (a,) = coerce(alpha)
-    return (3 - 2 * a - sqrt(1 + 8 * a * a - 4 * a)) / 6
+    return floor_value("kdiff", alpha)
 
 
 def a2a1_gap(delta):
     """Upper bound on x = a2 - a1 when a1 = delta and 4 a2 <= 1 + a1.
 
-    x <= 1 - 3 delta - sqrt(3 + 18 delta^2 - 15 delta)/2 on 0 <= delta <= 1/3.
+    x <= (2 - 6 delta - sqrt(3 + 18 delta^2 - 15 delta))/2 on 0 <= delta <= 1/3.
     The radicand is (1 - 2 delta)(1 - 3 delta) times 3, so it vanishes
-    exactly at delta = 1/3.
+    exactly at delta = 1/3 (and is clamped at 0 just beyond).
     """
     if not (0.0 <= float(delta) <= 1.0 / 3.0 + 1e-12):
         raise DomainError("delta must lie in [0, 1/3]")
-    (d,) = coerce(delta)
-    radicand = 3 + 18 * d * d - 15 * d
-    return 1 - 3 * d - sqrt(max(0 * radicand, radicand)) / 2
+    return floor_value("a2a1", delta)
 
 
 # -- polytope oracles ------------------------------------------------------------

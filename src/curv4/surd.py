@@ -85,9 +85,8 @@ class QuadraticSurd:
     @classmethod
     def from_fractions(cls, a: Fraction, b: Fraction, r: int) -> "QuadraticSurd":
         """Value a + b*sqrt(r) with rational a, b."""
-        a, b = Fraction(a), Fraction(b)
-        s = math.lcm(a.denominator, b.denominator)
-        return cls(a.numerator * (s // a.denominator), b.numerator * (s // b.denominator), r, s)
+        s, (p, q) = common_denominator((Fraction(a), Fraction(b)))
+        return cls(p, q, r, s)
 
     @classmethod
     def sqrt_rational(cls, x: Rational) -> "QuadraticSurd":
@@ -368,6 +367,12 @@ def _refine(decide, *xs: QuadraticSurd):
     while (answer := decide(*(n for x in xs for n in x._interval(bits)))) is None:
         bits *= 2
     return answer
+
+
+def common_denominator(xs) -> tuple:
+    """(D, numerators): the rationals xs as integers over D, the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, tuple(x.numerator * (den // x.denominator) for x in xs)
 
 
 EXACT_TYPES = (int, Fraction, QuadraticSurd)

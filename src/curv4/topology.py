@@ -48,14 +48,9 @@ def gbc_integrands(op: CurvatureOperator) -> GaussBonnetDensities:
     return GaussBonnetDensities(*densities, chi_num / 8, tau_num / 12)
 
 
-def hitchin_thorpe_slack(chi: int, tau: int):
-    """Slack 2 chi - 3 |tau| of the oriented Einstein obstruction (exact)."""
-    return 2 * chi - 3 * abs(tau)
-
-
 def hitchin_thorpe(chi: int, tau: int) -> bool:
-    """Oriented Einstein obstruction |tau| <= 2 chi / 3, checked exactly."""
-    return hitchin_thorpe_slack(chi, tau) >= 0
+    """Oriented Einstein obstruction |tau| <= 2 chi / 3, checked exactly as 2 chi - 3 |tau| >= 0."""
+    return 2 * chi - 3 * abs(tau) >= 0
 
 
 def euler_upper_per_vol(alpha, beta):

@@ -658,6 +658,20 @@ def test_stack_rejects_a_frame_that_is_not_orthogonal():
     conjugate_matrices(op.matrix, np.delete(frames, 3, axis=0))
 
 
+def test_nan_frames_are_rejected():
+    # the one frame check reads |q^T q - I| <= tol, which NaN fails
+    op = model_space("cp2")
+    nan = np.full((4, 4), np.nan)
+    with pytest.raises(InvalidOperatorError, match="orthogonal"):
+        berger.Frame(nan)
+    frames = haar_rotations(6, 2)
+    frames[4] = nan
+    with pytest.raises(InvalidOperatorError, match="frame 4 has"):
+        conjugate_matrices(op.matrix, frames)
+    with pytest.raises(InvalidOperatorError, match="orthogonal"):
+        conjugate_operator(op, nan)
+
+
 @pytest.mark.parametrize("bad", [(0.5, -1.0, 0.5), (-1.0, 0.0, 1.0 + 1e-9), (-1.0, np.nan, 1.0)])
 def test_weyl_stack_checks_mirror_weyl_spectrum(bad):
     # eigvalsh sorts and the Bianchi check zeroes the trace first, so a stack

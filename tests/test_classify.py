@@ -1,6 +1,7 @@
 """Verdict logic, pinch-to-Weyl bounds, discriminant sign condition."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from curv4 import (
     duality_decompose,
     frame_functional_min,
     hamilton_gap,
+    kdiff_lower,
     kupper_lower,
     model_space,
     sample_berger_data,
@@ -28,6 +30,7 @@ from curv4 import (
     wpm_discriminant_oracle,
 )
 from curv4.bivector import MODEL_BLOCKS, haar_rotations
+from curv4.classify import _floor_row
 from curv4.errors import DomainError
 
 S19 = QuadraticSurd(0, 1, 19, 1)
@@ -514,6 +517,36 @@ def test_exact_classify_of_rational_data_never_factors():
         start = time.perf_counter()
         classify(source)
         assert time.perf_counter() - start < 0.05, source
+
+
+def _exact_floor(x) -> int:
+    return math.floor(x) if isinstance(x, Fraction) else x._floor_scaled(0)
+
+
+@pytest.mark.parametrize(
+    "name, lemma, closed_form, lo, hi",
+    [
+        ("derived_min_sec", "kupper", kupper_lower, Fraction(1, 3), 1),
+        ("derived_min_sec_diff", "kdiff", kdiff_lower, 0, 2),
+    ],
+    ids=["kupper", "kdiff"],
+)
+def test_integer_floor_rows_equal_the_exact_comparison(name, lemma, closed_form, lo, hi):
+    # exact data reaches _floor_row as numerators over t = 3 lcm, and the row
+    # decides a1 >= lower(X/t) - 1e-9 in integers; at lattice points a1 beside
+    # t times the floor, on both sides of it, that verdict must be the exact one
+    rng = random.Random(13)
+    points = []
+    for _ in range(250):
+        t = 3 * rng.randrange(1, 10 ** rng.randrange(1, 16))
+        points.append((rng.randrange(math.ceil(lo * t), hi * t), t))
+    # floors hit exactly: kupper_lower(2/3) = 1/6 and kdiff_lower(0) = 1/3
+    points.append((4 * 10**9, 6 * 10**9) if lemma == "kupper" else (0, 3 * 10**9))
+    for x, t in points:
+        floor = closed_form(Fraction(x, t)) - Fraction(1, 10**9)
+        for a1 in range(_exact_floor(floor * t) - 2, _exact_floor(floor * t) + 3):
+            row = _floor_row(name, lemma, a1, x, t, "")
+            assert row.holds == (Fraction(a1, t) >= floor), (x, a1, t)
 
 
 def _ascending_triple(draw):

@@ -1,7 +1,9 @@
 """Closed-form pinching bounds against brute-force grid oracles."""
 
 import dataclasses
+import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -30,7 +32,8 @@ from curv4 import (
 )
 from curv4 import cli, estimates
 from curv4.errors import DomainError
-from curv4.estimates import POINTWISE_LEMMAS
+from curv4.estimates import POINTWISE_LEMMAS, floor_terms
+from curv4.surd import sqrt as surd_sqrt
 
 S19 = QuadraticSurd(0, 1, 19, 1)
 S3 = QuadraticSurd(0, 1, 3, 1)
@@ -199,6 +202,113 @@ def test_threshold_monotone_decreasing():
 def test_a2a1_gap_negative_inside_window():
     assert float(a2a1_gap(Fraction(1, 4))) < 0
     assert float(a2a1_gap(0.2)) < 0
+
+
+# per lemma: closed form, domain, the three terms of its radicand at x, the
+# bound read off a radicand u, and the floats the closed form returns at the
+# first 30 points of random.Random(21).uniform over the domain where summing
+# those terms in another order changes the bound, so that a reordered term in
+# the closed form changes some of these bits
+FLOAT_PINS = {
+    "kupper": (
+        kupper_lower,
+        (1 / 3, 1.0),
+        lambda x: (96 * x * x, -80 * x, 19.0),
+        lambda x, u: (15 - 8 * x - math.sqrt(3.0) * math.sqrt(u)) / 28,
+        [
+            0.31319725821116773, 0.09282166467340902, 0.29793534509007497, 0.33332730450293585,
+            0.2921237529561576, 0.31573209893278326, 0.32219894465190696, 0.24599900894250024,
+            0.29134018971306697, 0.30280953963637475, 0.046095065803751875, 0.10733405033062894,
+            0.13617214946575867, 0.09971547179927365, 0.30892912960013674, 0.3118460709849584,
+            0.24427417300481005, 0.11378976704561773, 0.26243385030835215, 0.3259070421494159,
+            0.06571707495725924, 0.0699098933496893, 0.11749837169503898, 0.2867733416517799,
+            0.31387826282715975, 0.3301383399411333, 0.3315712991909451, 0.24824572304400588,
+            0.29924662850422407, 0.11151233840203349,
+        ],
+    ),
+    "kdiff": (
+        kdiff_lower,
+        (0.0, 2.0),
+        lambda x: (1.0, 8 * x * x, -4 * x),
+        lambda x, u: (3 - 2 * x - math.sqrt(u)) / 6,
+        [
+            0.03452711539440042, -0.18216123987726926, 0.24388092993793942, -0.19978567623274812,
+            0.32577446379545455, -0.9825766872765648, 0.08575719819170084, -0.4981069248264463,
+            0.29778803673391596, 0.32988904194770147, 0.08368300794422585, -0.5205653726887075,
+            0.32626780215179957, 0.30927591871732685, -0.5198972191789564, 0.07903880252694433,
+            0.08032068895421711, 0.04582255704510289, 0.06520204553774715, 0.22936678802055602,
+            0.0843325589515976, 0.32938083359557613, 0.1989263560174597, 0.24237318023608082,
+            -0.16101596934762163, 0.2086190994078941, 0.02113475944394864, 0.22125475423682586,
+            0.23274419394057946, 0.19621836704618292,
+        ],
+    ),
+    "a2a1": (
+        a2a1_gap,
+        (0.0, 1 / 3),
+        lambda x: (3.0, 18 * x * x, -15 * x),
+        lambda x, u: (2 - 6 * x - math.sqrt(max(0.0, u))) / 2,
+        [
+            -0.04428145085973806, -0.03231912777313667, -0.06572327866552719, 0.1330895100339735,
+            -0.020818011644842704, 0.11475861354229544, -0.0636242606715644, -0.02231341349356417,
+            -0.054076571512833294, -0.06669290052571447, 0.03379240148194429, -0.06705711572447134,
+            -0.07150596693233671, -0.07209407629688405, -0.06146770535958834, -0.05984829472158279,
+            -0.07321472150182895, -0.058487595074866505, -0.06827904373656143, -0.07311693017490734,
+            0.0292521408037294, 0.029039043721770796, -0.050075636631317366, -0.03548369306114405,
+            -0.05585061015860676, -0.02633846804556378, -0.01390381306962618, -0.07160985719256249,
+            -0.06654097074985782, -0.060930031943050966,
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("lemma", POINTWISE_LEMMAS)
+def test_closed_form_floats_are_pinned(lemma):
+    closed_form, (lo, hi), terms, bound, want = FLOAT_PINS[lemma]
+    rng = random.Random(21)
+    xs = []
+    while len(xs) < len(want):
+        x = rng.uniform(lo, hi)
+        sums = {bound(x, (p + q) + r) for p, q, r in itertools.permutations(terms(x))}
+        if x < hi and len(sums) > 1:
+            xs.append(x)
+    got = [closed_form(x) for x in xs]
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def _table_bound(lemma, x, t):
+    c, m, u, k = floor_terms(lemma, x, t)
+    return (c - surd_sqrt(m * u)) / (k * t)
+
+
+# each lemma's closed form and exact domain lo <= x <= hi (x < hi where open)
+TABLE_DOMAINS = {
+    "kupper": (kupper_lower, Fraction(1, 3), Fraction(1), "closed"),
+    "kdiff": (kdiff_lower, Fraction(0), Fraction(2), "open"),
+    "a2a1": (a2a1_gap, Fraction(0), Fraction(1, 3), "closed"),
+}
+
+
+@pytest.mark.parametrize("lemma", POINTWISE_LEMMAS)
+def test_floor_table_at_numerators_over_t_is_the_closed_form(lemma):
+    # the table is homogeneous in (x, t): integer numerators X over t give
+    # integer terms, and the bound they give is exactly the closed form at X/t
+    closed_form, lo, hi, end = TABLE_DOMAINS[lemma]
+    rng = random.Random(7)
+    for _ in range(120):
+        t = rng.randrange(2, 10 ** rng.randrange(1, 21))
+        last = math.floor(hi * t) if end == "closed" else math.ceil(hi * t) - 1
+        x = rng.randrange(math.ceil(lo * t), last + 1)
+        assert all(type(v) is int for v in floor_terms(lemma, x, t))
+        assert _table_bound(lemma, x, t) == closed_form(Fraction(x, t)), (x, t)
+
+
+@pytest.mark.parametrize(
+    "lemma, x", [("kupper", (14 - S19) / 12), ("kdiff", (7 - S19) / 4)], ids=["kupper", "kdiff"]
+)
+def test_floor_table_at_the_sharp_surds_over_t(lemma, x):
+    # numerators t x stay in Q(sqrt19), where each theorem's root denests
+    for t in (1, 3, 12, 10**20 + 39):
+        assert _table_bound(lemma, t * x, t) == TABLE_DOMAINS[lemma][0](x)
 
 
 def test_pointwise_feasibility_pattern():

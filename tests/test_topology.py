@@ -14,7 +14,6 @@ from curv4 import (
     euler_upper_per_vol,
     gbc_integrands,
     hitchin_thorpe,
-    hitchin_thorpe_slack,
     model_space,
 )
 from curv4.errors import DomainError
@@ -52,10 +51,13 @@ def test_densities_frame_invariant_float_path():
 
 
 def test_hitchin_thorpe_table():
-    assert hitchin_thorpe(2, 0) and hitchin_thorpe_slack(2, 0) == 4
-    assert hitchin_thorpe(3, 1) and hitchin_thorpe_slack(3, 1) == 3
-    assert hitchin_thorpe(4, 0) and hitchin_thorpe_slack(4, 0) == 8
-    assert hitchin_thorpe(3, -2) and hitchin_thorpe_slack(3, -2) == 0
+    # the slack 2 chi - 3 |tau| is 4, 3, 8 and 0 at these points: each holds, and so
+    # does |tau| raised to the largest value the slack allows, with either sign,
+    # but not one more; at the boundary (3, -2) that largest value is |tau| itself
+    for chi, tau, top in [(2, 0, 1), (3, 1, 2), (4, 0, 2), (3, -2, 2)]:
+        assert hitchin_thorpe(chi, tau)
+        assert hitchin_thorpe(chi, top) and hitchin_thorpe(chi, -top)
+        assert not hitchin_thorpe(chi, top + 1) and not hitchin_thorpe(chi, -top - 1)
     assert not hitchin_thorpe(1, 1)
     assert not hitchin_thorpe(0, 1)
 
