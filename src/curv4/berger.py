@@ -284,50 +284,33 @@ def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
 # -- the frame functional 2 K(e1, e2) + K(e1, e3) -------------------------------
 
 
-def _upper(x, y, out: np.ndarray) -> np.ndarray:
-    """x_j * y_k at the upper entries (11, 22, 33, 12, 13, 23) of a 3x3, into (6, n) out."""
-    np.multiply(x, y, out=out[:3])
-    np.multiply(x[0], y[1:], out=out[3:5])
-    np.multiply(x[1], y[2], out=out[5])
-    return out
+def _eigenframe(block: np.ndarray) -> tuple:
+    """Ascending eigenvalues of a symmetric 3x3, and a quaternion lifting its det +1 eigenbasis."""
+    w, v = np.linalg.eigh(block)
+    v[:, 0] *= np.sign(np.linalg.det(v))
+    return w, rho_inverse(v)
 
 
-def _inner_matrices(q: np.ndarray, halves: tuple) -> np.ndarray:
-    """<R(e1 ^ f_j), e1 ^ f_k> for the frames (e1, f1, f2, f3) = (q, q i, q j, q k).
+def _search_matrices(u, alpha, beta) -> list:
+    """Upper entries (a11, a22, a33, a12, a13, a23) of rho(u)^T diag(alpha) rho(u) + diag(beta).
 
-    q is a (4, n) stack of unit quaternions, and the result holds the upper
-    entries (a11, a22, a33, a12, a13, a23) of each symmetric 3x3 as a (6, n)
-    stack.  Left multiplication by q fixes the anti-self-dual half and turns
-    the self-dual half by the rotation rho(q), so with `halves` = (alpha, p,
-    cross, minus), half the duality blocks with the self-dual one
-    p diag(alpha) p^T, the matrix is
-    rho^T p diag(alpha) p^T rho + rho^T cross + cross^T rho + minus.  Entry
-    (j, k) is minus[j, k], then for a = 0, 1, 2 plus
-    alpha[a] (pa_j pa_k) + (cross[a, j] r[a, k] + cross[a, k] r[a, j]), with
-    pa = (p^T rho)[a]: a fixed sequence of elementwise operations on its own
-    column, with no BLAS product whose rounding depends on n, so a
-    direction's value does not depend on the stack it sits in.
+    The rows r_a of rho(u) are orthonormal, so the first term is alpha_1 I +
+    (alpha_0 - alpha_1) r_0 r_0^T + (alpha_2 - alpha_1) r_2 r_2^T, written
+    elementwise on each column of the (4, n) stack u.
     """
-    alpha, p, cross, minus = halves
-    r = rho(q)
-    m, t, u, v = (np.empty((6, q.shape[1])) for _ in range(4))
-    m[:] = minus[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]][:, None]
-    for a in range(3):
-        pa = p[0, a] * r[0] + p[1, a] * r[1] + p[2, a] * r[2]
-        _upper(pa, pa, t)
-        t *= alpha[a]
-        c = cross[a][:, None]
-        _upper(c, r[a], u)
-        u += _upper(r[a], c, v)
-        t += u
-        m += t
+    r = rho(u)
+    c0, c2 = (alpha[0] - alpha[1]) * r[0], (alpha[2] - alpha[1]) * r[2]
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    m = [c0[j] * r[0, k] + c2[j] * r[2, k] for j, k in pairs]
+    for j in range(3):
+        m[j] += alpha[1] + beta[j]
     return m
 
 
-def _inner_minimum(m: np.ndarray) -> np.ndarray:
-    """1.5 (trace - largest eigenvalue) of each symmetric 3x3 in a (6, n) stack.
+def _inner_minimum(m) -> np.ndarray:
+    """1.5 (trace - largest eigenvalue) of each symmetric 3x3 of a stack.
 
-    The rows are the upper entries (a11, a22, a33, a12, a13, a23).  The
+    m holds the six upper entries (a11, a22, a33, a12, a13, a23).  The
     largest eigenvalue is the trigonometric closed form of O. K. Smith
     (1961), elementwise, so it is as fast as a few array passes and is exact
     up to about sqrt(eps) x scale where the top eigenvalue is double.
@@ -362,13 +345,21 @@ def frame_functional_min(
     minimum over all frames is the reported bound 1.5 (lambda - a3); it is
     below the adapted-frame value 2 a2 + a1 unless a1 = a2.
 
-    The search runs over e1 only: `samples` unit directions, normalised normal
-    draws from np.random.default_rng(seed), in blocks of SLAB_POINTS // 4 so
-    memory stays flat.  Each direction's inner minimum comes from the closed
-    form of _inner_minimum, and the first strict minimum wins.  The winning
-    3x3 is solved again with eigh, and the reported extremum and frame
-    (e1, (v1 + v2)/sqrt2, (v1 - v2)/sqrt2, +-v3, oriented) come from that
-    solve, so the closed form's error never reaches the report.
+    The search runs over e1 only: `samples` unit directions q, normalised
+    normal draws from np.random.default_rng(seed), in blocks of
+    SLAB_POINTS // 4 so memory stays flat.  The frame (q, q i, q j, q k)
+    turns only the self-dual half, by rho = rho(q), so in half the duality
+    blocks the 3x3 of <R(e1 ^ f_j), e1 ^ f_k> is rho^T plus rho + minus +
+    rho^T cross + cross^T rho.  With plus = P diag(alpha) P^T and minus =
+    Q diag(beta) Q^T (P = rho(p), Q = rho(r)) its first two terms are
+    Q (rho(u)^T diag(alpha) rho(u) + diag(beta)) Q^T, u = conj(p) q r, and the
+    search ranks directions by _inner_minimum on that matrix.  The cross block
+    it leaves out, the traceless Ricci part, moves each eigenvalue by at most
+    its spectral norm (Weyl), at most EINSTEIN_TOL x scale / 2 on an operator
+    berger_data accepts.  The first strict minimum wins, and its 3x3, built
+    again from the operator's matrix at the wedges e1 ^ f_j, is solved with
+    eigh for the extremum and the frame (e1, (v1 + v2)/sqrt2,
+    (v1 - v2)/sqrt2, +-v3, oriented), which attains it exactly.
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
@@ -376,12 +367,12 @@ def frame_functional_min(
     data = berger_data(d)
     bound = 1.5 * float(data.lambda_einstein - data.a[2])
 
-    # half the blocks (e1 ^ v has norm 1/sqrt2 in each duality half) at unit scale, where
-    # the closed form's cubes stay in range; the elementwise minus block is symmetrised
+    # half the blocks (e1 ^ v has norm 1/sqrt2 in each duality half) at unit scale,
+    # where the closed form's cubes stay in range
     scale = float(np.abs(op.matrix).max()) or 1.0
-    blocks = (d.r_plus_block, d.r_minus_block, d.cross_block)
-    plus, minus, cross = (x / (2.0 * scale) for x in blocks)
-    halves = (*np.linalg.eigh(plus), cross, (minus + minus.T) / 2.0)
+    alpha, p = _eigenframe(d.r_plus_block / (2.0 * scale))
+    beta, r = _eigenframe(d.r_minus_block / (2.0 * scale))
+    turn = quaternion_rotation(p * (1.0, -1.0, -1.0, -1.0), r).tolist()  # q -> conj(p) q r
     rng = np.random.default_rng(seed)
     block = SLAB_POINTS // 4
     best = None
@@ -389,18 +380,18 @@ def frame_functional_min(
         g = rng.standard_normal((min(block, samples - lo), 4)).T
         norm = np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2] + g[3] * g[3])
         q = np.divide(g, norm, order="C")
-        vals = _inner_minimum(_inner_matrices(q, halves))
+        u = [t0 * q[0] + t1 * q[1] + t2 * q[2] + t3 * q[3] for t0, t1, t2, t3 in turn]
+        vals = _inner_minimum(_search_matrices(u, alpha, beta))
         i = int(np.argmin(vals))
         if best is None or vals[i] < best[0]:
             best = (vals[i], q[:, i])
-    q = best[1]
-    a11, a22, a33, a12, a13, a23 = _inner_matrices(q[:, None], halves)[:, 0]
-    mu, u = np.linalg.eigh(np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]))
-    v = quaternion_rotation(q, (1.0, 0.0, 0.0, 0.0))[:, 1:] @ u
-    frame = np.stack([q, v[:, 0] + v[:, 1], v[:, 0] - v[:, 1], v[:, 2]], axis=1)
+    f = quaternion_rotation(best[1], (1.0, 0.0, 0.0, 0.0))  # columns q, q i, q j, q k
+    mu, v = np.linalg.eigh(conjugate_matrices(op.matrix, f)[:3, :3])  # at e1 ^ f_j
+    v = f[:, 1:] @ v
+    frame = np.stack([f[:, 0], v[:, 0] + v[:, 1], v[:, 0] - v[:, 1], v[:, 2]], axis=1)
     frame[:, 1:3] /= math.sqrt(2.0)
     frame[:, 3] *= np.sign(np.linalg.det(frame))
-    value = 1.5 * float(mu[0] + mu[1]) * scale
+    value = 1.5 * float(mu[0] + mu[1])
     return GridReport(value, tuple(map(tuple, frame.T)), samples, bound, "min")
 
 

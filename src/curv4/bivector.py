@@ -670,16 +670,20 @@ def haar_rotations(count: int, seed) -> np.ndarray:
 
 
 def _check_frames(q: np.ndarray, tol: float) -> None:
-    """Raise InvalidOperatorError naming the first 4x4 frame k of q failing |q^T q - I| <= tol."""
+    """Raise InvalidOperatorError naming the first 4x4 frame k of q failing |q^T q - I| <= tol;
+    an entry above 2 in size or not finite fails first, as q^T q could overflow or be NaN."""
     if q.shape[-2:] != (4, 4):
         raise InvalidOperatorError("frame must be a 4x4 orthogonal matrix")
-    defect = np.abs(q.swapaxes(-1, -2) @ q - np.eye(4)).max(axis=(-2, -1))
-    ok = defect <= tol
+    what, value = "an entry of size", np.abs(q).max(axis=(-2, -1))
+    ok = value <= 2.0
+    if ok.all():
+        what = "|q^T q - I| ="
+        value = np.abs(q.swapaxes(-1, -2) @ q - np.eye(4)).max(axis=(-2, -1))
+        ok = value <= tol
     if not ok.all():
         k = int(np.argmin(ok))
         raise InvalidOperatorError(
-            f"frame must be a 4x4 orthogonal matrix: frame {k} has "
-            f"|q^T q - I| = {defect.flat[k]:.3e}"
+            f"frame must be a 4x4 orthogonal matrix: frame {k} has {what} {value.flat[k]:.3e}"
         )
 
 

@@ -132,19 +132,23 @@ def hamilton_gap(d):
 HAMILTON_PREDICATE_TOL = 1e-12
 
 
-def hamilton_box_bound(a1, a2, a3, bb1, bb2):
-    """Least upper bound of hamilton_gap over the box |b1| <= bb1, |b2| <= bb2.
+def hamilton_row_bound(a1, a2, a3):
+    """Least upper bound of hamilton_gap over the b that the a-gaps dominate.
 
-    With b3 = -b1 - b2 the gap is a1 - a1^2 - 2 a2 a3 - b1^2 + 2 b1 b2 + 2 b2^2;
-    b1 = b2 (clipped to the box) maximizes it in b1, and the result grows with
-    |b2|, so with m = min(bb1, bb2) the bound is
+    With x = b2 - b1 and y = b3 - b2 (b summing to 0) the gap is
+    c0 - (2 x^2 + 2 x y - y^2)/3, c0 = a1 - a1^2 - 2 a2 a3, on the
+    parallelogram |x| <= s1 = a2 - a1, |y| <= s3 = a3 - a2 (|x + y| <= s2
+    follows, as s2 = s1 + s3).  It is concave in x, peaking at x = -y/2, and
+    its peak grows with |y|, so with m = min(s3/2, s1) the maximum, reached at
+    y = +-s3, x = -+m, is
 
-        a1 - a1^2 - 2 a2 a3 + 2 bb2^2 + 2 m bb2 - m^2.
+        c0 + (s3^2 + 2 m s3 - 2 m^2)/3.
 
     Broadcasts over arrays.
     """
-    m = np.minimum(bb1, bb2)
-    return a1 - a1 * a1 - 2 * a2 * a3 + 2 * bb2 * bb2 + 2 * m * bb2 - m * m
+    s1, s3 = a2 - a1, a3 - a2
+    m = np.minimum(s3 / 2.0, s1)
+    return a1 - a1 * a1 - 2 * a2 * a3 + (s3 * s3 + 2 * m * s3 - 2 * m * m) / 3
 
 
 # -- Weyl bounds from a two-sided sectional pinch (sum/difference form) ---------
@@ -359,8 +363,8 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     a-gaps, the pointwise quadratic inequality) is swept on a regular grid.
     The lemma hypothesis eliminates one a-coordinate, so the grid is
     (free a, b1, b2) with the b-box adapted to each sectional triple; a-rows
-    that are unsorted, or whose whole b-box fails the inequality by more than
-    1e-9 (hamilton_box_bound), are skipped without being scanned.  The
+    that are unsorted, or whose b-parallelogram fails the inequality by more
+    than 1e-9 (hamilton_row_bound), are skipped without being scanned.  The
     objective is constant and exact along an a-row, so the a-rows are
     visited best objective first (a stable sort) and the search returns the
     first one holding a feasible point: no later a-row can beat or tie it.
@@ -407,11 +411,11 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     s1, s2, s3 = a2 - a1, a3 - a1, a3 - a2
     # the (b1, b2) box covering the mixed-part polytope of each sectional triple
     bb1, bb2 = (s1 + s2) / 3.0, (s1 + s3) / 3.0
-    # scan only the ordered rows whose whole b-box can pass the quadratic
-    # inequality; 1e-9 dwarfs the float error of the grid's gap on this O(1)
-    # data, so no skipped row holds a point that passes the float test
+    # scan only the ordered rows whose dominance region can pass the quadratic
+    # inequality; 1e-9 dwarfs the float error and 1e-12 slack of the grid's tests
+    # on this O(1) data, so no skipped row holds a point that passes them
     order = (a1 <= a2 + 1e-12) & (a2 <= a3 + 1e-12)
-    rows = np.flatnonzero(order & (hamilton_box_bound(a1, a2, a3, bb1, bb2) >= -1e-9))
+    rows = np.flatnonzero(order & (hamilton_row_bound(a1, a2, a3) >= -1e-9))
     t = np.linspace(-1.0, 1.0, r + 1)
     tol = 1e-12
     key = -objective if sense == "max" else objective

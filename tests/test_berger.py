@@ -411,49 +411,63 @@ def test_frame_functional_re_solves_a_double_top_eigenvalue():
             assert abs(_frame_functional_at(op, rep.argument) - rep.extremum) <= 1e-14
 
 
-def _halves(m):
-    """frame_functional_min's halves of the duality blocks of m, at the scale of m."""
-    plus, minus, cross = (x / 2.0 for x in bivector._duality_blocks(m))
-    return (*np.linalg.eigh(plus), cross, (minus + minus.T) / 2.0)
+def _search_back(m, q, conjugate=True):
+    """frame_functional_min's search matrix of each direction of q, conjugated back by Q.
+
+    The halves of m's duality blocks at m's scale, in their eigenframes; a
+    (n, 3, 3) stack.  With conjugate False the 4x4 map is built from p
+    rather than conj(p).
+    """
+    plus, minus, _ = (x / 2.0 for x in bivector._duality_blocks(m))
+    alpha, p = berger._eigenframe(plus)
+    beta, r = berger._eigenframe(minus)
+    left = p * (1.0, -1.0, -1.0, -1.0) if conjugate else p
+    a11, a22, a33, a12, a13, a23 = berger._search_matrices(
+        quaternion_rotation(left, r) @ q, alpha, beta
+    )
+    search = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]).transpose(2, 0, 1)
+    return rho(r) @ search @ rho(r).T
 
 
-def _full_inner_matrices(q, halves):
-    """The whole (3, 3, n) stack of <R(e1^f_j), e1^f_k>, built as one array."""
-    alpha, p, cross, minus = halves
-    r = rho(q)
-    m = np.repeat(minus[:, :, None], q.shape[1], axis=2)
-    for a in range(3):
-        pa = p[0, a] * r[0] + p[1, a] * r[1] + p[2, a] * r[2]
-        ca = cross[a][:, None, None] * r[a][None]
-        m += alpha[a] * (pa[:, None] * pa[None]) + (ca + ca.transpose(1, 0, 2))
-    return m
+def _wedge_inner(m, q):
+    """<R(e1^f_j), e1^f_k> for the frames (q, q i, q j, q k) of q's columns, from the wedges."""
+    out = []
+    for k in range(q.shape[1]):
+        frame = quaternion_rotation(q[:, k], (1.0, 0.0, 0.0, 0.0))
+        w = np.stack([wedge_coordinates(frame[:, 0], frame[:, j]) for j in (1, 2, 3)], axis=1)
+        out.append(w.T @ m @ w)
+    return np.array(out)
 
 
-def test_frame_functional_inner_matrices_match_the_wedge_definition():
-    # <R(e1^f_j), e1^f_k> for the quaternion frame, on operators with a
-    # nonzero duality cross block: the kernel's six upper entries are bit for
-    # bit those of the whole symmetric 3x3, which matches the wedges
+def test_frame_search_matrix_matches_the_wedge_definition():
+    # Einstein operators have no cross block, so the search matrix conjugated
+    # back by Q is the whole 3x3; built from p rather than conj(p) it is not
     rng = np.random.default_rng(7)
+    ops = [model_space(n) for n in ("sphere", "cp2", "s2xs2")] + _rotated_samples(8, seed=34)
+    for i, op in enumerate(ops):
+        q = rng.standard_normal((4, 9))
+        q /= np.linalg.norm(q, axis=0)
+        full = _wedge_inner(op.matrix, q)
+        assert np.abs(_search_back(op.matrix, q) - full).max() <= 1e-14, i
+        if i >= 3:
+            assert np.abs(_search_back(op.matrix, q, conjugate=False) - full).max() > 1e-3, i
+
+
+def test_frame_search_moves_eigenvalues_by_at_most_the_cross_block():
+    # with a nonzero cross block C the whole 3x3 adds (rho^T C + C^T rho)/2,
+    # so by Weyl's inequality each eigenvalue moves by at most |C|_2
+    rng = np.random.default_rng(8)
     for _ in range(24):
         m = rng.standard_normal((6, 6))
         m = m + m.T
-        halves = _halves(m)
-        assert np.abs(halves[2]).max() > 0.1
+        cross = bivector._duality_blocks(m)[2]
+        assert np.abs(cross).max() > 0.1
         q = rng.standard_normal((4, 9))
         q /= np.linalg.norm(q, axis=0)
-        got = berger._inner_matrices(q, halves)
-        full = _full_inner_matrices(q, halves)
-        assert got.shape == (6, 9)
-        assert np.array_equal(got, full[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
-        assert np.array_equal(full, full.transpose(1, 0, 2))
-        for k in range(9):
-            frame = quaternion_rotation(q[:, k], (1.0, 0.0, 0.0, 0.0))
-            assert np.abs(frame.T @ frame - np.eye(4)).max() <= 1e-15
-            assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-15)
-            w = np.stack(
-                [wedge_coordinates(frame[:, 0], frame[:, j]) for j in (1, 2, 3)], axis=1
-            )
-            assert np.abs(w.T @ m @ w - full[:, :, k]).max() <= 1e-14
+        moved = np.abs(
+            np.linalg.eigvalsh(_search_back(m, q)) - np.linalg.eigvalsh(_wedge_inner(m, q))
+        )
+        assert moved.max() <= np.linalg.norm(cross, 2) + 1e-14
 
 
 def test_frame_functional_seeded_determinism():
@@ -670,6 +684,21 @@ def test_nan_frames_are_rejected():
         conjugate_matrices(op.matrix, frames)
     with pytest.raises(InvalidOperatorError, match="orthogonal"):
         conjugate_operator(op, nan)
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, 1e200])
+def test_infinite_and_huge_frames_are_rejected(entry):
+    # rejected before q^T q, where inf * 0 or an overflow would warn first
+    op = model_space("cp2")
+    frame = np.where(np.eye(4) > 0, entry, 0.0)
+    with pytest.raises(InvalidOperatorError, match="frame 0 has an entry of size"):
+        berger.Frame(frame)
+    with pytest.raises(InvalidOperatorError, match="orthogonal"):
+        conjugate_operator(op, frame)
+    frames = haar_rotations(6, 2)
+    frames[2] = frame
+    with pytest.raises(InvalidOperatorError, match="frame 2 has"):
+        conjugate_matrices(op.matrix, frames)
 
 
 @pytest.mark.parametrize("bad", [(0.5, -1.0, 0.5), (-1.0, 0.0, 1.0 + 1e-9), (-1.0, np.nan, 1.0)])

@@ -444,6 +444,26 @@ def test_polytope_oracle_memory_is_flat_in_the_grid(lemma, param):
 # ------------------------------------------------------ the row bound
 
 
+def _a_rows(lemma, p, r):
+    """The oracle's a-rows: (a1, a2, a3, objective, sense), None for an empty a-range."""
+    if lemma == "kupper":
+        lo, hi = 1.0 - 2.0 * p, (1.0 - p) / 2.0
+        if lo > hi + 1e-15:
+            return None
+        a1 = np.linspace(lo, hi, r + 1)
+        return a1, 1.0 - p - a1, np.full(r + 1, p), a1, "min"
+    if lemma == "kdiff":
+        a1 = np.linspace(-1.0, (1.0 - p) / 3.0, r + 1)
+        a2 = (1.0 - a1 - p) / 2.0
+        return a1, a2, a2 + p, a1, "min"
+    lo, hi = p, min((1.0 + p) / 4.0, (1.0 - p) / 2.0)
+    if lo > hi + 1e-15:
+        return None
+    a2 = np.linspace(lo, hi, r + 1)
+    a1 = np.full(r + 1, p)
+    return a1, a2, 1.0 - p - a2, a2 - a1, "max"
+
+
 def _reference_polytope(lemma, p, r):
     """Every point of the oracle's (free a, b1, b2) grid, no row skipped.
 
@@ -451,25 +471,10 @@ def _reference_polytope(lemma, p, r):
     b-box half-widths box = (bb1, bb2) per row, and `feasible` the (r+1)^3
     mask of the float predicates; None for an empty a-range.
     """
-    if lemma == "kupper":
-        lo, hi = 1.0 - 2.0 * p, (1.0 - p) / 2.0
-        if lo > hi + 1e-15:
-            return None
-        a1 = np.linspace(lo, hi, r + 1)
-        a2, a3 = 1.0 - p - a1, np.full(r + 1, p)
-        objective, sense = a1, "min"
-    elif lemma == "kdiff":
-        a1 = np.linspace(-1.0, (1.0 - p) / 3.0, r + 1)
-        a2 = (1.0 - a1 - p) / 2.0
-        a3 = a2 + p
-        objective, sense = a1, "min"
-    else:
-        lo, hi = p, min((1.0 + p) / 4.0, (1.0 - p) / 2.0)
-        if lo > hi + 1e-15:
-            return None
-        a2 = np.linspace(lo, hi, r + 1)
-        a1, a3 = np.full(r + 1, p), 1.0 - p - a2
-        objective, sense = a2 - a1, "max"
+    rows = _a_rows(lemma, p, r)
+    if rows is None:
+        return None
+    a1, a2, a3, objective, sense = rows
     s1, s2, s3 = a2 - a1, a3 - a1, a3 - a2
     bb1, bb2 = (s1 + s2) / 3.0, (s1 + s3) / 3.0
     t = np.linspace(-1.0, 1.0, r + 1)
@@ -584,14 +589,27 @@ def _battery_calls(lemmas):
 
 def test_battery_polytope_checks_stop_at_the_first_feasible_row(monkeypatch):
     # a-rows come best objective first, so the 15 polytope checks of the
-    # battery visit 42 of their 1,815 a-rows (455 survive the row bound);
+    # battery visit 14 of their 1,815 a-rows (427 survive the row bound);
     # each visited a-row is one kernel call over r + 1 lines of fixed b1
     monkeypatch.setattr(estimates, "SLAB_POINTS", 1)
     scans, reports = _scans_of(monkeypatch, _battery_calls(POINTWISE_LEMMAS))
     assert len(reports) == 15 and all(r["pass"] for r in reports)
     r = cli._LEMMAS["kupper"].grid
-    assert len(scans) == 42
+    assert len(scans) == 14
     assert all(s["rows"] == s["row_points"] == r + 1 for s in scans)
+
+
+def test_each_polytope_report_visits_at_most_two_a_rows(monkeypatch):
+    # the row bound is the gap's exact maximum over each a-row's dominance
+    # region, so best first the search reaches a feasible a-row at once or
+    # one a-row later, on the battery and on large spreads at r = 800
+    kdiff = [
+        lambda p=p: pointwise_bound_oracle("kdiff", p, resolution=800)
+        for p in (1.0 + k / 10 for k in range(10))
+    ]
+    for call in _battery_calls(POINTWISE_LEMMAS) + kdiff:
+        scans, _ = _scans_of(monkeypatch, [call])
+        assert len(scans) <= 2
 
 
 def test_battery_grid_scans_evaluate_few_rows(monkeypatch):
@@ -617,29 +635,88 @@ def test_rows_the_bound_removes_hold_no_feasible_point(r):
         grid = _reference_polytope(lemma, p, r)
         if grid is None:
             continue
-        (a1, a2, a3), (bb1, bb2), _, _, feasible = grid
-        bound = estimates.hamilton_box_bound(a1, a2, a3, bb1, bb2)
-        skipped = bound < -1e-9
+        (a1, a2, a3), _, _, _, feasible = grid
+        skipped = estimates.hamilton_row_bound(a1, a2, a3) < -1e-9
         assert not feasible[skipped].any(), (lemma, p)
         removed += int(skipped.sum())
     assert removed > 0
 
 
-def test_hamilton_box_bound_is_the_least_upper_bound():
-    # the gap's maximum over a fine box grid reaches the bound at b1 = m, b2 = bb2
-    rng = np.random.default_rng(7)
-    t = np.linspace(-1.0, 1.0, 401)
-    for _ in range(50):
-        a1, a2 = rng.uniform(-1.0, 0.4, 2)
-        a3 = 1.0 - a1 - a2
-        bb1, bb2 = rng.uniform(0.0, 1.0, 2)
-        bound = estimates.hamilton_box_bound(a1, a2, a3, bb1, bb2)
-        b1, b2 = bb1 * t[:, None], bb2 * t
-        gap = a1 - (a1 * a1 + b1 * b1 + 2.0 * a2 * a3 - 2.0 * b2 * (b1 + b2))
-        assert gap.max() <= bound + 1e-12
-        m = min(bb1, bb2)
-        corner = SimpleNamespace(a=(a1, a2, a3), b=(m, bb2, -m - bb2))
-        assert hamilton_gap(corner) == pytest.approx(bound, abs=1e-12)
+def _row_gap_maxima(a1, a2, a3, r):
+    """Largest float gap over the dominance-feasible points of each a-row's b-grid.
+
+    The grid is the oracle's, b1 = bb1 t and b2 = bb2 t for t on r + 1 points
+    of [-1, 1]; a row with no feasible point gives -inf.
+    """
+    s1, s2, s3 = a2 - a1, a3 - a1, a3 - a2
+    bb1, bb2 = (s1 + s2) / 3.0, (s1 + s3) / 3.0
+    t = np.linspace(-1.0, 1.0, r + 1)
+    out = []
+    for lo in range(0, len(a1), 16):
+        row = slice(lo, lo + 16)
+        x1, x2, x3, w1, w2, w3 = (v[row, None, None] for v in (a1, a2, a3, s1, s2, s3))
+        b1 = bb1[row, None, None] * t[:, None]
+        b2 = bb2[row, None, None] * t
+        b3 = -b1 - b2
+        gap = x1 - (x1 * x1 + b1 * b1 + 2.0 * (x2 * x3) + 2.0 * b2 * b3)
+        feasible = (np.abs(b2 - b1) <= w1) & (np.abs(b3 - b1) <= w2) & (np.abs(b3 - b2) <= w3)
+        out.append(np.where(feasible, gap, -np.inf).max(axis=(1, 2)))
+    return np.concatenate(out)
+
+
+def _row_bound_holds(bound, a, maxima) -> bool:
+    """Whether bound(a1, a2, a3) is a least upper bound of the gap on each a-row.
+
+    It must be at least every float gap in `maxima` (_row_gap_maxima), and
+    equal to the gap at x = b2 - b1 = -m, y = b3 - b2 = s3 with
+    m = min(s3/2, s1), a point of the dominance region.
+    """
+    a1, a2, a3 = a
+    value = bound(a1, a2, a3)
+    s1, s2, s3 = a2 - a1, a3 - a1, a3 - a2
+    x, y = -np.minimum(s3 / 2.0, s1), s3
+    b = (-(2.0 * x + y) / 3.0, (x - y) / 3.0, (x + 2.0 * y) / 3.0)
+    tol = 1e-12
+    assert (np.abs(b[1] - b[0]) <= s1 + tol).all() and (np.abs(b[2] - b[1]) <= s3 + tol).all()
+    assert (np.abs(b[2] - b[0]) <= s2 + tol).all()
+    attained = np.abs(hamilton_gap(SimpleNamespace(a=a, b=b)) - value) <= 1e-12
+    return bool((maxima <= value + 1e-12).all() and attained.all())
+
+
+def _row_bound_mutant(rule):
+    """hamilton_row_bound with (m, s3) replaced by rule(s1, s2, s3)."""
+
+    def bound(a1, a2, a3):
+        m, s = rule(a2 - a1, a3 - a1, a3 - a2)
+        return a1 - a1 * a1 - 2 * a2 * a3 + (s * s + 2 * m * s - 2 * m * m) / 3
+
+    return bound
+
+
+def test_hamilton_row_bound_is_the_least_upper_bound():
+    # on the ordered a-rows of the battery's polytope checks at their grid
+    # and on 80 seeded a-rows, against every float gap of the oracle's b-grid
+    r = cli._LEMMAS["kupper"].grid
+    rows = [_a_rows(lemma, params.get("alpha", params.get("delta")), r)
+            for lemma, params in cli._BATTERY if lemma in POINTWISE_LEMMAS]
+    a1, a2, a3 = (np.concatenate([row[k] for row in rows if row is not None]) for k in range(3))
+    rng = np.random.default_rng(16)
+    seeded = rng.uniform(-1.0, 1.0 / 3.0, 80)
+    mid = rng.uniform(seeded, (1.0 - seeded) / 2.0)
+    a1, a2 = np.concatenate([a1, seeded]), np.concatenate([a2, mid])
+    a3 = np.concatenate([a3, 1.0 - seeded - mid])
+    ordered = (a1 <= a2 + 1e-12) & (a2 <= a3 + 1e-12)
+    a = (a1[ordered], a2[ordered], a3[ordered])
+    s1, s3 = a[1] - a[0], a[2] - a[1]
+    assert (s1 > s3 / 2.0 + 0.01).any() and (s1 < s3 / 2.0 - 0.01).any()  # both branches of m
+    maxima = _row_gap_maxima(*a, r)
+    assert _row_bound_holds(estimates.hamilton_row_bound, a, maxima)
+    for rule in (
+        lambda s1, s2, s3: (s1, s3),
+        lambda s1, s2, s3: (s3 / 2.0, s3),
+        lambda s1, s2, s3: (np.minimum(s2 / 2.0, s1), s2),
+    ):
+        assert not _row_bound_holds(_row_bound_mutant(rule), a, maxima)
 
 
 # ------------------------------------------- the k3k1 and algebraic2 row bounds
