@@ -345,21 +345,21 @@ def frame_functional_min(
     minimum over all frames is the reported bound 1.5 (lambda - a3); it is
     below the adapted-frame value 2 a2 + a1 unless a1 = a2.
 
-    The search runs over e1 only: `samples` unit directions q, normalised
-    normal draws from np.random.default_rng(seed), in blocks of
-    SLAB_POINTS // 4 so memory stays flat.  The frame (q, q i, q j, q k)
-    turns only the self-dual half, by rho = rho(q), so in half the duality
-    blocks the 3x3 of <R(e1 ^ f_j), e1 ^ f_k> is rho^T plus rho + minus +
-    rho^T cross + cross^T rho.  With plus = P diag(alpha) P^T and minus =
+    The search runs over e1 = q only.  The frame (q, q i, q j, q k) turns
+    only the self-dual half, by rho = rho(q), so in half the duality blocks
+    the 3x3 of <R(e1 ^ f_j), e1 ^ f_k> is rho^T plus rho + minus + rho^T
+    cross + cross^T rho.  With plus = P diag(alpha) P^T and minus =
     Q diag(beta) Q^T (P = rho(p), Q = rho(r)) its first two terms are
-    Q (rho(u)^T diag(alpha) rho(u) + diag(beta)) Q^T, u = conj(p) q r, and the
-    search ranks directions by _inner_minimum on that matrix.  The cross block
-    it leaves out, the traceless Ricci part, moves each eigenvalue by at most
-    its spectral norm (Weyl), at most EINSTEIN_TOL x scale / 2 on an operator
-    berger_data accepts.  The first strict minimum wins, and its 3x3, built
-    again from the operator's matrix at the wedges e1 ^ f_j, is solved with
-    eigh for the extremum and the frame (e1, (v1 + v2)/sqrt2,
-    (v1 - v2)/sqrt2, +-v3, oriented), which attains it exactly.
+    Q (rho(u)^T diag(alpha) rho(u) + diag(beta)) Q^T, u = conj(p) q r.  As
+    q -> u is orthogonal, the search draws u, uniform on S^3: `samples`
+    normalised normals from np.random.default_rng(seed) in blocks of
+    SLAB_POINTS // 4, so memory stays flat, ranked by _inner_minimum on that
+    matrix; only the winner is mapped back to q.  The cross block it leaves
+    out, the traceless Ricci part, moves each eigenvalue by at most its
+    spectral norm (Weyl), at most EINSTEIN_TOL x scale / 2 on an operator
+    berger_data accepts.  The first strict minimum wins; eigh on its 3x3, built
+    again from the operator's matrix at the wedges e1 ^ f_j, gives the extremum
+    and the frame (e1, (v1 +- v2)/sqrt2, +-v3, oriented) that attains it exactly.
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
@@ -372,20 +372,19 @@ def frame_functional_min(
     scale = float(np.abs(op.matrix).max()) or 1.0
     alpha, p = _eigenframe(d.r_plus_block / (2.0 * scale))
     beta, r = _eigenframe(d.r_minus_block / (2.0 * scale))
-    turn = quaternion_rotation(p * (1.0, -1.0, -1.0, -1.0), r).tolist()  # q -> conj(p) q r
     rng = np.random.default_rng(seed)
     block = SLAB_POINTS // 4
     best = None
     for lo in range(0, samples, block):
         g = rng.standard_normal((min(block, samples - lo), 4)).T
         norm = np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2] + g[3] * g[3])
-        q = np.divide(g, norm, order="C")
-        u = [t0 * q[0] + t1 * q[1] + t2 * q[2] + t3 * q[3] for t0, t1, t2, t3 in turn]
+        u = np.divide(g, norm, order="C")
         vals = _inner_minimum(_search_matrices(u, alpha, beta))
         i = int(np.argmin(vals))
         if best is None or vals[i] < best[0]:
-            best = (vals[i], q[:, i])
-    f = quaternion_rotation(best[1], (1.0, 0.0, 0.0, 0.0))  # columns q, q i, q j, q k
+            best = (vals[i], u[:, i])
+    turn = quaternion_rotation(p * (1.0, -1.0, -1.0, -1.0), r)  # q -> u = conj(p) q r
+    f = quaternion_rotation(turn.T @ best[1], (1.0, 0.0, 0.0, 0.0))  # columns q, q i, q j, q k
     mu, v = np.linalg.eigh(conjugate_matrices(op.matrix, f)[:3, :3])  # at e1 ^ f_j
     v = f[:, 1:] @ v
     frame = np.stack([f[:, 0], v[:, 0] + v[:, 1], v[:, 0] - v[:, 1], v[:, 2]], axis=1)

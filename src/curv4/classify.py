@@ -107,8 +107,8 @@ def wpm_discriminant(w_plus, w_minus):
     elliptic rigidity argument.  Broadcasts over arrays of w+ and w-.
     """
     wp, wm = np.asarray(w_plus, dtype=float), np.asarray(w_minus, dtype=float)
-    if np.any(wp < 0) or np.any(wm < 0):
-        raise DomainError("Weyl norms must be nonnegative")
+    if not all(((w >= 0) & (w < np.inf)).all() for w in (wp, wm)):  # NaN fails w >= 0
+        raise DomainError("Weyl norms must be finite and nonnegative")
     prod = wp * wm
     return prod ** (2.0 / 3.0) * (-48.0 + 16.0 * math.sqrt(6.0) * (wp + wm) - 24.0 * prod)
 

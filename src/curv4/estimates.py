@@ -208,10 +208,10 @@ def lemma_k3k1_oracle(alpha: float, delta: float, resolution: int = 400) -> Grid
         wm = np.sqrt(3.0 * m * m + n * n) / math.sqrt(2.0)
         return wp + wm
 
-    # q is affine in t along a row, so the sum of norms is convex there and
-    # peaks at an end column; the margin covers the rounding of the scan
+    # q is affine in t along a row, so the sum of norms is convex there and peaks
+    # at an end column; a margin covers the scan's rounding where qhi > qlo (else q = qlo)
     ends = weyl_sum(np.arange(len(p)), t[[0, -1]]).max(axis=1)
-    row_bound = ends + 1e-12 * max(1.0, alpha1, delta)
+    row_bound = ends + np.where(qhi > qlo, 1e-12 * max(1.0, alpha1, delta), 0.0)
     value, (i, j) = grid_extremum(
         lambda idx: (weyl_sum(idx, t), True), len(p), resolution + 1, "max", row_bound
     )

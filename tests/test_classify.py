@@ -304,6 +304,23 @@ def test_wpm_discriminant_sign():
     assert wpm_discriminant(1.0, 1.0) > 0.0
 
 
+@pytest.mark.parametrize(
+    "wp, wm",
+    [
+        (math.nan, 0.5),
+        (0.5, math.nan),
+        (math.inf, 0.5),
+        (0.5, -math.inf),
+        ([0.1, math.nan], 0.2),
+        (0.3, [0.2, math.inf]),
+    ],
+)
+def test_wpm_discriminant_rejects_non_finite_norms(wp, wm):
+    # NaN passes a `w < 0` test, and the discriminant then returns NaN
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        wpm_discriminant(wp, wm)
+
+
 def test_wpm_oracle_max_zero_on_axes():
     report = wpm_discriminant_oracle(resolution=300)
     assert report.sense == "max"

@@ -615,7 +615,11 @@ def test_each_polytope_report_visits_at_most_two_a_rows(monkeypatch):
 def test_battery_grid_scans_evaluate_few_rows(monkeypatch):
     # each algebraic2 scan (a coarse grid, then its refinements) and the two
     # k3k1 checks away from the sharp ones evaluate at most 20 of 401 rows;
-    # at (5/6, 1) and (2/3, 0) every row's end value reaches the maximum
+    # at (5/6, 1) and (2/3, 0) every row's end value reaches the maximum, and
+    # only rows of nonzero width (qhi > qlo) carry the rounding margin that
+    # keeps them past the incumbent: at (5/6, 1) rounding leaves 399 such
+    # rows and drops the two end rows; at (2/3, 0) all 401 rows have zero
+    # width, so the first slab of 20 rows ends the scan
     scans, reports = _scans_of(monkeypatch, _battery_calls(("k3k1", "algebraic2")))
     assert all(r["pass"] for r in reports)
     assert [r["params"] for r in reports[2:4]] == [
@@ -624,7 +628,7 @@ def test_battery_grid_scans_evaluate_few_rows(monkeypatch):
     ]
     counts = [len(s["evaluated"]) for s in scans]
     assert len(counts) == 4 + 4 * (1 + estimates.ALGEBRAIC2_REFINEMENTS)
-    assert counts[:2] == [401, 401]
+    assert counts[:2] == [399, 20]
     assert max(counts[2:]) <= 20
 
 
@@ -793,6 +797,14 @@ def _grid_scan_cases():
         for alpha in np.linspace(0.5, 1.2, 50)
         for delta in np.linspace(0.0, 1.6, 50)
     ]
+    # zero-width rows, where the row bound carries no margin: alpha1 = 0,
+    # and the edge delta = 6 alpha - 4, where qlo = qhi = 3p up to rounding
+    cases += [(*k3k1, 2.0 / 3.0, 0.0, r) for r in (8, 120)]
+    cases += [
+        (*k3k1, float(alpha), float(6.0 * alpha - 4.0), r)
+        for alpha in np.linspace(0.7, 1.2, 6)
+        for r in (8, 120)
+    ]
     # criterion 4: the 20 x 20 sweep at r = 400
     cases += [
         (*algebraic2, float(a), float(b), 400)
@@ -836,13 +848,16 @@ def _bound_failures(values, bound, sense):
 def _full_grid_scans(monkeypatch):
     """Every row of every k3k1 and algebraic2 kernel call, with its row bound.
 
-    Covers the battery and seeded random parameters at r in {8, 40}; yields
-    (name, values, bound, sense) with values the full rows x points grid,
-    infeasible points included.
+    Covers the battery, zero-width rows and seeded random parameters at r in
+    {8, 40}; yields (name, values, bound, sense) with values the full
+    rows x points grid, infeasible points included.
     """
     rng = np.random.default_rng(7)
     calls = _battery_calls(("k3k1", "algebraic2"))
     for r in (8, 40):
+        # zero-width rows: alpha1 = 0, and the edge delta = 6 alpha - 4
+        for x, y in [(2.0 / 3.0, 0.0)] + [(x, 6.0 * x - 4.0) for x in (0.75, 0.9, 1.1)]:
+            calls.append(lambda x=x, y=y, r=r: lemma_k3k1_oracle(x, y, resolution=r))
         for x, y in zip(rng.uniform(0.5, 1.3, 20), rng.uniform(0.0, 1.8, 20)):
             calls.append(lambda x=x, y=y, r=r: lemma_k3k1_oracle(x, y, resolution=r))
         for x, y in zip(rng.uniform(0.0, 2.5, 20), rng.uniform(0.0, 2.5, 20)):

@@ -30,7 +30,10 @@ from curv4 import (
     read_document,
     sample_berger_data,
 )
-from curv4 import cli
+from curv4 import cli, estimates
+from curv4.berger import berger_data_stack
+from curv4.bivector import conjugate_matrices, haar_rotations
+from curv4.estimates import hamilton_gap
 from curv4.cli import LEMMA_NAMES, MAX_GRID, MIN_GRID, main, run_verification
 from curv4.errors import DomainError, InvalidBergerError, InvalidOperatorError
 from curv4.io import BERGER_FORMAT, OPERATOR_FORMAT
@@ -588,6 +591,41 @@ def test_hamilton_models_memory_does_not_grow_with_rotations(monkeypatch):
     assert cli._hamilton_models_check(200, 3) == streamed
     transient_peak(16)  # first-call allocations
     assert transient_peak(200) <= transient_peak(24) + 32e3
+
+
+def _hamilton_models_per_model(rotations, seed):
+    """(extremum, argument) of hamilton-models as one stack per model and block.
+
+    The models take rotations 0.., R.. and 2R.. of one Haar stream in turn,
+    and a strictly larger |gap| replaces the incumbent.
+    """
+    names = ("sphere", "cp2", "s2xs2")
+    worst, arg = 0.0, ("exact",)
+    rng = np.random.default_rng(seed)
+    block = estimates.SLAB_POINTS // 16
+    for name in names:
+        op = model_space(name)
+        for lo in range(0, rotations, block):
+            frames = haar_rotations(min(block, rotations - lo), rng)
+            data = berger_data_stack(conjugate_matrices(op.matrix, frames), op.lambda_einstein)
+            gap = float(np.abs(hamilton_gap(data)).max())
+            if gap > worst:
+                worst, arg = gap, (name,)
+    return worst, arg
+
+
+@pytest.mark.parametrize("slab", ["default", 16 * 24])
+def test_hamilton_models_one_stream_matches_the_per_model_stacks(monkeypatch, slab):
+    # blocks of the one 3R stream straddle the models when 24 or 512 does not
+    # divide R; the first largest |gap| and its model must not move
+    if slab != "default":
+        monkeypatch.setattr(cli, "SLAB_POINTS", slab)
+    for rotations in (8, 32, 40, 170, 171, 513, 1000):
+        for seed in (0, 1, 7):
+            report = cli._hamilton_models_check(rotations, seed)
+            got = (repr(report.extremum), report.argument)
+            worst, arg = _hamilton_models_per_model(rotations, seed)
+            assert got == (repr(worst), arg), (rotations, seed)
 
 
 def test_hamilton_models_checks_60000_rotations_in_two_seconds():
