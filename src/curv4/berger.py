@@ -32,7 +32,6 @@ from .bivector import (
     duality_decompose,
     normal_form_rows,
     quaternion_rotation,
-    rho,
     rho_inverse,
 )
 from .errors import DomainError, InvalidBergerError, InvalidOperatorError, NotEinsteinError
@@ -291,44 +290,44 @@ def _eigenframe(block: np.ndarray) -> tuple:
     return w, rho_inverse(v)
 
 
-def _search_matrices(u, alpha, beta) -> list:
-    """Upper entries (a11, a22, a33, a12, a13, a23) of rho(u)^T diag(alpha) rho(u) + diag(beta).
+def _search_invariants(alpha, beta) -> tuple:
+    """c = tr M / 3 and the forms of _search_top, M = rho(u)^T diag(alpha) rho(u) + diag(beta).
 
-    The rows r_a of rho(u) are orthonormal, so the first term is alpha_1 I +
-    (alpha_0 - alpha_1) r_0 r_0^T + (alpha_2 - alpha_1) r_2 r_2^T, written
-    elementwise on each column of the (4, n) stack u.
+    With a, b the centred alpha, beta and S = R o R (R = rho(u)), B = M - c I
+    has |B|^2 = |a|^2 + |b|^2 + 2 sum a_j b_m S_jm and, by det(X + Y) for 3x3s
+    and adj(R^T D R) = R^T adj(D) R, det B = prod(a) + prod(b) + sum (adj(a)_j
+    b_m + a_j adj(b)_m) S_jm.  S is doubly stochastic, so the forms give (2p)^2
+    = 2|B|^2/3 and 4 det B affinely in S_00, S_01 / 4, S_10 / 4 and S_11.
     """
-    r = rho(u)
-    c0, c2 = (alpha[0] - alpha[1]) * r[0], (alpha[2] - alpha[1]) * r[2]
-    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-    m = [c0[j] * r[0, k] + c2[j] * r[2, k] for j, k in pairs]
-    for j in range(3):
-        m[j] += alpha[1] + beta[j]
-    return m
+    a, b = alpha - alpha.sum() / 3.0, beta - beta.sum() / 3.0
+    adj_a, adj_b = a[[1, 0, 0]] * a[[2, 2, 1]], b[[1, 0, 0]] * b[[2, 2, 1]]
+    forms = []
+    for scale, k0, m in (
+        (2.0 / 3.0, a @ a + b @ b, 2.0 * np.outer(a, b)),
+        (4.0, a.prod() + b.prod(), np.outer(adj_a, b) + np.outer(a, adj_b)),
+    ):
+        corner = (m[:2, :2] - m[:2, 2:] - m[2:, :2] + m[2, 2]) * ((1, 4), (4, 1))
+        k0 += m[0, 2] + m[1, 2] + m[2, 0] + m[2, 1] - m[2, 2]
+        forms.append((scale * np.array([k0, *corner.flat])).tolist())
+    return (alpha.sum() + beta.sum()) / 3.0, forms
 
 
-def _inner_minimum(m) -> np.ndarray:
-    """1.5 (trace - largest eigenvalue) of each symmetric 3x3 of a stack.
+def _search_top(g, c, forms) -> np.ndarray:
+    """Top eigenvalue of _search_invariants' M at u = g / |g|, for each column of (4, n) g.
 
-    m holds the six upper entries (a11, a22, a33, a12, a13, a23).  The
-    largest eigenvalue is the trigonometric closed form of O. K. Smith
-    (1961), elementwise, so it is as fast as a few array passes and is exact
-    up to about sqrt(eps) x scale where the top eigenvalue is double.
+    rho(g) = |g|^2 rho(u): S_jm is a corner entry of rho(g) squared over |g|^4, with
+    r00, r11 = w^2 - z^2 +- (x^2 - y^2) and r01, r10 = 2(xy -+ wz).  Smith's (1961)
+    c + 2p cos(arccos(r) / 3), r = det B / (2 p^3), runs elementwise (a value does not
+    depend on its block), off by up to sqrt(eps) x scale at a double top eigenvalue.
     """
-    a11, a22, a33, a12, a13, a23 = m
-    trace = a11 + a22 + a33
-    c = trace / 3.0
-    b11, b22, b33 = a11 - c, a22 - c, a33 - c
-    off = a12 * a12 + a13 * a13 + a23 * a23
-    p = np.sqrt((b11 * b11 + b22 * b22 + b33 * b33 + 2.0 * off) / 6.0)
-    det = (
-        b11 * (b22 * b33 - a23 * a23)
-        - a12 * (a12 * b33 - a23 * a13)
-        + a13 * (a12 * a23 - b22 * a13)
-    )
-    ps = np.where(p > 0.0, p, 1.0)
-    r = np.clip(det / ps / ps / ps / 2.0, -1.0, 1.0)
-    return 1.5 * (trace - c - 2.0 * p * np.cos(np.arccos(r) / 3.0))
+    (w, x, y, z), (ww, xx, yy, zz) = g, g * g
+    xy, wz, s, t = x * y, w * z, ww + xx, yy + zz
+    norm4 = (s + t) * (s + t)
+    e = [f * f / norm4 for f in (s - t, xy - wz, xy + wz, (ww - zz) - (xx - yy))]
+    sq, det = (k[0] + k[1] * e[0] + k[2] * e[1] + k[3] * e[2] + k[4] * e[3] for k in forms)
+    twice_p = np.sqrt(np.maximum(sq, 0.0))  # rounding can take |B|^2 just below 0
+    r = det / np.maximum(sq * twice_p, np.finfo(float).tiny)  # where p = 0 any r gives c
+    return c + twice_p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
 
 
 def frame_functional_min(
@@ -351,15 +350,15 @@ def frame_functional_min(
     cross + cross^T rho.  With plus = P diag(alpha) P^T and minus =
     Q diag(beta) Q^T (P = rho(p), Q = rho(r)) its first two terms are
     Q (rho(u)^T diag(alpha) rho(u) + diag(beta)) Q^T, u = conj(p) q r.  As
-    q -> u is orthogonal, the search draws u, uniform on S^3: `samples`
-    normalised normals from np.random.default_rng(seed) in blocks of
-    SLAB_POINTS // 4, so memory stays flat, ranked by _inner_minimum on that
-    matrix; only the winner is mapped back to q.  The cross block it leaves
-    out, the traceless Ricci part, moves each eigenvalue by at most its
-    spectral norm (Weyl), at most EINSTEIN_TOL x scale / 2 on an operator
-    berger_data accepts.  The first strict minimum wins; eigh on its 3x3, built
-    again from the operator's matrix at the wedges e1 ^ f_j, gives the extremum
-    and the frame (e1, (v1 +- v2)/sqrt2, +-v3, oriented) that attains it exactly.
+    q -> u is orthogonal, the search draws u = g / |g| uniform on S^3 from
+    `samples` normals g (np.random.default_rng(seed), blocks of SLAB_POINTS // 4)
+    and ranks it on that matrix's top eigenvalue (_search_top): the inner
+    minimum is 1.5 (trace - top).  The cross block left out, the traceless Ricci
+    part, moves each eigenvalue by at most its spectral norm (Weyl), at most
+    EINSTEIN_TOL x scale / 2 on an operator berger_data accepts.  The first
+    strict maximum alone is normalised and mapped back to q; eigh on its 3x3,
+    rebuilt from the operator's matrix at the wedges e1 ^ f_j, gives the
+    extremum and the frame (e1, (v1 +- v2)/sqrt2, +-v3, oriented) attaining it.
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
@@ -375,16 +374,17 @@ def frame_functional_min(
     rng = np.random.default_rng(seed)
     block = SLAB_POINTS // 4
     best = None
+    invariants = _search_invariants(alpha, beta)
     for lo in range(0, samples, block):
         g = rng.standard_normal((min(block, samples - lo), 4)).T
-        norm = np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2] + g[3] * g[3])
-        u = np.divide(g, norm, order="C")
-        vals = _inner_minimum(_search_matrices(u, alpha, beta))
-        i = int(np.argmin(vals))
-        if best is None or vals[i] < best[0]:
-            best = (vals[i], u[:, i])
+        top = _search_top(g, *invariants)
+        i = int(np.argmax(top))
+        if best is None or top[i] > best[0]:
+            best = (top[i], g[:, i])
+    g = best[1]
+    u = g / np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2] + g[3] * g[3])
     turn = quaternion_rotation(p * (1.0, -1.0, -1.0, -1.0), r)  # q -> u = conj(p) q r
-    f = quaternion_rotation(turn.T @ best[1], (1.0, 0.0, 0.0, 0.0))  # columns q, q i, q j, q k
+    f = quaternion_rotation(turn.T @ u, (1.0, 0.0, 0.0, 0.0))  # columns q, q i, q j, q k
     mu, v = np.linalg.eigh(conjugate_matrices(op.matrix, f)[:3, :3])  # at e1 ^ f_j
     v = f[:, 1:] @ v
     frame = np.stack([f[:, 0], v[:, 0] + v[:, 1], v[:, 0] - v[:, 1], v[:, 2]], axis=1)

@@ -166,10 +166,10 @@ def lemma_k3k1_bounds(alpha, delta):
     Returns (sum_bound, normsq_bound); exact inputs give exact output (the sum
     bound then lives in Q(sqrt6)).
     """
-    if not float(alpha) > 0:
-        raise DomainError("alpha = a2 + a3 must be positive")
-    if not float(delta) >= 0:
-        raise DomainError("delta = 2(a3 - a2) must be nonnegative")
+    if not 0 < float(alpha) < math.inf:
+        raise DomainError("alpha = a2 + a3 must be positive and finite")
+    if not 0 <= float(delta) < math.inf:
+        raise DomainError("delta = 2(a3 - a2) must be nonnegative and finite")
     three, a, d = coerce(3, alpha, delta)
     return (6 * a - 4 + d) / sqrt(2 * three), (12 * a * a - 16 * a + 16 / three + d * d) / 2
 
@@ -226,10 +226,10 @@ def lemma_algebraic2_min(a, b):
     """Minimum of 4xy + x^2 + y^2 over {xy <= 0, |2x+y| <= a, |x-y| <= b}.
 
     Two branches: (2a^2 - 2ab - b^2)/3 when 2a < b, else -b^2/2.  Requires
-    a, b >= 0.  Exact inputs give exact output.
+    finite a, b >= 0.  Exact inputs give exact output.
     """
-    if not (float(a) >= 0 and float(b) >= 0):
-        raise DomainError("bounds a, b must be nonnegative")
+    if not (0 <= float(a) < math.inf and 0 <= float(b) < math.inf):
+        raise DomainError("bounds a, b must be finite and nonnegative")
     a, b = coerce(a, b)
     if 2 * a < b:
         return (2 * a * a - 2 * a * b - b * b) / 3

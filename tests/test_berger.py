@@ -1,5 +1,6 @@
 """Normal-form extraction, reconstruction, adapted frames, polytope sampling."""
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -422,10 +423,8 @@ def _search_back(m, q, conjugate=True):
     alpha, p = berger._eigenframe(plus)
     beta, r = berger._eigenframe(minus)
     left = p * (1.0, -1.0, -1.0, -1.0) if conjugate else p
-    a11, a22, a33, a12, a13, a23 = berger._search_matrices(
-        quaternion_rotation(left, r) @ q, alpha, beta
-    )
-    search = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]).transpose(2, 0, 1)
+    rot = rho(quaternion_rotation(left, r) @ q).transpose(2, 0, 1)
+    search = rot.transpose(0, 2, 1) @ (alpha[:, None] * rot) + np.diag(beta)
     return rho(r) @ search @ rho(r).T
 
 
@@ -468,6 +467,73 @@ def test_frame_search_moves_eigenvalues_by_at_most_the_cross_block():
             np.linalg.eigvalsh(_search_back(m, q)) - np.linalg.eigvalsh(_wedge_inner(m, q))
         )
         assert moved.max() <= np.linalg.norm(cross, 2) + 1e-14
+
+
+def _search_spectra(g, alpha, beta):
+    """eigvalsh of rho(u)^T diag(alpha) rho(u) + diag(beta), u = g / |g|, for each column of g."""
+    rot = rho(g / np.linalg.norm(g, axis=0)).transpose(2, 0, 1)
+    return np.linalg.eigvalsh(rot.transpose(0, 2, 1) @ (alpha[:, None] * rot) + np.diag(beta))
+
+
+def _search_top(g, alpha, beta):
+    """berger._search_top of the draws g, raising on any 0/0, overflow or invalid operation."""
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        return berger._search_top(g, *berger._search_invariants(alpha, beta))
+
+
+def test_search_top_is_the_top_eigenvalue():
+    # 2,304 (alpha, beta, g): generic spectra, zero spread, double entries at
+    # either end, and g at scales 1e-3, 1 and 1e3.  Where the top eigenvalue
+    # of the search matrix is double (zero spread in one half, a double top
+    # in the other) the closed form is off by up to about sqrt(eps); near one,
+    # by about eps / gap
+    rng = np.random.default_rng(35)
+    kinds = ((0, 1, 2), (0, 0, 0), (0, 2, 2), (0, 0, 2))
+    for _ in range(12):
+        for ka, kb, scale in itertools.product(kinds, kinds, (1e-3, 1.0, 1e3)):
+            alpha = np.sort(rng.uniform(-1.0, 1.0, 3))[list(ka)]
+            beta = np.sort(rng.uniform(-1.0, 1.0, 3))[list(kb)]
+            g = scale * rng.standard_normal((4, 4))
+            top = _search_top(g, alpha, beta)
+            spectra = _search_spectra(g, alpha, beta)
+            gap = spectra[:, 2] - spectra[:, 1]
+            allowed = np.clip(1e-15 / np.maximum(gap, 1e-300), 1e-13, 1e-7)
+            assert np.all(np.abs(top - spectra[:, 2]) <= allowed), (alpha, beta, scale)
+
+
+@pytest.mark.parametrize("level", [0.0, 0.25, -1.5])
+def test_search_top_on_the_sphere_is_the_trace_third(level):
+    # zero spread in both halves gives p = 0 exactly, and no 0/0
+    flat = np.full(3, level)
+    g = np.random.default_rng(36).standard_normal((4, 64))
+    assert np.all(_search_top(g, flat, flat) == 2.0 * level)
+
+
+def test_search_top_where_the_search_matrix_is_scalar():
+    # beta = -reversed(alpha) and u = (0, 1, 0, 1)/sqrt2, which swaps axes
+    # 0 and 2, give B = 0; |B|^2 then rounds to either sign, and the top
+    # eigenvalue, triple there, is within sqrt(eps) of c with no invalid sqrt
+    rng = np.random.default_rng(38)
+    g = np.array([[0.0, 0.0], [1.0, 1e3], [0.0, 0.0], [1.0, 1e3]])
+    for _ in range(200):
+        alpha = np.sort(rng.uniform(-1.0, 1.0, 3))
+        beta = -alpha[::-1]
+        spectra = _search_spectra(g, alpha, beta)
+        assert np.ptp(spectra) <= 1e-15  # the search matrix is scalar
+        assert np.abs(_search_top(g, alpha, beta) - spectra[:, 2]).max() <= 1e-7, alpha
+
+
+def test_frame_functional_ranks_as_eigvalsh_does(monkeypatch):
+    # ranking the same draws on eigvalsh of the full 3x3 picks the same winner
+    ops = _rotated_samples(40, seed=37)
+    reports = [frame_functional_min(op, samples=5000, seed=s) for op in ops for s in (0, 1)]
+    monkeypatch.setattr(berger, "_search_invariants", lambda alpha, beta: (alpha, beta))
+    monkeypatch.setattr(
+        berger, "_search_top", lambda g, alpha, beta: _search_spectra(g, alpha, beta)[:, 2]
+    )
+    reference = [frame_functional_min(op, samples=5000, seed=s) for op in ops for s in (0, 1)]
+    for i, (got, want) in enumerate(zip(reports, reference)):
+        assert (got.argument, got.extremum) == (want.argument, want.extremum), i
 
 
 def test_frame_functional_seeded_determinism():

@@ -183,6 +183,29 @@ def test_nan_parameters_are_out_of_domain(call, args):
         call(*args)
 
 
+INF = math.inf
+INF_CALLS = [
+    (lemma_algebraic2_min, (INF, 1.0)),
+    (lemma_algebraic2_min, (1.0, INF)),
+    (lemma_algebraic2_oracle, (INF, 1.0)),
+    (lemma_algebraic2_oracle, (1.0, INF)),
+    (lemma_k3k1_bounds, (INF, 0.5)),
+    (lemma_k3k1_bounds, (1.0, INF)),
+    (lemma_k3k1_oracle, (INF, 1.0)),
+    (lemma_k3k1_oracle, (1.0, INF)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args", INF_CALLS, ids=[f"{call.__name__}{args}" for call, args in INF_CALLS]
+)
+def test_infinite_parameters_are_out_of_domain(call, args):
+    # an infinite parameter passes a one-sided test such as `x >= 0`, and
+    # the oracle then reports an infinite or NaN extremum against its bound
+    with pytest.raises(DomainError, match="finite"):
+        call(*args)
+
+
 def test_threshold_monotone_decreasing():
     k_prev = None
     for i in range(1000):
