@@ -250,6 +250,13 @@ class FrameReconstruction:
     residual: float
 
 
+def _oriented_eigh(block: np.ndarray) -> tuple:
+    """Ascending eigenvalues of a symmetric 3x3, and its eigenbasis turned to determinant +1."""
+    w, v = np.linalg.eigh(block)
+    v[:, 0] *= np.sign(np.linalg.det(v))
+    return w, v
+
+
 def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
     """Find an oriented orthonormal frame in which the operator is in normal form.
 
@@ -262,10 +269,8 @@ def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
     """
     d = duality_decompose(op)
     data = berger_data(d)
-    evp, up = np.linalg.eigh(np.asarray(d.r_plus_block, dtype=float))
-    evm, um = np.linalg.eigh(np.asarray(d.r_minus_block, dtype=float))
-    up[:, 0] *= np.sign(np.linalg.det(up))
-    um[:, 0] *= np.sign(np.linalg.det(um))
+    evp, up = _oriented_eigh(np.asarray(d.r_plus_block, dtype=float))
+    evm, um = _oriented_eigh(np.asarray(d.r_minus_block, dtype=float))
     degenerate = float(min(np.diff(evp).min(), np.diff(evm).min())) < 1e-9 * d.scale
     p, q = rho_inverse(up), rho_inverse(um.T)
     frame = Frame(quaternion_rotation(p, q), degenerate=degenerate)
@@ -281,13 +286,6 @@ def reconstruct_frame(op: CurvatureOperator) -> FrameReconstruction:
 
 
 # -- the frame functional 2 K(e1, e2) + K(e1, e3) -------------------------------
-
-
-def _eigenframe(block: np.ndarray) -> tuple:
-    """Ascending eigenvalues of a symmetric 3x3, and a quaternion lifting its det +1 eigenbasis."""
-    w, v = np.linalg.eigh(block)
-    v[:, 0] *= np.sign(np.linalg.det(v))
-    return w, rho_inverse(v)
 
 
 def _search_invariants(alpha, beta) -> tuple:
@@ -369,8 +367,9 @@ def frame_functional_min(
     # half the blocks (e1 ^ v has norm 1/sqrt2 in each duality half) at unit scale,
     # where the closed form's cubes stay in range
     scale = float(np.abs(op.matrix).max()) or 1.0
-    alpha, p = _eigenframe(d.r_plus_block / (2.0 * scale))
-    beta, r = _eigenframe(d.r_minus_block / (2.0 * scale))
+    alpha, vp = _oriented_eigh(d.r_plus_block / (2.0 * scale))
+    beta, vm = _oriented_eigh(d.r_minus_block / (2.0 * scale))
+    p, r = rho_inverse(vp), rho_inverse(vm)
     rng = np.random.default_rng(seed)
     block = SLAB_POINTS // 4
     best = None

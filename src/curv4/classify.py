@@ -7,8 +7,8 @@ on curvature data, with every threshold comparison decided exactly (on the
 threshold's float bracket where that is decisive; thresholds live in quadratic
 fields), and assembles a certificate of which implications fired.  Exact data
 is decided in integers over the normalized datum's common denominator, and no
-surd is built from it: each derived row reads its floor from the one table of
-the closed forms, estimates.floor_terms, and is decided there by squaring.
+surd is built from it: each derived row reads its floor and its domain from
+the closed form's record, estimates.FLOORS, and is decided there by squaring.
 
 A verdict never claims an isometry: pointwise data can only show that the
 hypotheses of a rigidity theorem hold, or that the data coincides with a
@@ -27,8 +27,8 @@ from .berger import BergerData, berger_data
 from .bivector import MODEL_BLOCKS, CurvatureOperator
 from .errors import DomainError, ExactnessError
 from .estimates import (
+    FLOORS,
     GridReport,
-    floor_terms,
     floor_value,
     grid_extremum,
     hamilton_gap,
@@ -70,16 +70,16 @@ def _row(name, lhs, relation, rhs, note="") -> CertificateRow:
 
 
 def _floor_row(name, lemma, a1, arg, t, note) -> CertificateRow:
-    """The row a1 >= floor(arg) - 1e-9 for a lemma of estimates.floor_terms.
+    """The row a1 >= floor(arg) - 1e-9 for a lemma of estimates.FLOORS.
 
     Float data (t None) compares a1 with the closed form at arg.  Exact data
-    passes numerators a1, arg over t; with the table's floor (c - sqrt(m u))/(k t)
+    passes numerators a1, arg over t; with the record's floor (c - sqrt(m u))/(k t)
     the row holds iff x = c - k (a1 + 1e-9 t) <= 0 or m u >= x^2, over 10^9, so
     no root is taken.  The printed rhs is the float closed form at float(arg).
     """
     if t is None:
         return _row(name, a1, ">=", floor_value(lemma, arg) - Fraction(1, 10**9), note)
-    c, m, u, k = floor_terms(lemma, arg, t)
+    c, m, u, k = FLOORS[lemma].terms(arg, t)
     x = c * 10**9 - k * (a1 * 10**9 + t)
     holds = x <= 0 or m * u * 10**18 >= x * x
     rhs = floor_value(lemma, float(arg / t)) - 1e-9
@@ -214,22 +214,22 @@ def classify(source) -> ClassificationVerdict:
         _row("nonneg_sec_diff", diff, "<=", NONNEG_DIFF_MAX, "forces K >= 0 when it holds"),
         _row("weyl_sum_small", weyl_sum, "<=", WEYL_SUM_MAX, "elliptic rigidity regime"),
     ]
-    skipped = []
-    if fa[2] <= 1.0 + 1e-12:
-        # valid data may leave [1/3, 1] within its 1e-9 tolerance; top is a3 clamped there
-        note = "closed-form floor from the max sectional curvature"
-        rows.append(_floor_row("derived_min_sec", "kupper", n1, top, t, note))
-    else:
-        skipped.append(("derived_min_sec", "a3 > 1 lies outside the domain [1/3, 1] of kupper_lower"))
     if float(diff) < 0:
         spread = 0
-    if float(diff) < 2.0:
-        note = "closed-form floor from the sectional spread"
-        rows.append(_floor_row("derived_min_sec_diff", "kdiff", n1, spread, t, note))
-    else:
-        skipped.append(
-            ("derived_min_sec_diff", "a3 - a2 >= 2 lies outside the domain [0, 2) of kdiff_lower")
-        )
+    # only a domain's top skips a row: valid data may leave [1/3, 1] within its 1e-9 tolerance
+    skipped = []
+    for name, lemma, label, x, arg, note in (
+        ("derived_min_sec", "kupper", "a3", fa[2], top,
+         "closed-form floor from the max sectional curvature"),
+        ("derived_min_sec_diff", "kdiff", "a3 - a2", float(diff), spread,
+         "closed-form floor from the sectional spread"),
+    ):
+        floor = FLOORS[lemma]
+        if floor.below_top(x):
+            rows.append(_floor_row(name, lemma, n1, arg, t, note))
+        else:
+            domain = f"the domain {floor.domain} of {lemma}_lower"
+            skipped.append((name, f"{label} = {x:.9g} lies outside {domain}"))
     note = "Weyl sum against its sectional bound"
     rows.append(
         CertificateRow("pinch_weyl_upper", bound - weyl_sum >= -1e-9, weyl_sum, "<=", bound, note)

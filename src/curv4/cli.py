@@ -1,15 +1,4 @@
-"""Command-line interface.
-
-Subcommands:
-
-  models       print the model-space operators (sphere, rp4, cp2, s2xs2)
-  decompose    duality decomposition of an operator document
-  berger       normal-form data of an operator document
-  verify       run one closed-form bound against its brute-force oracle
-  verify-all   run the whole verification battery
-  classify     evaluate the rigidity conditions on an operator or data file
-  chi-tau      admissible (signature, Euler characteristic) pairs at a pinch
-  constants    the sharp thresholds, exactly and as decimal enclosures
+"""Command-line interface; `curv4 --help` lists the subcommands (build_parser).
 
 Exit codes: 0 success / verification passed, 1 a verification failed,
 2 usage or input error (including a verify grid outside MIN_GRID..MAX_GRID
@@ -49,6 +38,7 @@ from .bivector import (
 from .classify import classify, wpm_discriminant_oracle
 from .errors import Curv4Error, DomainError
 from .estimates import (
+    FLOORS,
     SLAB_POINTS,
     GridReport,
     hamilton_gap,
@@ -63,6 +53,7 @@ from .io import (
     operator_to_json,
     read_document,
 )
+from .surd import is_finite
 from .topology import admissible_types
 
 
@@ -115,6 +106,15 @@ class _Lemma:
     argument: bool = False
 
 
+def _polytope_row(lemma: str, default: float) -> _Lemma:
+    """The row of a polytope lemma of estimates.FLOORS, its parameter at `default`."""
+    name = FLOORS[lemma].param
+    return _Lemma(
+        lambda grid, **p: pointwise_bound_oracle(lemma, p[name], resolution=grid),
+        ((name, name, default),), 120, 1e-9,
+    )
+
+
 _LEMMAS = {
     "k3k1": _Lemma(
         lambda grid, alpha, delta: lemma_k3k1_oracle(alpha, delta, resolution=grid),
@@ -128,24 +128,9 @@ _LEMMAS = {
         400,
         1e-6,
     ),
-    "kupper": _Lemma(
-        lambda grid, alpha: pointwise_bound_oracle("kupper", alpha, resolution=grid),
-        (("alpha", "alpha", 2.0 / 3.0),),
-        120,
-        1e-9,
-    ),
-    "kdiff": _Lemma(
-        lambda grid, alpha: pointwise_bound_oracle("kdiff", alpha, resolution=grid),
-        (("alpha", "alpha", 0.5),),
-        120,
-        1e-9,
-    ),
-    "a2a1": _Lemma(
-        lambda grid, delta: pointwise_bound_oracle("a2a1", delta, resolution=grid),
-        (("delta", "delta", 1.0 / 6.0),),
-        120,
-        1e-9,
-    ),
+    "kupper": _polytope_row("kupper", 2.0 / 3.0),
+    "kdiff": _polytope_row("kdiff", 0.5),
+    "a2a1": _polytope_row("a2a1", 1.0 / 6.0),
     "wpm-discriminant": _Lemma(
         lambda grid: wpm_discriminant_oracle(resolution=grid), (), 400, 1e-9
     ),
@@ -187,7 +172,7 @@ def run_verification(lemma: str, alpha=None, delta=None, grid=None, seed: int = 
     # a value the lemma does not read would pass a check of its defaults
     sources = {source for _, source, _ in row.params}
     for name, value in (("alpha", alpha), ("delta", delta)):
-        if value is not None and not math.isfinite(value):
+        if value is not None and not is_finite(value):
             raise DomainError(f"{name} must be finite, got {value}")
         if value is not None and name not in sources:
             raise DomainError(f"lemma {lemma} takes no {name} (--{name})")

@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .surd import QuadraticSurd, coerce, sqrt
+from .surd import QuadraticSurd, coerce, is_finite, sqrt
 
 
 @dataclass(frozen=True)
@@ -166,9 +168,9 @@ def lemma_k3k1_bounds(alpha, delta):
     Returns (sum_bound, normsq_bound); exact inputs give exact output (the sum
     bound then lives in Q(sqrt6)).
     """
-    if not 0 < float(alpha) < math.inf:
+    if not (is_finite(alpha) and alpha > 0):
         raise DomainError("alpha = a2 + a3 must be positive and finite")
-    if not 0 <= float(delta) < math.inf:
+    if not (is_finite(delta) and delta >= 0):
         raise DomainError("delta = 2(a3 - a2) must be nonnegative and finite")
     three, a, d = coerce(3, alpha, delta)
     return (6 * a - 4 + d) / sqrt(2 * three), (12 * a * a - 16 * a + 16 / three + d * d) / 2
@@ -228,7 +230,7 @@ def lemma_algebraic2_min(a, b):
     Two branches: (2a^2 - 2ab - b^2)/3 when 2a < b, else -b^2/2.  Requires
     finite a, b >= 0.  Exact inputs give exact output.
     """
-    if not (0 <= float(a) < math.inf and 0 <= float(b) < math.inf):
+    if not (is_finite(a) and is_finite(b) and a >= 0 and b >= 0):
         raise DomainError("bounds a, b must be finite and nonnegative")
     a, b = coerce(a, b)
     if 2 * a < b:
@@ -248,8 +250,8 @@ def lemma_algebraic2_oracle(a: float, b: float, resolution: int = 400) -> GridRe
     ALGEBRAIC2_REFINEMENTS passes of a finer grid around the incumbent bring
     the discretization error well under 1e-6.
     """
-    a, b = float(a), float(b)
     bound = float(lemma_algebraic2_min(a, b))
+    a, b = float(a), float(b)
     eps = 1e-12 * max(1.0, a * a, b * b)  # grid rounding can push xy just past 0
 
     def scan(mlo, mhi, nlo, nhi):
@@ -287,29 +289,78 @@ def lemma_algebraic2_oracle(a: float, b: float, resolution: int = 400) -> GridRe
     return GridReport(best, (x, y), resolution, bound, "min")
 
 
-# -- lower bounds on the minimal sectional curvature ----------------------------
+# -- the polytope lemmas: lower bounds on the minimal sectional curvature -------
 
 
-def floor_terms(lemma: str, x, t=1) -> tuple:
-    """(c, m, u, k) with the lemma's bound (c - sqrt(m u))/(k t) at x/t, homogeneous in (x, t).
+@dataclass(frozen=True)
+class Floor:
+    """One polytope lemma, read by its closed form, its oracle, classify and the CLI.
 
-    Integer numerators over t give integers.  The closed forms read the terms at
-    t = 1 in the order written here, which fixes every bit of their floats.
+    terms(x, t) is (c, m, u, k), the bound at x/t being (c - sqrt(m u))/(k t);
+    integer numerators over t give integers, and the closed form reads them at
+    t = 1 in the order written, which fixes every bit of its floats.  x, named
+    `param`, has the domain lo <= x <= hi (x < hi when open_top).  The oracle
+    fixes x = p and scans a_row(p, s) = (a1, a2, a3), s the free a-coordinate
+    on span(p), minimizing a1 (sense "min") or maximizing a2 - a1 ("max").
     """
-    if lemma == "kupper":
-        return 15 * t - 8 * x, 3, 96 * x * x - 80 * t * x + 19 * t * t, 28
-    if lemma == "kdiff":
-        return 3 * t - 2 * x, 1, t * t + 8 * x * x - 4 * t * x, 6
-    return 2 * t - 6 * x, 1, 3 * t * t + 18 * x * x - 15 * t * x, 2  # a2a1
+
+    terms: Callable
+    lo: float
+    hi: float
+    param: str
+    sense: str
+    span: Callable
+    a_row: Callable
+    open_top: bool = False
+
+    @cached_property
+    def domain(self) -> str:
+        """The domain as messages print it, its ends to the nearest twelfth (built once)."""
+        lo, hi = (Fraction(end).limit_denominator(12) for end in (self.lo, self.hi))
+        return f"[{lo}, {hi}{')' if self.open_top else ']'}"
+
+    def below_top(self, x) -> bool:
+        return x < self.hi if self.open_top else x <= self.hi
+
+
+FLOORS = {
+    # x = a3, the largest sectional curvature: fix a3 = x, minimize a1
+    "kupper": Floor(
+        terms=lambda x, t: (15 * t - 8 * x, 3, 96 * x * x - 80 * t * x + 19 * t * t, 28),
+        lo=1.0 / 3.0 - 1e-12, hi=1.0 + 1e-12, param="alpha", sense="min",
+        span=lambda p: (1.0 - 2.0 * p, (1.0 - p) / 2.0),
+        a_row=lambda p, s: (s, 1.0 - p - s, np.full_like(s, p)),
+    ),
+    # x = a3 - a2, the sectional spread: fix it, minimize a1
+    "kdiff": Floor(
+        terms=lambda x, t: (3 * t - 2 * x, 1, t * t + 8 * x * x - 4 * t * x, 6),
+        lo=0.0, hi=2.0, open_top=True, param="alpha", sense="min",
+        span=lambda p: (-1.0, (1.0 - p) / 3.0),
+        a_row=lambda p, s: (s, (1.0 - s - p) / 2.0, (1.0 - s - p) / 2.0 + p),
+    ),
+    # x = a1: fix it, maximize a2 - a1 under 4 a2 <= 1 + a1
+    "a2a1": Floor(
+        terms=lambda x, t: (2 * t - 6 * x, 1, 3 * t * t + 18 * x * x - 15 * t * x, 2),
+        lo=0.0, hi=1.0 / 3.0 + 1e-12, param="delta", sense="max",
+        span=lambda p: (p, min((1.0 + p) / 4.0, (1.0 - p) / 2.0)),
+        a_row=lambda p, s: (np.full_like(s, p), s, 1.0 - p - s),
+    ),
+}
 
 
 def floor_value(lemma: str, x):
-    """The bound of floor_terms(lemma, x) with u clamped at 0, float or exact as x is.
+    """The bound of FLOORS[lemma] at x, float or exact as x is; DomainError outside its domain.
 
-    The root is sqrt(m) sqrt(u) for floats and the exact sqrt(m u) otherwise.
+    u is clamped at 0, and the root is sqrt(m) sqrt(u) for floats and the
+    exact sqrt(m u) otherwise.
     """
+    if lemma not in FLOORS:
+        raise DomainError(f"unknown lemma {lemma!r}; choose from {tuple(FLOORS)}")
+    floor = FLOORS[lemma]
+    if not (floor.lo <= x and floor.below_top(x)):  # NaN fails both
+        raise DomainError(f"{floor.param} must lie in {floor.domain}")
     (x,) = coerce(x)
-    c, m, u, k = floor_terms(lemma, x, 1)
+    c, m, u, k = floor.terms(x, 1)
     u = u if u >= 0 else 0 * u
     root = math.sqrt(m) * math.sqrt(u) if isinstance(u, float) else sqrt(m * u)
     return (c - root) / k
@@ -322,8 +373,6 @@ def kupper_lower(alpha):
     valid for 1/3 <= alpha <= 1.  Exact at rational alpha and at the square-root
     thresholds where the radical denests (e.g. alpha = sqrt3/2 gives exactly 0).
     """
-    if not (1.0 / 3.0 - 1e-12 <= float(alpha) <= 1.0 + 1e-12):
-        raise DomainError("alpha must lie in [1/3, 1]")
     return floor_value("kupper", alpha)
 
 
@@ -334,8 +383,6 @@ def kdiff_lower(alpha):
     Exact inputs give exact output when the radical denests (alpha = sqrt3 - 1
     gives exactly 0 since 37 - 20 sqrt3 = (5 - 2 sqrt3)^2).
     """
-    if not (0.0 <= float(alpha) < 2.0):
-        raise DomainError("alpha must lie in [0, 2)")
     return floor_value("kdiff", alpha)
 
 
@@ -346,67 +393,32 @@ def a2a1_gap(delta):
     The radicand is (1 - 2 delta)(1 - 3 delta) times 3, so it vanishes
     exactly at delta = 1/3 (and is clamped at 0 just beyond).
     """
-    if not (0.0 <= float(delta) <= 1.0 / 3.0 + 1e-12):
-        raise DomainError("delta must lie in [0, 1/3]")
     return floor_value("a2a1", delta)
 
 
-# -- polytope oracles ------------------------------------------------------------
-
-POINTWISE_LEMMAS = ("kupper", "kdiff", "a2a1")
-
-
 def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> GridReport:
-    """Brute-force extremum over the full normal-form polytope plus hypothesis.
+    """Brute-force extremum of FLOORS[lemma] over the normal-form polytope plus hypothesis.
 
     The polytope (sorted a summing to 1, b summing to 0 and dominated by the
-    a-gaps, the pointwise quadratic inequality) is swept on a regular grid.
-    The lemma hypothesis eliminates one a-coordinate, so the grid is
-    (free a, b1, b2) with the b-box adapted to each sectional triple; a-rows
-    that are unsorted, or whose b-parallelogram fails the inequality by more
-    than 1e-9 (hamilton_row_bound), are skipped without being scanned.  The
-    objective is constant and exact along an a-row, so the a-rows are
-    visited best objective first (a stable sort) and the search returns the
-    first one holding a feasible point: no later a-row can beat or tie it.
-    One grid_extremum call over the a-row's lines of fixed b1, under its
-    constant objective as the bound, finds its first feasible (b1, b2); no
-    slab holds a whole (r + 1)^2 a-row, so memory stays flat whatever the
-    resolution:
-
-      kupper: fix a3 = param, minimize a1   (bound: kupper_lower)
-      kdiff:  fix a3 - a2 = param, minimize a1   (bound: kdiff_lower)
-      a2a1:   fix a1 = param, maximize a2 - a1 under 4 a2 <= 1 + a1
-              (bound: a2a1_gap)
+    a-gaps, the pointwise quadratic inequality) is swept on a (free a, b1, b2)
+    grid: the record's a-rows, each with the b-box of its sectional triple.
+    a-rows that are unsorted, or whose b-parallelogram fails the inequality by
+    more than 1e-9 (hamilton_row_bound), are skipped unscanned.  The objective
+    is constant and exact along an a-row, so the a-rows are visited best
+    objective first (a stable sort) and the first one holding a feasible point
+    is returned: no later a-row can beat or tie it.  One grid_extremum call
+    over its lines of fixed b1, under the objective as the bound, finds its
+    first feasible (b1, b2), so memory stays flat whatever the resolution.
+    The bound is floor_value at param, which checks param's domain.
     """
-    p = float(param)
-    r = resolution
-    if lemma == "kupper":
-        bound = float(kupper_lower(p))
-        lo, hi = 1.0 - 2.0 * p, (1.0 - p) / 2.0
-        if lo > hi + 1e-15:
-            return _infeasible(r, bound, "min")
-        a1 = np.linspace(lo, hi, r + 1)
-        a2 = 1.0 - p - a1
-        a3 = np.full_like(a1, p)
-        objective, sense = a1, "min"
-    elif lemma == "kdiff":
-        bound = float(kdiff_lower(p))
-        lo, hi = -1.0, (1.0 - p) / 3.0
-        a1 = np.linspace(lo, hi, r + 1)
-        a2 = (1.0 - a1 - p) / 2.0
-        a3 = a2 + p
-        objective, sense = a1, "min"
-    elif lemma == "a2a1":
-        bound = float(a2a1_gap(p))
-        lo, hi = p, min((1.0 + p) / 4.0, (1.0 - p) / 2.0)
-        if lo > hi + 1e-15:
-            return _infeasible(r, bound, "max")
-        a2 = np.linspace(lo, hi, r + 1)
-        a1 = np.full_like(a2, p)
-        a3 = 1.0 - p - a2
-        objective, sense = a2 - a1, "max"
-    else:
-        raise DomainError(f"unknown lemma {lemma!r}; choose from {POINTWISE_LEMMAS}")
+    bound = float(floor_value(lemma, param))
+    floor, p, r = FLOORS[lemma], float(param), resolution
+    sense = floor.sense
+    lo, hi = floor.span(p)
+    if lo > hi + 1e-15:
+        return _infeasible(r, bound, sense)
+    a1, a2, a3 = floor.a_row(p, np.linspace(lo, hi, r + 1))
+    objective = a1 if sense == "min" else a2 - a1
 
     s1, s2, s3 = a2 - a1, a3 - a1, a3 - a2
     # the (b1, b2) box covering the mixed-part polytope of each sectional triple

@@ -391,6 +391,11 @@ def coerce(*xs) -> tuple:
     return tuple(x if isinstance(x, QuadraticSurd) else Fraction(x) for x in xs)
 
 
+def is_finite(x) -> bool:
+    """True for every exact value, and for a float that is neither infinite nor NaN."""
+    return isinstance(x, EXACT_TYPES) or math.isfinite(x)
+
+
 def sqrt(x):
     """Square root in the arithmetic of x: math.sqrt for floats, else exact.
 

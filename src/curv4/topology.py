@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .bivector import CurvatureOperator, duality_decompose
 from .errors import DomainError
-from .surd import coerce
+from .surd import coerce, is_finite
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,12 @@ def euler_upper_per_vol(alpha, beta):
     alpha <= 1/3 <= beta (the extremal sectional curvatures always straddle
     1/3).  Exact inputs give exact output.
     """
-    if not float(alpha) <= float(beta) + 1e-12:
-        raise DomainError("need alpha <= beta")
-    if not (float(alpha) <= 1.0 / 3.0 + 1e-12 and float(beta) >= 1.0 / 3.0 - 1e-12):
-        raise DomainError("sectional extrema must straddle 1/3")
+    finite = is_finite(alpha) and is_finite(beta)
+    if not (finite and alpha <= 1.0 / 3.0 + 1e-12 and beta >= 1.0 / 3.0 - 1e-12):
+        raise DomainError("sectional extrema must be finite and straddle 1/3")
     three, a, b = coerce(3, alpha, beta)
+    if not a - b <= 1e-12:
+        raise DomainError("need alpha <= beta")
     return 8 * (b * b - (1 - a) * (a + b)) + 10 / three
 
 
@@ -99,7 +100,7 @@ def admissible_types(alpha) -> TopologyReport:
     the cap comparison exact, which matters on the boundary where the cap is
     an integer.
     """
-    if not (-1e-12 <= float(alpha) <= 1.0 / 3.0 + 1e-12):
+    if not (-1e-12 <= alpha <= 1.0 / 3.0 + 1e-12):  # NaN fails, and so does an infinity
         raise DomainError("pinching level alpha must lie in [0, 1/3]")
     (alpha,) = coerce(alpha)
     cap = 3 * euler_upper_per_vol(alpha, 1 - 2 * alpha)
@@ -110,17 +111,14 @@ def admissible_types(alpha) -> TopologyReport:
         f"chi <= {CHI_HARD_CAP}: hard cap (the volume cap never reaches 10)",
         f"chi < {cap!s}: strict volume cap 3 C(alpha) at alpha = {float(alpha):.6g}",
     ]
-    pairs = []
-    for chi in range(2, CHI_HARD_CAP + 1):
-        if not chi < cap:
-            continue
-        for tau in range(0, 3):
-            if (chi - tau) % 2 != 0:
-                continue
-            if not 4 * chi > 15 * tau:
-                continue
-            pairs.append((tau, chi))
-    pairs.sort(key=lambda p: (p[1], p[0]))
+    # the filters of the trail, sorted by chi then tau
+    pairs = [
+        (tau, chi)
+        for chi in range(2, CHI_HARD_CAP + 1)
+        if chi < cap
+        for tau in range(3)
+        if (chi - tau) % 2 == 0 and 4 * chi > 15 * tau
+    ]
     degenerate = not pairs
     if degenerate:
         pairs = [(0, 2)]

@@ -32,6 +32,7 @@ from curv4.bivector import (
     haar_rotations,
     quaternion_rotation,
     rho,
+    rho_inverse,
     wedge_coordinates,
 )
 from curv4.errors import (
@@ -420,8 +421,8 @@ def _search_back(m, q, conjugate=True):
     rather than conj(p).
     """
     plus, minus, _ = (x / 2.0 for x in bivector._duality_blocks(m))
-    alpha, p = berger._eigenframe(plus)
-    beta, r = berger._eigenframe(minus)
+    (alpha, vp), (beta, vm) = berger._oriented_eigh(plus), berger._oriented_eigh(minus)
+    p, r = rho_inverse(vp), rho_inverse(vm)
     left = p * (1.0, -1.0, -1.0, -1.0) if conjugate else p
     rot = rho(quaternion_rotation(left, r) @ q).transpose(2, 0, 1)
     search = rot.transpose(0, 2, 1) @ (alpha[:, None] * rot) + np.diag(beta)

@@ -14,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curv4 import (
+    BergerData,
     QuadraticSurd,
     a2a1_gap,
     admissible_types,
     berger_data,
+    classify,
     euler_upper_per_vol,
     hamilton_gap,
     kdiff_lower,
@@ -32,11 +34,12 @@ from curv4 import (
 )
 from curv4 import cli, estimates
 from curv4.errors import DomainError
-from curv4.estimates import POINTWISE_LEMMAS, floor_terms
+from curv4.estimates import FLOORS
 from curv4.surd import sqrt as surd_sqrt
 
 S19 = QuadraticSurd(0, 1, 19, 1)
 S3 = QuadraticSurd(0, 1, 3, 1)
+POINTWISE_LEMMAS = tuple(FLOORS)
 
 
 # ---------------------------------------------------------------- hamilton
@@ -155,6 +158,96 @@ def test_threshold_domains():
             a2a1_gap(bad)
 
 
+def test_exact_arguments_are_compared_exactly():
+    # the domain tests compared float(x): an exact x beyond the float range
+    # raised OverflowError even inside a domain, and -1/10^400 rounded to -0.0
+    # passed the test 0 <= x
+    huge, tiny = Fraction(10**400), Fraction(-1, 10**400)
+    normsq = 6 * 10**800 - 8 * 10**400 + Fraction(8, 3) + Fraction(1, 2)
+    assert lemma_k3k1_bounds(10**400, 1)[1] == normsq
+    assert lemma_k3k1_bounds(huge, 1) == lemma_k3k1_bounds(10**400, 1)
+    s6 = QuadraticSurd(0, 1, 6, 1)  # a surd refuses to compare with an infinite float
+    assert lemma_k3k1_bounds(s6, 1)[1] == (12 * 6 - 16 * s6 + Fraction(16, 3) + 1) / 2
+    assert lemma_algebraic2_min(huge, 1) == -Fraction(1, 2)
+    assert euler_upper_per_vol(-(10**400), 10**400) == 8 * 10**800 + Fraction(10, 3)  # a + b = 0
+    assert admissible_types(tiny).alpha == tiny  # inside the -1e-12 slack
+    for call, x in (
+        (kdiff_lower, tiny), (a2a1_gap, tiny), (lambda b: lemma_algebraic2_oracle(1, b), tiny),
+        (kupper_lower, huge), (kupper_lower, -huge), (admissible_types, huge),
+        (admissible_types, -huge),
+    ):
+        with pytest.raises(DomainError):
+            call(x)
+    for alpha, beta in ((huge, huge), (-huge, -huge), (Fraction(1, 3), -huge)):
+        with pytest.raises(DomainError):
+            euler_upper_per_vol(alpha, beta)
+
+
+POLYTOPE_WRAPPERS = {"kupper": kupper_lower, "kdiff": kdiff_lower, "a2a1": a2a1_gap}
+
+
+def _domain_probes(floor):
+    """(x, inside) just inside and just outside each end of a record's domain, and beyond."""
+    lo, hi = floor.lo, floor.hi
+    eps = Fraction(1, 10**400)
+    return [
+        (lo, True), (math.nextafter(lo, -math.inf), False),
+        (Fraction(lo), True), (Fraction(lo) - eps, False),
+        (math.nextafter(hi, -math.inf), True), (hi, not floor.open_top),
+        (math.nextafter(hi, math.inf), False),
+        (Fraction(hi) - eps, True), (Fraction(hi), not floor.open_top), (Fraction(hi) + eps, False),
+        (Fraction(lo + hi) / 2, True), (math.nan, False), (math.inf, False), (-math.inf, False),
+    ]
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("lemma", FLOORS)
+def test_each_polytope_domain_is_read_from_its_record(lemma):
+    # the closed form, its wrapper, the oracle and the CLI all accept exactly
+    # the record's domain, compared with x itself
+    name = FLOORS[lemma].param
+    for x, inside in _domain_probes(FLOORS[lemma]):
+        got = [
+            _accepts(lambda: estimates.floor_value(lemma, x)),
+            _accepts(lambda: POLYTOPE_WRAPPERS[lemma](x)),
+            _accepts(lambda: pointwise_bound_oracle(lemma, x, resolution=8)),
+            _accepts(lambda: cli.run_verification(lemma, grid=cli.MIN_GRID, **{name: x})),
+        ]
+        assert got == [inside] * 4, (x, got)
+
+
+@pytest.mark.parametrize(
+    "lemma, row, data",
+    [
+        ("kupper", "derived_min_sec", ((-0.2, 0.25, 0.95), (0.0, 0.0, 0.0))),
+        ("kdiff", "derived_min_sec_diff", ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))),
+    ],
+)
+def test_a_narrowed_record_narrows_every_reader(monkeypatch, lemma, row, data):
+    # the domain is stated once: the wrapper, the oracle, the CLI and
+    # classify's skip decision all follow a change to the record
+    x = data[0][2] - (data[0][1] if lemma == "kdiff" else 0.0)
+    assert row not in dict(classify(BergerData(*data)).skipped)
+    POLYTOPE_WRAPPERS[lemma](x)
+    monkeypatch.setitem(FLOORS, lemma, dataclasses.replace(FLOORS[lemma], hi=0.9))
+    for call in (
+        lambda: POLYTOPE_WRAPPERS[lemma](x),
+        lambda: pointwise_bound_oracle(lemma, x, resolution=8),
+        lambda: cli.run_verification(lemma, alpha=x, grid=cli.MIN_GRID),
+    ):
+        with pytest.raises(DomainError, match=r"must lie in \[.*, 9/10[\])]"):
+            call()
+    assert "9/10" in dict(classify(BergerData(*data)).skipped)[row]
+    POLYTOPE_WRAPPERS[lemma](0.85)
+
+
 NAN = math.nan
 NAN_CALLS = [
     (lemma_algebraic2_min, (NAN, 1.0)),
@@ -193,6 +286,8 @@ INF_CALLS = [
     (lemma_k3k1_bounds, (1.0, INF)),
     (lemma_k3k1_oracle, (INF, 1.0)),
     (lemma_k3k1_oracle, (1.0, INF)),
+    (euler_upper_per_vol, (-INF, INF)),
+    (euler_upper_per_vol, (0.0, INF)),
 ]
 
 
@@ -299,7 +394,7 @@ def test_closed_form_floats_are_pinned(lemma):
 
 
 def _table_bound(lemma, x, t):
-    c, m, u, k = floor_terms(lemma, x, t)
+    c, m, u, k = FLOORS[lemma].terms(x, t)
     return (c - surd_sqrt(m * u)) / (k * t)
 
 
@@ -321,7 +416,7 @@ def test_floor_table_at_numerators_over_t_is_the_closed_form(lemma):
         t = rng.randrange(2, 10 ** rng.randrange(1, 21))
         last = math.floor(hi * t) if end == "closed" else math.ceil(hi * t) - 1
         x = rng.randrange(math.ceil(lo * t), last + 1)
-        assert all(type(v) is int for v in floor_terms(lemma, x, t))
+        assert all(type(v) is int for v in FLOORS[lemma].terms(x, t))
         assert _table_bound(lemma, x, t) == closed_form(Fraction(x, t)), (x, t)
 
 
