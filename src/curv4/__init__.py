@@ -54,6 +54,7 @@ from .estimates import (
     GridReport,
     SharpConstant,
     a2a1_gap,
+    dominance,
     hamilton_gap,
     kdiff_lower,
     kupper_lower,

@@ -35,7 +35,7 @@ from .bivector import (
     rho_inverse,
 )
 from .errors import DomainError, InvalidBergerError, InvalidOperatorError, NotEinsteinError
-from .estimates import SLAB_POINTS, GridReport
+from .estimates import DOMINANCE_PAIRS, SLAB_POINTS, GridReport, dominance
 from .surd import EXACT_TYPES, coerce, common_denominator
 
 
@@ -105,8 +105,9 @@ _NOT_FINITE = "normal-form data and Einstein constant must be finite"
 _NOT_ASCENDING = "sectional triple a is not ascending"
 _SUM_A = "sum(a) does not equal the Einstein constant"
 _SUM_B = "sum(b) is nonzero (first Bianchi identity)"
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-_DOMINANCE = tuple(f"|b{j + 1} - b{i + 1}| exceeds a{j + 1} - a{i + 1}" for i, j in _PAIRS)
+_DOMINANCE = tuple(
+    f"|b{j + 1} - b{i + 1}| exceeds a{j + 1} - a{i + 1}" for i, j in DOMINANCE_PAIRS
+)
 _CONSTRAINTS = (_NOT_ASCENDING, _SUM_A, _SUM_B, *_DOMINANCE)
 
 
@@ -127,7 +128,7 @@ def _check_berger(a, b, lam) -> None:
         (a[0] <= a[1] + tol) & (a[1] <= a[2] + tol),
         abs(a[0] + a[1] + a[2] - lam) <= tol,
         abs(b[0] + b[1] + b[2]) <= tol,
-        *(abs(b[j] - b[i]) <= a[j] - a[i] + tol for i, j in _PAIRS),
+        *dominance(a, b, tol),
     ]
     all_hold = holds[0] & holds[1] & holds[2] & holds[3] & holds[4] & holds[5]
     _require(all_hold, InvalidBergerError, _violations, *holds)
@@ -400,7 +401,7 @@ def sample_berger_data(count: int, seed: int = 0, lambda_einstein: float = 1.0) 
     is uniform on [-1, 1/3], a2 is uniform on [a1, (1 - a1)/2] given a1, and
     a3 = 1 - a1 - a2.  Then (b1, b2) is drawn uniformly from the box
     |b1| <= (s1 + s2)/3, |b2| <= (s1 + s3)/3 (s_k the a-gaps), b3 = -b1 - b2,
-    and the draw is kept when all three dominance constraints hold; a rejected
+    and the draw is kept when dominance(a, b) holds at zero slack; a rejected
     draw starts again from a1.  The result is rescaled to `lambda_einstein`.
     """
     if count < 0:
@@ -408,6 +409,7 @@ def sample_berger_data(count: int, seed: int = 0, lambda_einstein: float = 1.0) 
     if not lambda_einstein > 0:
         raise DomainError("sampling requires a positive Einstein constant")
     rng = np.random.default_rng(seed)
+    lam = float(lambda_einstein)
     out = []
     attempts = 0
     while len(out) < count:
@@ -420,13 +422,7 @@ def sample_berger_data(count: int, seed: int = 0, lambda_einstein: float = 1.0) 
         s1, s2, s3 = a2 - a1, a3 - a1, a3 - a2
         b1 = rng.uniform(-(s1 + s2) / 3.0, (s1 + s2) / 3.0)
         b2 = rng.uniform(-(s1 + s3) / 3.0, (s1 + s3) / 3.0)
-        b3 = -b1 - b2
-        if abs(b2 - b1) > s1 or abs(b3 - b1) > s2 or abs(b3 - b2) > s3:
-            continue
-        lam = float(lambda_einstein)
-        out.append(
-            BergerData(
-                (a1 * lam, a2 * lam, a3 * lam), (b1 * lam, b2 * lam, b3 * lam), lam
-            )
-        )
+        a, b = (a1, a2, a3), (b1, b2, -b1 - b2)
+        if all(dominance(a, b)):
+            out.append(BergerData(tuple(x * lam for x in a), tuple(x * lam for x in b), lam))
     return out

@@ -3,12 +3,12 @@
 The rigidity theorems for positive Einstein four-manifolds take normal-form
 hypotheses (bounds on the extremal sectional curvatures) and conclude that the
 space is one of the symmetric models.  This module evaluates those hypotheses
-on curvature data, with every threshold comparison decided exactly (on the
-threshold's float bracket where that is decisive; thresholds live in quadratic
-fields), and assembles a certificate of which implications fired.  Exact data
-is decided in integers over the normalized datum's common denominator, and no
-surd is built from it: each derived row reads its floor and its domain from
-the closed form's record, estimates.FLOORS, and is decided there by squaring.
+on curvature data and assembles a certificate of which implications fired.
+Threshold comparisons are exact (on the threshold's float bracket where that
+decides).  Exact data is decided in integers over the normalized datum's common
+denominator, with no surd built from it; the derived rows read their floors
+from estimates.FLOORS and decide by squaring.  |W+| + |W-| is summed in floats
+on every input, so weyl_sum_small and pinch_weyl_upper are float rows.
 
 A verdict never claims an isometry: pointwise data can only show that the
 hypotheses of a rigidity theorem hold, or that the data coincides with a
@@ -136,10 +136,11 @@ class ClassificationVerdict:
     """Certificate of which pointwise rigidity hypotheses hold.
 
     verdict: "model_data" (normalized data equals a model's), "rigidity_regime"
-    (condition a or b holds), or "inconclusive".  candidates are the model
-    geometries compatible with the verdict; compatibility, not isometry.
-    skipped holds a (row name, reason) pair for each certificate row left out
-    because the data lies outside the domain of its closed form.
+    (the hamilton row and condition a or b hold), or "inconclusive".
+    candidates are the model geometries compatible with the verdict;
+    compatibility, not isometry.  skipped holds a (row name, reason) pair for
+    each certificate row left out because the data lies outside the domain of
+    its closed form.
     """
 
     verdict: str
@@ -191,7 +192,7 @@ def classify(source) -> ClassificationVerdict:
         surds = any(isinstance(x, QuadraticSurd) for x in xs)
         den, ns = (1, xs) if surds else common_denominator(xs)
         t, (n1, n2, n3, m1, m2, m3) = 3 * den, (3 * n for n in ns)
-        gap = t * n1 - (n1 * n1 + m1 * m1 + 2 * (n2 * n3 + m2 * m3))  # t^2 hamilton_gap
+        gap = hamilton_gap((n1, n2, n3), (m1, m2, m3), t)  # t^2 times the gap
         gap_holds, gap = 10**12 * gap >= -t * t, gap / (t * t)
         top, spread = min(max(n3, t // 3), t), n3 - n2
         # the closed-form bound 4 (a3 - a1)/sqrt6 on |W+| + |W-| (on normalized
@@ -199,7 +200,7 @@ def classify(source) -> ClassificationVerdict:
         bound = _weyl_bound(4 * (n3 - n1), t)
     else:
         t, n1 = None, a1
-        gap = hamilton_gap(d)
+        gap = hamilton_gap(d.a, d.b)
         gap_holds = gap >= -Fraction(1, 10**12)
         top, spread = float(min(max(a3, Fraction(1, 3)), 1)), diff
         bound = 4 * (fa[2] - fa[0]) / math.sqrt(6.0)

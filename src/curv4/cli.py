@@ -63,13 +63,13 @@ def _hamilton_models_check(rotations: int, seed: int) -> GridReport:
     One Haar stream of 3 x rotations, rotation g turning model g // rotations,
     runs in blocks so memory stays flat, each one (n, 6, 6) stack of conjugated
     models.  berger_data_stack runs on it every check the scalar path runs on
-    one operator, each gap is bit for bit that of hamilton_gap(berger_data(
-    conjugate_operator(op, q))), and the first largest |gap| names its model.
+    one operator, each gap is bit for bit hamilton_gap of berger_data(
+    conjugate_operator(op, q)), and the first largest |gap| names its model.
     """
     names = ("sphere", "cp2", "s2xs2")
     ops = [model_space(name) for name in names]
-    for name, op in zip(names, ops):
-        if hamilton_gap(berger_data(op)) != 0:
+    for name, d in zip(names, map(berger_data, ops)):
+        if hamilton_gap(d.a, d.b) != 0:
             return GridReport(math.inf, (name,), rotations, 0.0)  # pragma: no cover
     models = np.stack([op.matrix for op in ops])
     worst, arg = 0.0, ("exact",)
@@ -79,7 +79,7 @@ def _hamilton_models_check(rotations: int, seed: int) -> GridReport:
         which = np.arange(lo, min(lo + block, total)) // rotations
         frames = haar_rotations(len(which), rng)
         data = berger_data_stack(conjugate_matrices(models[which], frames), 1.0)
-        gap = np.abs(hamilton_gap(data))
+        gap = np.abs(hamilton_gap(data.a, data.b))
         i = int(np.argmax(gap))
         if gap[i] > worst:
             worst, arg = float(gap[i]), (names[which[i]],)

@@ -115,19 +115,27 @@ def grid_extremum(evaluate, rows: int, row_points: int, sense: str, bound):
     return best
 
 
-# -- the pointwise quadratic inequality ----------------------------------------
+# -- the normal-form set: dominance and the pointwise quadratic inequality ------
 
 
-def hamilton_gap(d):
-    """Slack a1 - (a1^2 + b1^2 + 2 a2 a3 + 2 b2 b3) of the normal-form inequality.
+def hamilton_gap(a, b, t=1):
+    """Slack t a1 - (a1^2 + b1^2 + 2 (a2 a3 + b2 b3)) of the normal-form inequality.
 
-    Nonnegative on curvature data of smooth Einstein four-manifolds; vanishes
-    identically on the three symmetric model geometries.  Exact inputs give
-    exact output.
+    Nonnegative on the data (a, b) of smooth Einstein four-manifolds at Einstein
+    constant t, and 0 on the three symmetric models.  Elementwise (numbers, exact
+    or float, or arrays) and homogeneous: numerators over t give t^2 times the gap.
     """
-    a1, a2, a3 = d.a
-    b1, b2, b3 = d.b
-    return a1 - (a1 * a1 + b1 * b1 + 2 * (a2 * a3 + b2 * b3))
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    return t * a1 - (a1 * a1 + b1 * b1 + 2 * (a2 * a3 + b2 * b3))
+
+
+DOMINANCE_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def dominance(a, b, tol=0.0) -> list:
+    """The verdicts |b_j - b_i| <= a_j - a_i + tol over DOMINANCE_PAIRS, elementwise."""
+    return [abs(b[j] - b[i]) <= a[j] - a[i] + tol for i, j in DOMINANCE_PAIRS]
 
 
 # boundary slack of the inequality on float data
@@ -429,29 +437,24 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     order = (a1 <= a2 + 1e-12) & (a2 <= a3 + 1e-12)
     rows = np.flatnonzero(order & (hamilton_row_bound(a1, a2, a3) >= -1e-9))
     t = np.linspace(-1.0, 1.0, r + 1)
-    tol = 1e-12
     key = -objective if sense == "max" else objective
     for i in rows[np.argsort(key[rows], kind="stable")].tolist():  # best objective first
+        a = (a1[i], a2[i], a3[i])
 
         def lines(j):
             # kernel row j is the line b1 = bb1 t[j] of a-row i
-            b1 = bb1[i] * t[j, None]
-            b2 = bb2[i] * t
-            b3 = -b1 - b2
-            feas = (
-                (np.abs(b2 - b1) <= s1[i] + tol)
-                & (np.abs(b3 - b1) <= s2[i] + tol)
-                & (np.abs(b3 - b2) <= s3[i] + tol)
-            )
-            gap = a1[i] - (a1[i] ** 2 + b1 * b1 + 2.0 * (a2[i] * a3[i]) + 2.0 * b2 * b3)
-            return objective[i], feas & (gap >= -HAMILTON_PREDICATE_TOL)
+            b1, b2 = bb1[i] * t[j, None], bb2[i] * t
+            b = (b1, b2, -b1 - b2)
+            d12, d13, d23 = dominance(a, b, 1e-12)
+            gap = hamilton_gap(a, b)
+            return objective[i], d12 & d13 & d23 & (gap >= -HAMILTON_PREDICATE_TOL)
 
         # a constant bound ends the scan at the first slab holding a feasible point
         found = grid_extremum(lines, r + 1, r + 1, sense, np.full(r + 1, objective[i]))
         if found is not None:
             value, (j, k) = found
             b1, b2 = float(bb1[i] * t[j]), float(bb2[i] * t[k])
-            arg = ((float(a1[i]), float(a2[i]), float(a3[i])), (b1, b2, -b1 - b2))
+            arg = (tuple(map(float, a)), (b1, b2, -b1 - b2))
             return GridReport(value, arg, r, bound, sense)
     return _infeasible(r, bound, sense)
 
@@ -479,17 +482,14 @@ class SharpConstant:
 def sharp_constants() -> dict:
     """The sharp thresholds of the classification, exactly, plus identity checks.
 
-    The two symbolic checks recompute the endpoint algebra of the main
-    theorems in surd arithmetic: with B = (14 - sqrt19)/12 the chained
-    sectional-upper pipeline tops out at 4(B - kupper_lower(B))/sqrt6, and
-    with D = (7 - sqrt19)/4 the spread pipeline tops out at
-    (2 + 2D - 6 kdiff_lower(D))/sqrt6; both must equal sqrt(3/2) = sqrt6/2
-    exactly.
+    The identities recompute the endpoint algebra of the main theorems in
+    surd arithmetic on the constants returned: with B = (14 - sqrt19)/12
+    the chained sectional-upper pipeline tops out at
+    4(B - kupper_lower(B))/sqrt6, and with D = (7 - sqrt19)/4 the spread
+    pipeline tops out at (2 + 2D - 6 kdiff_lower(D))/sqrt6; both must equal
+    sqrt(3/2) = sqrt6/2 exactly.
     """
-    s19 = QuadraticSurd(0, 1, 19, 1)
-    s3 = QuadraticSurd(0, 1, 3, 1)
-    s6 = QuadraticSurd(0, 1, 6, 1)
-    s105 = QuadraticSurd(0, 1, 105, 1)
+    s19, s3, s6, s105 = (QuadraticSurd(0, 1, r, 1) for r in (19, 3, 6, 105))
     constants = [
         SharpConstant(
             "sec_upper_threshold",
@@ -538,17 +538,18 @@ def sharp_constants() -> dict:
         ),
     ]
 
-    beta = (14 - s19) / 12
+    book = {c.name: c for c in constants}
+    beta = book["sec_upper_threshold"].value
     beta1 = kupper_lower(beta)
     upper_chain = 4 * (beta - beta1) / s6
-    beta_d = (7 - s19) / 4
+    beta_d = book["sec_diff_upper"].value
     beta1_d = kdiff_lower(beta_d)
     diff_chain = (2 + 2 * beta_d - 6 * beta1_d) / s6
-    target = s6 / 2
+    target = book["weyl_sum_threshold"].value
     identities = {
         "upper_pipeline_endpoint": upper_chain == target,
         "diff_pipeline_endpoint": diff_chain == target,
         "upper_gap_rational": (beta - beta1) == Fraction(3, 4),
         "diff_combination_rational": (2 + 2 * beta_d - 6 * beta1_d) == 3,
     }
-    return {"constants": {c.name: c for c in constants}, "identities": identities}
+    return {"constants": book, "identities": identities}

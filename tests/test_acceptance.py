@@ -179,7 +179,7 @@ def test_criterion_6_hamilton_gap_models():
     ok = True
     for name in ("sphere", "cp2", "s2xs2"):
         d = berger_data(model_space(name))
-        gap = hamilton_gap(d)
+        gap = hamilton_gap(d.a, d.b)
         ok = ok and isinstance(gap, (int, Fraction)) and gap == 0
     _criterion(6, "normal-form quadratic inequality exact on models", ok)
 

@@ -578,10 +578,11 @@ def test_frame_functional_memory_is_flat():
 
 
 def test_hamilton_gap_signs():
-    assert hamilton_gap(berger_data(model_space("sphere"))) == 0
+    sphere = berger_data(model_space("sphere"))
+    assert hamilton_gap(sphere.a, sphere.b) == 0
     # data violating the inequality: a1 small, a2 a3 large products
     bad = BergerData(a=(0.1, 0.4, 0.5), b=(0.0, 0.0, 0.0))
-    assert float(hamilton_gap(bad)) < 0.0
+    assert float(hamilton_gap(bad.a, bad.b)) < 0.0
 
 
 def test_extremes_agree_with_extremize():
@@ -615,8 +616,10 @@ def test_surd_data_is_exact_but_operator_path_is_float():
 def test_stack_gaps_equal_the_scalar_gaps_on_the_models(name):
     op = model_space(name)
     frames = haar_rotations(300, 5)
-    got = hamilton_gap(berger_data_stack(conjugate_matrices(op.matrix, frames), 1.0))
-    want = [hamilton_gap(berger_data(conjugate_operator(op, q))) for q in frames]
+    data = berger_data_stack(conjugate_matrices(op.matrix, frames), 1.0)
+    got = hamilton_gap(data.a, data.b)
+    scalar = [berger_data(conjugate_operator(op, q)) for q in frames]
+    want = [hamilton_gap(d.a, d.b) for d in scalar]
     assert got.shape == (300,) and np.array_equal(got, np.array(want))
 
 
@@ -631,8 +634,8 @@ def test_stack_data_equal_the_scalar_data_on_rotated_samples():
         assert np.array_equal(got.a, np.array([w.a for w in want]).T)
         assert np.array_equal(got.b, np.array([w.b for w in want]).T)
         assert np.array_equal(got.lambda_einstein, [w.lambda_einstein for w in want])
-        assert np.array_equal(hamilton_gap(got), [hamilton_gap(w) for w in want])
-        assert np.abs(hamilton_gap(got)).min() > 1e-3
+        assert np.array_equal(hamilton_gap(got.a, got.b), [hamilton_gap(w.a, w.b) for w in want])
+        assert np.abs(hamilton_gap(got.a, got.b)).min() > 1e-3
 
 
 def _asymmetric(m):

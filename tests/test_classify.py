@@ -64,7 +64,7 @@ BOUNDARY_FAMILY = [
 CONDITION_ROWS = ("condition_a", "condition_b_sum", "condition_b_diff", "weyl_sum_small")
 
 # the Hamilton-feasible slice a3 <= 0.8: points p = (a1, a2, a3, b1, b2, b3) at
-# Einstein constant 1 with hamilton_gap(p) >= 0 and SLICE_ROWS @ p <= SLICE_BOUNDS
+# Einstein constant 1 with hamilton_gap(p[:3], p[3:]) >= 0 and SLICE_ROWS @ p <= SLICE_BOUNDS
 # (sorted a, the a3 cap, and +-(b_j - b_i) <= a_j - a_i)
 SLICE_A3_MAX = 0.8
 
@@ -281,6 +281,37 @@ def test_pinch_bound_exact_at_theorem_endpoint():
     assert row.holds
 
 
+def test_exact_datum_at_the_sharp_threshold_meets_every_condition_with_equality():
+    # the Q(sqrt19) datum at a3 = B on the Hamilton boundary, which attains
+    # kupper_lower(B); there a3 - a2 = D and 2 a2 + a1 = (sqrt19 - 3)/4 too
+    a = ((5 - S19) / 12, (2 * S19 - 7) / 12, BETA)
+    b = ((S19 - 5) / 4, Fraction(-1, 4), (6 - S19) / 4)
+    d = BergerData(a, b)
+    assert d.is_exact and d.lambda_einstein == 1
+    assert hamilton_gap(d.a, d.b) == 0
+    v = classify(d)
+    a1, a2, a3 = v.data.a
+    sharp = sharp_constants()["constants"]
+    assert a3 == sharp["sec_upper_threshold"].value
+    assert 2 * a2 + a1 == sharp["weighted_sum_lower"].value
+    assert a3 - a2 == sharp["sec_diff_upper"].value
+    assert v.verdict == "rigidity_regime"
+    assert v.row("hamilton").holds and v.row("hamilton").lhs == 0
+    for name in ("condition_a", "condition_b_sum", "condition_b_diff"):
+        assert v.row(name).holds and v.row(name).lhs == v.row(name).rhs
+    assert v.row("pinch_weyl_upper").holds
+
+
+def test_pinch_bound_of_surd_data_outside_the_field_of_sqrt6():
+    # a3 - a1 = 14/3 - sqrt19 is irrational, so 4 (a3 - a1)/sqrt6 lies in no
+    # quadratic field and the bound is taken in floats
+    s = (S19 - 4) / 2
+    row = classify(BergerData((s, THIRD_Q, 2 * THIRD_Q - s), (0, 0, 0))).row("pinch_weyl_upper")
+    want = 4 * (mpmath.mpf(14) / 3 - mpmath.sqrt(19)) / mpmath.sqrt(6)
+    assert row.rhs == pytest.approx(float(want), rel=1e-14)
+    assert row.holds
+
+
 def test_pipeline_soundness_sampled():
     # condition (a) data always lands under the elliptic threshold
     hits = 0
@@ -401,7 +432,7 @@ def test_condition_rows_hold_on_hamilton_feasible_slice():
     # the pointwise inequality plus a3 <= 0.8 puts data in the certified
     # regime: the models, the exact boundary family and 1,000 hit-and-run
     # points of the slice, every one of them checked
-    assert all(hamilton_gap(d) == 0 and d.a[2] <= Fraction(4, 5) for d in BOUNDARY_FAMILY)
+    assert all(hamilton_gap(d.a, d.b) == 0 and d.a[2] <= Fraction(4, 5) for d in BOUNDARY_FAMILY)
     sampled = hamilton_slice_points(1000, seed=17)
     assert all(float(d.a[2]) <= SLICE_A3_MAX for d in sampled)
     cases = [berger_data(model_space("sphere")), berger_data(model_space("cp2"))]
@@ -418,7 +449,7 @@ def test_hamilton_slice_sampler_is_seeded_and_spread():
     assert len({tuple(row) for row in a}) == 200
     # the chain leaves its start and reaches both the a3 cap and a1 < a2
     assert a[:, 2].max() > 0.79 and (a[:, 1] - a[:, 0]).max() > 0.03
-    assert all(hamilton_gap(d) >= 0 for d in first)
+    assert all(hamilton_gap(d.a, d.b) >= 0 for d in first)
 
 
 def _lattice_slab(denominator=60, stride=8):

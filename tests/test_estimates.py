@@ -6,7 +6,6 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,7 +46,8 @@ POINTWISE_LEMMAS = tuple(FLOORS)
 
 def test_hamilton_exact_on_models():
     for name in ("sphere", "cp2", "s2xs2"):
-        g = hamilton_gap(berger_data(model_space(name)))
+        d = berger_data(model_space(name))
+        g = hamilton_gap(d.a, d.b)
         assert g == 0 and not isinstance(g, float)
 
 
@@ -801,7 +801,7 @@ def _row_bound_holds(bound, a, maxima) -> bool:
     tol = 1e-12
     assert (np.abs(b[1] - b[0]) <= s1 + tol).all() and (np.abs(b[2] - b[1]) <= s3 + tol).all()
     assert (np.abs(b[2] - b[0]) <= s2 + tol).all()
-    attained = np.abs(hamilton_gap(SimpleNamespace(a=a, b=b)) - value) <= 1e-12
+    attained = np.abs(hamilton_gap(a, b) - value) <= 1e-12
     return bool((maxima <= value + 1e-12).all() and attained.all())
 
 

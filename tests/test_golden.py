@@ -37,11 +37,15 @@ def _cases() -> dict:
         "verify-all-grid40.json": ["verify-all", "--grid", "40"],
     }
     for alpha in ("0", "0.08333333333333333", "0.0446", "0.1", "0.3333333333333333"):
-        cases[f"chi-tau-{alpha}.json"] = ["chi-tau", "--alpha", alpha, "--explain"]
+        explain = ["chi-tau", "--alpha", alpha, "--explain"]
+        cases[f"chi-tau-{alpha}.json"] = explain
+        cases[f"chi-tau-{alpha}.table"] = [*explain, "--format", "table"]
     for doc in DOCUMENTS:
         path = str(INPUTS / f"{doc}.json")
         cases[f"decompose-{doc}.json"] = ["decompose", "--in", path]
-        cases[f"berger-{doc}.json"] = ["berger", "--in", path, "--frame"]
+        frame = ["berger", "--in", path, "--frame"]
+        cases[f"berger-{doc}.json"] = frame
+        cases[f"berger-{doc}.table"] = [*frame, "--format", "table"]
         cases[f"classify-{doc}.json"] = ["classify", "--in", path]
         cases[f"classify-{doc}.table"] = ["classify", "--in", path, "--format", "table"]
     return cases

@@ -608,7 +608,7 @@ def _hamilton_models_per_model(rotations, seed):
         for lo in range(0, rotations, block):
             frames = haar_rotations(min(block, rotations - lo), rng)
             data = berger_data_stack(conjugate_matrices(op.matrix, frames), op.lambda_einstein)
-            gap = float(np.abs(hamilton_gap(data)).max())
+            gap = float(np.abs(hamilton_gap(data.a, data.b)).max())
             if gap > worst:
                 worst, arg = gap, (name,)
     return worst, arg
