@@ -116,12 +116,13 @@ def _violations(*holds) -> str:
 
 
 def _check_berger(a, b, lam) -> None:
-    """BergerData's constraints on float triples a, b and lam, tolerance 1e-9 x scale.
+    """BergerData's constraints on float triples a, b and lam, to 1e-9 x max |entry|.
 
+    The tolerance scales with the datum, so validity does not depend on its scale.
     Numbers for one datum, or (n,) arrays for a stack.  The error lists every
     constraint violated (by the first failing operator of a stack).
     """
-    scale = np.abs([*a, *b, lam]).max(axis=0, initial=1.0)  # inf or NaN with an entry
+    scale = np.abs([*a, *b, lam]).max(axis=0)  # inf or NaN with an entry
     _require(scale < np.inf, InvalidBergerError, _NOT_FINITE.format)
     tol = 1e-9 * scale
     holds = [

@@ -494,33 +494,25 @@ class SectionalExtrema:
     kmax_upper: float
 
 
-def _rotation_from(n: np.ndarray) -> np.ndarray:
-    """A rotation [n, u, n x u] of R^3 for a unit n, u = n x (the axis least aligned with n)."""
-    u = np.cross(n, np.eye(3)[int(np.argmin(np.abs(n)))])
-    u /= math.sqrt(float(u @ u))
-    return np.column_stack([n, u, np.cross(n, u)])
-
-
 def _plane_of(w: np.ndarray) -> TangentPlane:
-    """The plane u^v = w of a unit decomposable bivector w.
+    """The plane u^v = w of a unit decomposable bivector w, read off its 2-form.
 
-    e1^e2 has halves (1, 0, 0)/sqrt2 in the w+ and w- coordinates, and
-    x -> p x q turns them by rho(p) and rho(q)^T (see quaternion_rotation).
-    rho_inverse lifts p from a rotation whose first column is the unit w+
-    half, and q from the transpose of one whose first column is the unit w-
-    half, so the rotation carries e1^e2 onto w and its first two columns
-    span the plane.  A unit w is decomposable exactly when its halves have
-    equal length (Pluecker).
+    w is the antisymmetric form W = u v^T - v u^T with W[i, j] = w_k for the
+    basis pair (i, j) of k.  W's largest column, normalised, is a unit u in
+    the plane, and v = -W u turns it a right angle within the plane, so
+    u^v = w.  A unit w is decomposable exactly when |v| = 1 (W then has
+    singular values 1, 1, 0, 0; else its largest is below 1).
     """
-    plus = (w[:3] + w[3:]) / math.sqrt(2.0)
-    minus = (w[:3] - w[3:]) / math.sqrt(2.0)
-    n_plus, n_minus = math.sqrt(float(plus @ plus)), math.sqrt(float(minus @ minus))
-    if abs(n_plus - n_minus) > 1e-8:
+    form = np.zeros((4, 4))
+    form[_FIRST, _SECOND] = w
+    form -= form.T
+    col = form[:, int(np.argmax((form * form).sum(axis=0)))]
+    u = col / math.sqrt(float(col @ col))
+    v = -form @ u
+    n = math.sqrt(float(v @ v))
+    if abs(n - 1.0) > 1e-8:
         raise InvalidOperatorError("bivector is not decomposable within 1e-8")
-    p = rho_inverse(_rotation_from(plus / n_plus))
-    q = rho_inverse(_rotation_from(minus / n_minus).T)
-    f = quaternion_rotation(p, q)
-    return TangentPlane(f[:, 0], f[:, 1])
+    return TangentPlane(u, v / n)
 
 
 # bisection steps of the dual search; 2^-100 of the bracket is below float spacing
@@ -536,8 +528,7 @@ def _dual_min(m: np.ndarray) -> tuple[float, TangentPlane]:
     concave in t with supergradient <*v, v> at a bottom eigenvector v, so a
     fixed number of bisections on its sign reach the maximiser.  The
     witness plane is the combination w of the bracket ends' eigenvectors on
-    which <*w, w> vanishes, factored by the quaternion pair that turns e1^e2
-    onto its w+ and w- halves.
+    which <*w, w> vanishes, read off its 2-form (_plane_of).
     """
     star = hodge_star_matrix()
 

@@ -28,22 +28,25 @@ from .bivector import MODEL_BLOCKS, CurvatureOperator
 from .errors import DomainError, ExactnessError
 from .estimates import (
     FLOORS,
+    HAMILTON_SLACK,
+    SHARP,
     GridReport,
     floor_value,
     grid_extremum,
     hamilton_gap,
-    sharp_constants,
 )
 from .surd import QuadraticSurd, common_denominator
 
-_SHARP = sharp_constants()["constants"]
-COND_A_MAX_SEC = _SHARP["sec_upper_threshold"].value  # (14 - sqrt19)/12
-COND_B_SUM_MIN = _SHARP["weighted_sum_lower"].value  # (sqrt19 - 3)/4
-COND_B_DIFF_MAX = _SHARP["sec_diff_upper"].value  # (7 - sqrt19)/4
-NONNEG_SEC_MAX = _SHARP["nonneg_sec_threshold"].value  # sqrt3/2
-NONNEG_DIFF_MAX = _SHARP["nonneg_diff_threshold"].value  # sqrt3 - 1
-WEYL_SUM_MAX = _SHARP["weyl_sum_threshold"].value  # sqrt6/2
+COND_A_MAX_SEC = SHARP["sec_upper_threshold"].value  # (14 - sqrt19)/12
+COND_B_SUM_MIN = SHARP["weighted_sum_lower"].value  # (sqrt19 - 3)/4
+COND_B_DIFF_MAX = SHARP["sec_diff_upper"].value  # (7 - sqrt19)/4
+NONNEG_SEC_MAX = SHARP["nonneg_sec_threshold"].value  # sqrt3/2
+NONNEG_DIFF_MAX = SHARP["nonneg_diff_threshold"].value  # sqrt3 - 1
+WEYL_SUM_MAX = SHARP["weyl_sum_threshold"].value  # sqrt6/2
 _SQRT6 = 2 * WEYL_SUM_MAX
+
+# margin of the derived rows and of pinch_weyl_upper below their bounds
+ROW_MARGIN = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -70,19 +73,21 @@ def _row(name, lhs, relation, rhs, note="") -> CertificateRow:
 
 
 def _floor_row(name, lemma, a1, arg, t, note) -> CertificateRow:
-    """The row a1 >= floor(arg) - 1e-9 for a lemma of estimates.FLOORS.
+    """The row a1 >= floor(arg) - ROW_MARGIN for a lemma of estimates.FLOORS.
 
     Float data (t None) compares a1 with the closed form at arg.  Exact data
     passes numerators a1, arg over t; with the record's floor (c - sqrt(m u))/(k t)
-    the row holds iff x = c - k (a1 + 1e-9 t) <= 0 or m u >= x^2, over 10^9, so
-    no root is taken.  The printed rhs is the float closed form at float(arg).
+    and ROW_MARGIN = p/q the row holds iff x = c q - k (a1 q + p t) <= 0 or
+    m u q^2 >= x^2, so no root is taken.  The printed rhs is the float closed
+    form at float(arg).
     """
     if t is None:
-        return _row(name, a1, ">=", floor_value(lemma, arg) - Fraction(1, 10**9), note)
+        return _row(name, a1, ">=", floor_value(lemma, arg) - ROW_MARGIN, note)
+    p, q = ROW_MARGIN.numerator, ROW_MARGIN.denominator
     c, m, u, k = FLOORS[lemma].terms(arg, t)
-    x = c * 10**9 - k * (a1 * 10**9 + t)
-    holds = x <= 0 or m * u * 10**18 >= x * x
-    rhs = floor_value(lemma, float(arg / t)) - 1e-9
+    x = c * q - k * (a1 * q + p * t)
+    holds = x <= 0 or m * u * q * q >= x * x
+    rhs = floor_value(lemma, float(arg / t)) - ROW_MARGIN
     return CertificateRow(name, holds, float(a1 / t), ">=", rhs, note)
 
 
@@ -193,7 +198,8 @@ def classify(source) -> ClassificationVerdict:
         den, ns = (1, xs) if surds else common_denominator(xs)
         t, (n1, n2, n3, m1, m2, m3) = 3 * den, (3 * n for n in ns)
         gap = hamilton_gap((n1, n2, n3), (m1, m2, m3), t)  # t^2 times the gap
-        gap_holds, gap = 10**12 * gap >= -t * t, gap / (t * t)
+        gap_holds = HAMILTON_SLACK.denominator * gap >= -HAMILTON_SLACK.numerator * t * t
+        gap = gap / (t * t)
         top, spread = min(max(n3, t // 3), t), n3 - n2
         # the closed-form bound 4 (a3 - a1)/sqrt6 on |W+| + |W-| (on normalized
         # data it equals (2 - 6 a1 + 2 (a3 - a2))/sqrt6)
@@ -201,13 +207,14 @@ def classify(source) -> ClassificationVerdict:
     else:
         t, n1 = None, a1
         gap = hamilton_gap(d.a, d.b)
-        gap_holds = gap >= -Fraction(1, 10**12)
+        gap_holds = gap >= -HAMILTON_SLACK
         top, spread = float(min(max(a3, Fraction(1, 3)), 1)), diff
         bound = 4 * (fa[2] - fa[0]) / math.sqrt(6.0)
 
-    note = "pointwise quadratic inequality (float slack 1e-12)"
+    slack = float(HAMILTON_SLACK)
+    note = f"pointwise quadratic inequality (float slack {slack:g})"
     rows = [
-        CertificateRow("hamilton", gap_holds, float(gap), ">=", -1e-12, note),
+        CertificateRow("hamilton", gap_holds, float(gap), ">=", -slack, note),
         _row("condition_a", a3, "<=", COND_A_MAX_SEC, "max sectional curvature cap"),
         _row("condition_b_sum", 2 * a2 + a1, ">=", COND_B_SUM_MIN, "weighted frame curvature floor"),
         _row("condition_b_diff", diff, "<=", COND_B_DIFF_MAX, "sectional spread cap"),
@@ -217,7 +224,7 @@ def classify(source) -> ClassificationVerdict:
     ]
     if float(diff) < 0:
         spread = 0
-    # only a domain's top skips a row: valid data may leave [1/3, 1] within its 1e-9 tolerance
+    # only a domain's top skips a row: valid data may leave [1/3, 1] within BergerData's tolerance
     skipped = []
     for name, lemma, label, x, arg, note in (
         ("derived_min_sec", "kupper", "a3", fa[2], top,
@@ -232,9 +239,8 @@ def classify(source) -> ClassificationVerdict:
             domain = f"the domain {floor.domain} of {lemma}_lower"
             skipped.append((name, f"{label} = {x:.9g} lies outside {domain}"))
     note = "Weyl sum against its sectional bound"
-    rows.append(
-        CertificateRow("pinch_weyl_upper", bound - weyl_sum >= -1e-9, weyl_sum, "<=", bound, note)
-    )
+    holds = bound - weyl_sum >= -float(ROW_MARGIN)
+    rows.append(CertificateRow("pinch_weyl_upper", holds, weyl_sum, "<=", bound, note))
 
     matches = tuple(
         name

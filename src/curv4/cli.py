@@ -39,6 +39,7 @@ from .classify import classify, wpm_discriminant_oracle
 from .errors import Curv4Error, DomainError
 from .estimates import (
     FLOORS,
+    SHARP,
     SLAB_POINTS,
     GridReport,
     hamilton_gap,
@@ -266,6 +267,7 @@ def _decompose_doc(op: CurvatureOperator) -> dict:
 
 
 def _print(doc: dict, fmt: str, table_lines) -> None:
+    """The one print path: doc as JSON, or the lines table_lines(doc) yields."""
     if fmt == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -274,38 +276,36 @@ def _print(doc: dict, fmt: str, table_lines) -> None:
 
 
 # -- subcommand implementations -------------------------------------------------
+#
+# Each returns (doc, table_lines, exit status); main prints doc through _print.
 
 
-def _cmd_models(args) -> int:
+def _cmd_models(args):
     names = [args.name] if args.name else list(MODEL_NAMES)
     docs = {}
     for name in names:
-        op = model_space(name)
         info = MODEL_INFO[name]
-        doc = operator_to_json(op)
-        doc.update(
-            {
-                "model": name,
-                "euler": info["euler"],
-                "signature": info["signature"],
-                "description": info["description"],
-            }
-        )
-        docs[name] = doc
-    if args.format == "json":
-        out = docs[args.name] if args.name else {"format": "curv4-models-v1", "models": docs}
-        print(json.dumps(out, indent=2))
-        return 0
-    for name in names:
-        info = MODEL_INFO[name]
-        a, b = (", ".join(str(Fraction(x)) for x in block) for block in MODEL_BLOCKS[name])
-        tau = "-" if info["signature"] is None else str(info["signature"])
-        print(f"{name:8s} a = ({a})  b = ({b})  chi = {info['euler']}  tau = {tau}")
-        print(f"{'':8s} {info['description']}")
-    return 0
+        docs[name] = {
+            **operator_to_json(model_space(name)),
+            "model": name,
+            "euler": info["euler"],
+            "signature": info["signature"],
+            "description": info["description"],
+        }
+    doc = docs[args.name] if args.name else {"format": "curv4-models-v1", "models": docs}
+
+    def lines(_):
+        for name in names:
+            info = MODEL_INFO[name]
+            a, b = (", ".join(str(Fraction(x)) for x in block) for block in MODEL_BLOCKS[name])
+            tau = "-" if info["signature"] is None else str(info["signature"])
+            yield f"{name:8s} a = ({a})  b = ({b})  chi = {info['euler']}  tau = {tau}"
+            yield f"{'':8s} {info['description']}"
+
+    return doc, lines, 0
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     op = _load_operator(args.infile)
     doc = _decompose_doc(op)
 
@@ -318,11 +318,10 @@ def _cmd_decompose(args) -> int:
         yield f"cross-block norm   {d['cross_norm']:.3e}"
         yield f"einstein           {d['is_einstein']}"
 
-    _print(doc, args.format, lines)
-    return 0
+    return doc, lines, 0
 
 
-def _cmd_berger(args) -> int:
+def _cmd_berger(args):
     op = _load_operator(args.infile)
     data = berger_data(op)
     doc = berger_to_json(data)
@@ -341,8 +340,7 @@ def _cmd_berger(args) -> int:
         if "frame" in d:
             yield f"frame residual {d['frame_residual']:.3e} degenerate {d['frame_degenerate']}"
 
-    _print(doc, args.format, lines)
-    return 0
+    return doc, lines, 0
 
 
 def _verify_lines(doc):
@@ -355,13 +353,12 @@ def _verify_lines(doc):
     )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     doc = run_verification(args.lemma, args.alpha, args.delta, args.grid, args.seed)
-    _print(doc, args.format, _verify_lines)
-    return 0 if doc["pass"] else 1
+    return doc, _verify_lines, 0 if doc["pass"] else 1
 
 
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args):
     doc = run_battery(args.grid, args.seed)
 
     def lines(d):
@@ -369,11 +366,10 @@ def _cmd_verify_all(args) -> int:
             yield from _verify_lines(check)
         yield f"{len(d['checks']) - d['failures']}/{len(d['checks'])} checks passed"
 
-    _print(doc, args.format, lines)
-    return 0 if doc["failures"] == 0 else 1
+    return doc, lines, 0 if doc["failures"] == 0 else 1
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     obj = load_any(read_document(args.infile))
     verdict = classify(obj)
     doc = {
@@ -392,8 +388,7 @@ def _cmd_classify(args) -> int:
         if d["candidates"]:
             yield "compatible models: " + ", ".join(d["candidates"])
 
-    _print(doc, args.format, lines)
-    return 0
+    return doc, lines, 0
 
 
 _SNAP_TOLERANCE = 5e-4
@@ -406,7 +401,7 @@ def _snap_alpha(x: float):
     (2 - sqrt3)/6) must behave like the exact value: the volume cap is an
     integer exactly at those points and a float would land on the wrong side.
     """
-    surd = sharp_constants()["constants"]["euler_pinch_alpha"].value
+    surd = SHARP["euler_pinch_alpha"].value
     candidates = [(surd.expression(), surd)]
     for k in range(0, 5):
         frac = Fraction(k, 12)
@@ -417,7 +412,7 @@ def _snap_alpha(x: float):
     return x, None
 
 
-def _cmd_chi_tau(args) -> int:
+def _cmd_chi_tau(args):
     alpha, label = _snap_alpha(args.alpha)
     report = admissible_types(alpha)
     doc = {
@@ -442,11 +437,10 @@ def _cmd_chi_tau(args) -> int:
             for line in d["trail"]:
                 yield f"  . {line}"
 
-    _print(doc, args.format, lines)
-    return 0
+    return doc, lines, 0
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args):
     book = sharp_constants()
     doc = {
         "constants": {
@@ -467,8 +461,7 @@ def _cmd_constants(args) -> int:
         for name, ok in d["identities"].items():
             yield f"identity {name}: {'ok' if ok else 'FAIL'}"
 
-    _print(doc, args.format, lines)
-    return 0 if all(book["identities"].values()) else 1
+    return doc, lines, 0 if all(book["identities"].values()) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,7 +528,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        doc, lines, status = args.func(args)
+        _print(doc, args.format, lines)
+        return status
     except (OSError, Curv4Error) as exc:
         print(f"curv4: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -138,8 +139,9 @@ def dominance(a, b, tol=0.0) -> list:
     return [abs(b[j] - b[i]) <= a[j] - a[i] + tol for i, j in DOMINANCE_PAIRS]
 
 
-# boundary slack of the inequality on float data
-HAMILTON_PREDICATE_TOL = 1e-12
+# boundary slack of the inequality: exact, so integer tests read its numerator
+# and denominator, and float(HAMILTON_SLACK) is exactly 1e-12
+HAMILTON_SLACK = Fraction(1, 10**12)
 
 
 def hamilton_row_bound(a1, a2, a3):
@@ -437,6 +439,7 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
     order = (a1 <= a2 + 1e-12) & (a2 <= a3 + 1e-12)
     rows = np.flatnonzero(order & (hamilton_row_bound(a1, a2, a3) >= -1e-9))
     t = np.linspace(-1.0, 1.0, r + 1)
+    slack = float(HAMILTON_SLACK)
     key = -objective if sense == "max" else objective
     for i in rows[np.argsort(key[rows], kind="stable")].tolist():  # best objective first
         a = (a1[i], a2[i], a3[i])
@@ -447,7 +450,7 @@ def pointwise_bound_oracle(lemma: str, param: float, resolution: int = 120) -> G
             b = (b1, b2, -b1 - b2)
             d12, d13, d23 = dominance(a, b, 1e-12)
             gap = hamilton_gap(a, b)
-            return objective[i], d12 & d13 & d23 & (gap >= -HAMILTON_PREDICATE_TOL)
+            return objective[i], d12 & d13 & d23 & (gap >= -slack)
 
         # a constant bound ends the scan at the first slab holding a feasible point
         found = grid_extremum(lines, r + 1, r + 1, sense, np.full(r + 1, objective[i]))
@@ -479,8 +482,38 @@ class SharpConstant:
         return self.value.enclosure(15)
 
 
+def _sharp_table() -> MappingProxyType:
+    """The sharp thresholds of the classification, exactly, by name."""
+    s19, s3, s6, s105 = (QuadraticSurd(0, 1, r, 1) for r in (19, 3, 6, 105))
+    rows = (
+        ("sec_upper_threshold", (14 - s19) / 12,
+         "largest admissible maximum sectional curvature (condition a)"),
+        ("weighted_sum_lower", (s19 - 3) / 4,
+         "smallest admissible 2 K(e1,e2) + K(e1,e3) over adapted frames (condition b)"),
+        ("sec_diff_upper", (7 - s19) / 4,
+         "largest admissible sectional spread a3 - a2 (condition b)"),
+        ("apriori_min_lower", (7 - s105) / 28,
+         "unconditional lower bound on the minimum sectional curvature at a3 = 1"),
+        ("nonneg_sec_threshold", s3 / 2,
+         "sectional upper bound forcing nonnegative sectional curvature"),
+        ("nonneg_diff_threshold", s3 - 1,
+         "sectional spread forcing nonnegative sectional curvature"),
+        ("euler_pinch_alpha", (2 - s3) / 6,
+         "pinching level at which the Euler-characteristic cap reaches 8"),
+        ("cp2_sec_upper", QuadraticSurd.from_rational(Fraction(2, 3)),
+         "maximum sectional curvature of the projective-plane model"),
+        ("weyl_sum_threshold", s6 / 2,
+         "borderline |W+| + |W-| for the elliptic rigidity argument"),
+    )
+    return MappingProxyType({name: SharpConstant(name, v, role) for name, v, role in rows})
+
+
+# the one table of sharp constants, built at import and read-only
+SHARP = _sharp_table()
+
+
 def sharp_constants() -> dict:
-    """The sharp thresholds of the classification, exactly, plus identity checks.
+    """The sharp constants (a copy of SHARP) plus identity checks computed on them.
 
     The identities recompute the endpoint algebra of the main theorems in
     surd arithmetic on the constants returned: with B = (14 - sqrt19)/12
@@ -489,67 +522,18 @@ def sharp_constants() -> dict:
     pipeline tops out at (2 + 2D - 6 kdiff_lower(D))/sqrt6; both must equal
     sqrt(3/2) = sqrt6/2 exactly.
     """
-    s19, s3, s6, s105 = (QuadraticSurd(0, 1, r, 1) for r in (19, 3, 6, 105))
-    constants = [
-        SharpConstant(
-            "sec_upper_threshold",
-            (14 - s19) / 12,
-            "largest admissible maximum sectional curvature (condition a)",
-        ),
-        SharpConstant(
-            "weighted_sum_lower",
-            (s19 - 3) / 4,
-            "smallest admissible 2 K(e1,e2) + K(e1,e3) over adapted frames (condition b)",
-        ),
-        SharpConstant(
-            "sec_diff_upper",
-            (7 - s19) / 4,
-            "largest admissible sectional spread a3 - a2 (condition b)",
-        ),
-        SharpConstant(
-            "apriori_min_lower",
-            (7 - s105) / 28,
-            "unconditional lower bound on the minimum sectional curvature at a3 = 1",
-        ),
-        SharpConstant(
-            "nonneg_sec_threshold",
-            s3 / 2,
-            "sectional upper bound forcing nonnegative sectional curvature",
-        ),
-        SharpConstant(
-            "nonneg_diff_threshold",
-            s3 - 1,
-            "sectional spread forcing nonnegative sectional curvature",
-        ),
-        SharpConstant(
-            "euler_pinch_alpha",
-            (2 - s3) / 6,
-            "pinching level at which the Euler-characteristic cap reaches 8",
-        ),
-        SharpConstant(
-            "cp2_sec_upper",
-            QuadraticSurd.from_rational(Fraction(2, 3)),
-            "maximum sectional curvature of the projective-plane model",
-        ),
-        SharpConstant(
-            "weyl_sum_threshold",
-            s6 / 2,
-            "borderline |W+| + |W-| for the elliptic rigidity argument",
-        ),
-    ]
-
-    book = {c.name: c for c in constants}
-    beta = book["sec_upper_threshold"].value
+    beta = SHARP["sec_upper_threshold"].value
     beta1 = kupper_lower(beta)
+    target = SHARP["weyl_sum_threshold"].value
+    s6 = 2 * target
     upper_chain = 4 * (beta - beta1) / s6
-    beta_d = book["sec_diff_upper"].value
+    beta_d = SHARP["sec_diff_upper"].value
     beta1_d = kdiff_lower(beta_d)
     diff_chain = (2 + 2 * beta_d - 6 * beta1_d) / s6
-    target = book["weyl_sum_threshold"].value
     identities = {
         "upper_pipeline_endpoint": upper_chain == target,
         "diff_pipeline_endpoint": diff_chain == target,
         "upper_gap_rational": (beta - beta1) == Fraction(3, 4),
         "diff_combination_rational": (2 + 2 * beta_d - 6 * beta1_d) == 3,
     }
-    return {"constants": book, "identities": identities}
+    return {"constants": dict(SHARP), "identities": identities}

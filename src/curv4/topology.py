@@ -100,7 +100,8 @@ def admissible_types(alpha) -> TopologyReport:
     the cap comparison exact, which matters on the boundary where the cap is
     an integer.
     """
-    if not (-1e-12 <= alpha <= 1.0 / 3.0 + 1e-12):  # NaN fails, and so does an infinity
+    # the one edge: beta = 1 - 2 alpha suits euler_upper_per_vol for alpha <= 1/3 exactly; NaN fails
+    if not (-1e-12 <= alpha <= Fraction(1, 3)):
         raise DomainError("pinching level alpha must lie in [0, 1/3]")
     (alpha,) = coerce(alpha)
     cap = 3 * euler_upper_per_vol(alpha, 1 - 2 * alpha)

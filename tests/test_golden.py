@@ -36,6 +36,9 @@ def _cases() -> dict:
         "verify-all.json": ["verify-all"],
         "verify-all-grid40.json": ["verify-all", "--grid", "40"],
     }
+    for name in ("sphere", "rp4", "cp2", "s2xs2"):
+        cases[f"models-{name}.json"] = ["models", "--name", name]
+        cases[f"models-{name}.table"] = ["models", "--name", name, "--format", "table"]
     for alpha in ("0", "0.08333333333333333", "0.0446", "0.1", "0.3333333333333333"):
         explain = ["chi-tau", "--alpha", alpha, "--explain"]
         cases[f"chi-tau-{alpha}.json"] = explain

@@ -391,6 +391,52 @@ def test_cli_chi_tau_snapping(capsys):
     assert "boundary fallback" in out
 
 
+def test_cli_no_sharp_constant_is_built_by_classify_import_or_chi_tau(monkeypatch, capsys):
+    # the table is built once, when estimates is imported; a fresh execution of
+    # classify's module (sys.modules untouched) and a snapped chi-tau only read it
+    import importlib.util
+
+    classify = importlib.import_module("curv4.classify")
+    built = []
+    init = estimates.SharpConstant.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(estimates.SharpConstant, "__init__", counting)
+    spec = importlib.util.spec_from_file_location(classify.__name__, classify.__file__)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert main(["chi-tau", "--alpha", "0.0446"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha_exact"] == "(2 - sqrt(3))/6"
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        (0.1, 0.3, 0.6),  # on the polytope
+        (0.1, 0.3, 0.6 + 5e-8),  # sum(a) off by 5e-8 of lambda: outside the 1e-9 tolerance
+    ],
+)
+def test_cli_verdicts_do_not_depend_on_the_scale_of_the_datum(a, tmp_path, capsys):
+    # lambda = 2^k scales every entry exactly, so each command must give at every
+    # k the verdict it gives at k = 0, and all must agree: each exits 0, or all exit 2
+    outcomes = set()
+    for k in range(-30, 31):
+        lam = 2.0**k
+        doc = {"format": BERGER_FORMAT, "a": [x * lam for x in a], "b": [0.0] * 3, "lambda": lam}
+        path = write_doc(tmp_path, f"scaled{k}.json", doc)
+        codes = [main([*argv, "--in", path]) for argv in (["berger", "--frame"], ["decompose"])]
+        codes.append(main(["classify", "--in", path]))
+        out = capsys.readouterr().out
+        verdict = json.loads(out[out.rindex('{\n  "verdict"'):])["verdict"] if codes[2] == 0 else None
+        outcomes.add((tuple(codes), verdict))
+    assert len(outcomes) == 1, sorted(outcomes, key=str)
+    ((codes, _),) = outcomes
+    assert set(codes) in ({0}, {2})
+
+
 def test_cli_constants(capsys):
     assert main(["constants"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -107,6 +107,16 @@ def test_admissible_types_endpoints():
         admissible_types(-0.1)
 
 
+def test_admissible_types_states_its_edge_once():
+    # every alpha the domain check accepts gets a report, and every alpha it
+    # refuses gets the pinching-level message, none from euler_upper_per_vol
+    for alpha in (Fraction(1, 3), 1.0 / 3.0, 0.0, -1e-12, EULER_PINCH_ALPHA):
+        assert admissible_types(alpha).pairs
+    for alpha in (1 / 3 + 4e-13, 1 / 3 + 7e-13, 1 / 3 + 1e-12, -1e-11, math.nan, math.inf):
+        with pytest.raises(DomainError, match="pinching level"):
+            admissible_types(alpha)
+
+
 def test_admissible_types_antitone_and_obstruction_free():
     prev = None
     for i in range(13):
